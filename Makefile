@@ -3,10 +3,12 @@
 
 GO ?= go
 
-# Label stamped onto bench-sampling runs in BENCH_sampling.json.
+# Label stamped onto every bench-<name> record in BENCH_<name>.json.
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 
-.PHONY: build test race vet fmt-check seed-check lint cover bench bench-sampling bench-query bench-obfuscate bench-bfs bench-qserve bench-io ci
+BENCH_TARGETS = bench-sampling bench-query bench-bfs bench-obfuscate bench-qserve bench-io
+
+.PHONY: build test race vet fmt-check seed-check lint cover bench $(BENCH_TARGETS) e2ebench-check ci
 
 # Total-coverage floor enforced by `make cover`. 75.9% measured when
 # the target was introduced (PR 5), raised to 78 with the result-cache
@@ -64,97 +66,64 @@ bench:
 	$(GO) test -run TestObfuscateBenchConfigEquivalence \
 		-bench 'BenchmarkObfuscate(Sequential|Parallel)' -benchtime 5x .
 
-# Possible-world engine benchmarks, appended as a JSON record to
-# BENCH_sampling.json (the first record is the pre-refactor baseline;
-# see README "Graph representation & memory model"). A temp file, not a
-# pipe, carries the output so a go-test failure fails the target
-# (benchfmt additionally refuses runs whose output contains FAIL).
-bench-sampling:
+# Package benchmarks, each appended as a JSON record to BENCH_<name>.json
+# by one shared recipe (below): bench-<name> sets the package, the
+# benchmark regexp and the iteration count.
+#
+# bench-sampling: the possible-world engine (the first record in
+# BENCH_sampling.json is the pre-refactor baseline; see README "Graph
+# representation & memory model").
+bench-sampling: BENCH_PKG = ./internal/sampling
+bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$
+bench-sampling: BENCH_TIME = 3x
+# bench-query: batched vs one-shot serving of the same query mix, plus
+# the reliability-only early-exit pair (bit-identical answers). The
+# BatchQueries line must report 0 allocs/op: the per-world query loop
+# is allocation-free once warm.
+bench-query: BENCH_PKG = ./internal/query
+bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkSingleQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$
+bench-query: BENCH_TIME = 3x
+# bench-bfs: pure push vs pure pull vs the direction-optimizing
+# heuristic on a >= 100k-edge scale-free graph; DirectionOpt's
+# frontier-switches/op lands in the record's metrics map.
+bench-bfs: BENCH_PKG = ./internal/bfs
+bench-bfs: BENCH_RE = BenchmarkBFSPush$$|BenchmarkBFSPull$$|BenchmarkBFSDirectionOpt$$
+bench-bfs: BENCH_TIME = 3x
+# bench-obfuscate: sequential vs parallel full Algorithm 1 runs on the
+# ~5k-vertex stand-in.
+bench-obfuscate: BENCH_PKG = .
+bench-obfuscate: BENCH_RE = BenchmarkObfuscate(Sequential|Parallel)$$
+bench-obfuscate: BENCH_TIME = 3x
+# bench-qserve: steady-state hot request vs the post-eviction cold
+# reload, plus the result-cache triplet (stored-answer hit, miss
+# against a resident graph, miss that also reloads). The cache's
+# acceptance bar is hot-cache >= 10x faster than the cache-disabled
+# hot request.
+bench-qserve: BENCH_PKG = ./internal/qserve
+bench-qserve: BENCH_RE = BenchmarkRegistryHotRequest$$|BenchmarkRegistryColdReload$$|BenchmarkRegistryCachedRequest$$
+bench-qserve: BENCH_TIME = 20x
+# bench-io: text parse vs mmap'd .ugb cold load of the same graph; UGB
+# must cold-start >= 5x faster with allocations independent of graph
+# size.
+bench-io: BENCH_PKG = ./internal/ugbin
+bench-io: BENCH_RE = BenchmarkColdLoadText$$|BenchmarkColdLoadUGB$$
+bench-io: BENCH_TIME = 10x
+
+# A temp file, not a pipe, carries the output so a go-test failure
+# fails the target (benchfmt additionally refuses runs whose output
+# contains FAIL).
+$(BENCH_TARGETS): bench-%:
 	@tmp="$$(mktemp)"; \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$' \
-		-benchmem -benchtime 3x ./internal/sampling > "$$tmp" 2>&1; \
+	$(GO) test -run '^$$' -bench '$(BENCH_RE)' \
+		-benchmem -benchtime $(BENCH_TIME) $(BENCH_PKG) > "$$tmp" 2>&1; \
 	status=$$?; \
 	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
-	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_sampling.json < "$$tmp"; \
+	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_$*.json < "$$tmp"; \
 	status=$$?; rm -f "$$tmp"; exit $$status
 
-# Query-serving engine benchmarks (batched vs one-shot serving of the
-# same query mix, plus the reliability-only early-exit pair), appended
-# as a JSON record to BENCH_query.json. The BatchQueries line must
-# report 0 allocs/op: the per-world query loop is allocation-free once
-# warm. ReliabilityOnly vs ReliabilityOnlyFullBFS is the
-# target-resolved early exit, bit-identical answers.
-bench-query:
-	@tmp="$$(mktemp)"; \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkBatchQueries$$|BenchmarkSingleQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$' \
-		-benchmem -benchtime 3x ./internal/query > "$$tmp" 2>&1; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
-	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_query.json < "$$tmp"; \
-	status=$$?; rm -f "$$tmp"; exit $$status
+# The benchmark harness is its own module importing internal/*, so the
+# root `go build ./...` never compiles it: vet and self-test it here.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
-# Direction-optimizing frontier BFS benchmarks (pure push vs pure pull
-# vs the density heuristic on a >= 100k-edge scale-free graph),
-# appended as a JSON record to BENCH_bfs.json. DirectionOpt's
-# frontier-switches/op lands in the record's metrics map; the
-# acceptance bar is DirectionOpt beating Push at high-density
-# frontiers.
-bench-bfs:
-	@tmp="$$(mktemp)"; \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkBFSPush$$|BenchmarkBFSPull$$|BenchmarkBFSDirectionOpt$$' \
-		-benchmem -benchtime 3x ./internal/bfs > "$$tmp" 2>&1; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
-	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_bfs.json < "$$tmp"; \
-	status=$$?; rm -f "$$tmp"; exit $$status
-
-# Full-Algorithm-1 obfuscation benchmarks (sequential vs parallel runs
-# of the context-first engine on the ~5k-vertex stand-in), appended as
-# a JSON record to BENCH_obfuscate.json so the search's perf trajectory
-# stays visible across PRs, like bench-sampling/bench-query.
-bench-obfuscate:
-	@tmp="$$(mktemp)"; \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkObfuscate(Sequential|Parallel)$$' \
-		-benchmem -benchtime 3x . > "$$tmp" 2>&1; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
-	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_obfuscate.json < "$$tmp"; \
-	status=$$?; rm -f "$$tmp"; exit $$status
-
-# Multi-tenant serving benchmarks (steady-state hot request vs the
-# post-eviction cold path that reloads a graph from its retained
-# source, plus the result-cache triplet: stored-answer hit, miss
-# against a resident graph, miss that also reloads), appended as a
-# JSON record to BENCH_qserve.json. The gap between the first pair is
-# the price of an LRU eviction miss under the global memory budget;
-# the acceptance bar for the cache is hot-cache >= 10x faster than the
-# cache-disabled hot request.
-bench-qserve:
-	@tmp="$$(mktemp)"; \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkRegistryHotRequest$$|BenchmarkRegistryColdReload$$|BenchmarkRegistryCachedRequest$$' \
-		-benchmem -benchtime 20x ./internal/qserve > "$$tmp" 2>&1; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
-	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_qserve.json < "$$tmp"; \
-	status=$$?; rm -f "$$tmp"; exit $$status
-
-# Cold-load benchmarks (text parse vs mmap'd .ugb of the same graph),
-# appended as a JSON record to BENCH_io.json. The pair is the on-disk
-# format's acceptance bar: UGB must cold-start >= 5x faster than the
-# text parse with allocations independent of graph size.
-bench-io:
-	@tmp="$$(mktemp)"; \
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkColdLoadText$$|BenchmarkColdLoadUGB$$' \
-		-benchmem -benchtime 10x ./internal/ugbin > "$$tmp" 2>&1; \
-	status=$$?; \
-	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
-	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_io.json < "$$tmp"; \
-	status=$$?; rm -f "$$tmp"; exit $$status
-
-ci: build lint test race
+ci: build lint test race e2ebench-check

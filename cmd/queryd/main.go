@@ -54,12 +54,11 @@
 // That determinism funds the result cache: complete answers are stored
 // under -result-cache-budget bytes of LRU (default 256 MiB; 0 disables
 // caching), keyed by graph release and fully resolved request content,
-// so a repeated request is a lookup, N identical concurrent requests
-// compute once (single-flight), and concurrent requests sharing a
-// world stream ride one sampler tick. Cached, coalesced and shared
-// answers are byte-identical to fresh recomputation; republishing or
-// deleting a graph invalidates its entries. /healthz and /graphs
-// report hit/miss/byte counters in "result_cache".
+// so a repeated request is a lookup and N identical concurrent
+// requests compute once (single-flight). Cached and coalesced answers
+// are byte-identical to fresh recomputation; republishing or deleting
+// a graph invalidates its entries. /healthz and /graphs report
+// hit/miss/byte counters in "result_cache".
 //
 // The daemon shuts down gracefully: SIGINT or SIGTERM stops accepting
 // new connections, lets in-flight requests drain for -drain (default
@@ -105,7 +104,7 @@ func main() {
 		tol        = flag.Float64("tolerance", 0, "default adaptive-precision tolerance: requests stop sampling once every query's relative SEM is at most this (0 disables; requests may override via the \"tolerance\" field)")
 		drain      = flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 		loadMode   = flag.String("load-mode", "auto", "how binary .ugb graphs are brought into memory: auto (mmap where supported), mmap (required), heap (always copy)")
-		cacheMem   = flag.Int64("result-cache-budget", qserve.DefaultResultCacheBudget, "result-cache byte budget: complete answers are cached (LRU), identical concurrent requests coalesce and share world streams; 0 disables")
+		cacheMem   = flag.Int64("result-cache-budget", qserve.DefaultResultCacheBudget, "result-cache byte budget: complete answers are cached (LRU) and identical concurrent requests coalesce; 0 disables")
 	)
 	flag.Parse()
 	if *gin == "" && *gdir == "" {

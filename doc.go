@@ -55,28 +55,31 @@
 // worlds, k < 1, negative memory budgets) are rejected with errors
 // wrapping ErrBadConfig rather than silently clamped.
 //
-// The worker budget has two composable axes. World-sampling operations
-// spend it across sampled worlds while there are enough queued worlds
-// to absorb it, and spill the leftover budget into each world's BFS
-// when there are not (one large query over few worlds, the tail block
-// of an adaptive run): the per-world traversal itself then runs as a
-// direction-optimizing frontier walk — push over the sparse frontier
-// list, pull over unvisited vertices once the frontier is dense —
-// parallelized over fixed 512-vertex chunks. Because BFS distances are
-// a function of the level sets alone and the direction heuristic is
-// driven by integer totals, the split is invisible in results: the
-// same bit-identity holds within a world as across worlds. See the
-// README's "Intra-world parallelism" subsection.
+// Statistic estimation and query batches run on one possible-world
+// loop, internal/worldloop, which owns the world seeds, the block
+// schedule and the worker split. The worker budget has two composable
+// axes. The loop spends it across sampled worlds while there are
+// enough queued walks to absorb it, and spills the leftover budget
+// into each world's BFS when there are not (one large query over few
+// worlds, the tail block of an adaptive run): the per-world traversal
+// itself then runs as a direction-optimizing frontier walk — push over
+// the sparse frontier list, pull over unvisited vertices once the
+// frontier is dense — parallelized over fixed 512-vertex chunks.
+// Because BFS distances are a function of the level sets alone and the
+// direction heuristic is driven by integer totals, the split is
+// invisible in results: the same bit-identity holds within a world as
+// across worlds. See the README's "Intra-world parallelism"
+// subsection.
 //
 // WithTolerance(tol) turns fixed-r Monte-Carlo runs adaptive: the
 // estimation pipeline and query batches walk their world budget in
-// fixed blocks and stop at the first block barrier where every
-// statistic's (or query's) relative standard error of the mean is
-// inside tol; WithMaxWorlds caps the adaptive budget. A stopped run
-// is bit-identical to the same-length prefix of an uncancelled
-// fixed-r run, for every worker count — the stopping decision is
-// computed from canonically merged integer counts, so scheduling
-// cannot move it. Report.WorldsUsed and Report.Converged (and
+// fixed 32-world blocks (worldloop.Block) and stop at the first block
+// barrier where every statistic's (or query's) relative standard error
+// of the mean is inside tol; WithMaxWorlds caps the adaptive budget. A
+// stopped run is bit-identical to the same-length prefix of an
+// uncancelled fixed-r run, for every worker count — the stopping
+// decision is computed from canonically merged integer counts, so
+// scheduling cannot move it. Report.WorldsUsed and Report.Converged (and
 // Batch.WorldsRun/Batch.Converged) expose what a run spent and which
 // estimates were inside tolerance. k-NN rankings carry no scalar
 // confidence interval, so a batch containing one runs its full
@@ -112,13 +115,6 @@
 // cmd/queryd sniffs uploads and *.ug/*.ugb files the same way, and
 // gengraph -convert / obfuscate -format binary produce the files. See
 // the README's "On-disk format & cold start" section.
-//
-// The primary names carry the v2 signatures; each v1 behaviour stays
-// reachable for one release through a thin deprecated wrapper
-// (ObfuscateWithParams, StatisticsWithConfig,
-// EstimateStatisticsWithConfig, NewQueryBatchWithConfig, NewQueryEngine,
-// NewRand, QueryBatch.MustRun); see the README's "API v2" migration
-// table.
 //
 // The top-level API is a thin facade over the internal packages; see
 // DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -2,6 +2,7 @@ package anf
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"uncertaingraph/internal/bfs"
@@ -108,5 +109,30 @@ func TestMaxIterCapsRun(t *testing.T) {
 	nf := NeighbourhoodFunction(b.Build(), Options{Bits: 6, MaxIter: 5, Seed: 1})
 	if len(nf) != 6 { // N(0) plus 5 iterations
 		t.Errorf("got %d points, want 6", len(nf))
+	}
+}
+
+// TestEngineMatchesPackageFunctions pins the Engine's reuse contract:
+// one Engine driven across graphs of different sizes — growing,
+// shrinking, growing again, so both the fresh-buffer and the
+// zero-in-place paths run — returns bit-identical neighbourhood
+// functions and distance distributions to the one-shot package
+// functions with the same options and seed.
+func TestEngineMatchesPackageFunctions(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.HolmeKim(randx.New(11), 300, 3, 0.3),
+		gen.ErdosRenyiGNM(randx.New(12), 80, 120),
+		gen.HolmeKim(randx.New(13), 400, 2, 0.1),
+	}
+	e := NewEngine(Options{Bits: 6})
+	for i, g := range graphs {
+		seed := uint64(20 + i)
+		opt := Options{Bits: 6, Seed: seed}
+		if got, want := e.NeighbourhoodFunction(g, seed), NeighbourhoodFunction(g, opt); !reflect.DeepEqual(got, want) {
+			t.Errorf("graph %d: Engine neighbourhood function diverges from the package function", i)
+		}
+		if got, want := e.DistanceDistribution(g, seed), DistanceDistribution(g, opt); !reflect.DeepEqual(got, want) {
+			t.Errorf("graph %d: Engine distance distribution %v, want %v", i, got, want)
+		}
 	}
 }

@@ -40,19 +40,21 @@ func (a Attempt) Failed() bool { return math.IsInf(a.EpsTilde, 1) }
 func GenerateObfuscation(g *graph.Graph, sigma float64, params Params) Attempt {
 	params = params.withDefaults()
 	params.Seed = params.resolveSeed()
-	att, _ := generateObfuscation(nil, g, sigma, params)
+	att, _ := generateObfuscation(nil, g, params.Property.Values(g), sigma, params)
 	return att
 }
 
-// generateObfuscation runs Algorithm 2 with a pre-resolved params.Seed.
+// generateObfuscation runs Algorithm 2 with a pre-resolved params.Seed
+// on the property values of g, computed once per run by the caller:
+// Property.Values may intern into its instance (P2, P3), so concurrent
+// probes must share one result instead of calling it themselves.
 // Cancelling ctx abandons the whole probe (used by Obfuscate to discard
 // speculative σ candidates and to propagate caller cancellation); a nil
 // ctx never cancels. The second return value reports how many trials
 // the probe examines — always t, since best-of-t selection must look at
 // every trial — the work measure behind Result.Trials.
-func generateObfuscation(ctx context.Context, g *graph.Graph, sigma float64, params Params) (Attempt, int) {
+func generateObfuscation(ctx context.Context, g *graph.Graph, values []int, sigma float64, params Params) (Attempt, int) {
 	n := g.NumVertices()
-	values := params.Property.Values(g)
 	dist := params.Property.Distance
 
 	// Line 1: σ-uniqueness of every vertex (θ = σ, Section 5.2).

@@ -203,13 +203,22 @@ type prober struct {
 	ctx    context.Context
 	g      *graph.Graph
 	params Params
+	// values are the property values of g, computed once before any
+	// probe starts and only read afterwards.
+	values []int
 
 	mu    sync.Mutex
 	tasks map[float64]*probeTask
 }
 
 func newProber(ctx context.Context, g *graph.Graph, params Params) *prober {
-	return &prober{ctx: ctx, g: g, params: params, tasks: make(map[float64]*probeTask)}
+	return &prober{
+		ctx:    ctx,
+		g:      g,
+		params: params,
+		values: params.Property.Values(g),
+		tasks:  make(map[float64]*probeTask),
+	}
 }
 
 // ensure starts evaluating σ if no live task exists for it.
@@ -232,7 +241,7 @@ func (p *prober) ensureLocked(sigma float64) *probeTask {
 	}
 	p.tasks[sigma] = t
 	go func() {
-		t.att, t.examined = generateObfuscation(taskCtx, p.g, sigma, p.params)
+		t.att, t.examined = generateObfuscation(taskCtx, p.g, p.values, sigma, p.params)
 		t.aborted = taskCtx.Err() != nil
 		close(t.done)
 	}()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"uncertaingraph/internal/gen"
@@ -180,4 +181,53 @@ func TestLegacyRngStillDeterministic(t *testing.T) {
 			a.Sigma, a.EpsTilde, b.Sigma, b.EpsTilde)
 	}
 	samePairs(t, a.G, b.G)
+}
+
+// countingProperty wraps a Property and counts its Values calls.
+type countingProperty struct {
+	Property
+	calls atomic.Int32
+}
+
+func (p *countingProperty) Values(g *graph.Graph) []int {
+	p.calls.Add(1)
+	return p.Property.Values(g)
+}
+
+// TestObfuscatePropertyValuesOncePerRun is the regression for the
+// P2/P3 interning race: Values appends to the property's dictionary,
+// and each concurrently running σ probe used to call it while other
+// probes read the dictionary through Distance (an index-out-of-range
+// panic, and a -race report). Values must run exactly once per
+// Obfuscate run, before any probe starts, and the speculative parallel
+// search must still match the sequential one.
+func TestObfuscatePropertyValuesOncePerRun(t *testing.T) {
+	g := testGraph(22, 250)
+	for name, mk := range map[string]func() Property{
+		"P2": func() Property { return NewNeighborhoodDegreeProperty() },
+		"P3": func() Property { return NewRadiusOneProperty() },
+	} {
+		t.Run(name, func(t *testing.T) {
+			var runs []*Result
+			for _, workers := range []int{1, 4} {
+				prop := &countingProperty{Property: mk()}
+				res, err := Obfuscate(context.Background(), g, Params{
+					K: 5, Eps: 0.12, Trials: 2, Delta: 1e-3,
+					Seed: 23, Workers: workers, Property: prop,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if n := prop.calls.Load(); n != 1 {
+					t.Errorf("workers=%d: Property.Values called %d times, want once per run", workers, n)
+				}
+				runs = append(runs, res)
+			}
+			if runs[0].Sigma != runs[1].Sigma || runs[0].EpsTilde != runs[1].EpsTilde {
+				t.Errorf("σ/ε̃ differ across workers: %v/%v vs %v/%v",
+					runs[0].Sigma, runs[0].EpsTilde, runs[1].Sigma, runs[1].EpsTilde)
+			}
+			samePairs(t, runs[0].G, runs[1].G)
+		})
+	}
 }

@@ -24,9 +24,9 @@ const DefaultResultCacheBudget = int64(256) << 20 // 256 MiB
 //   - the resolved world budget and the effective request seed (the
 //     content-derived seed of PR 6, or the caller's pinned override);
 //   - the effective tolerance as exact float bits — tolerance is
-//     excluded from the *seed* derivation so that adaptive and fixed
-//     runs share a world stream, but it changes how many of those
-//     worlds a run consumes, hence the rendered answer;
+//     excluded from the *seed* derivation (an adaptive run is a prefix
+//     of the fixed run's world stream), but it changes how many of
+//     those worlds a run consumes, hence the rendered answer;
 //   - the canonicalized query list (decoded values, not request bytes:
 //     field order, whitespace and default-vs-explicit fields collide);
 //   - the graph name, placed last because names may contain the
@@ -84,8 +84,9 @@ type ResultCacheStats struct {
 	// started — N identical concurrent requests cost one.
 	Coalesced    uint64 `json:"coalesced"`
 	Computations uint64 `json:"computations"`
-	// SharedRuns counts world streams that served more than one batch;
-	// SharedBatches the batches those streams served.
+	// SharedRuns and SharedBatches always read 0: shared world streams
+	// were removed, and the fields remain only because the end-to-end
+	// harness (e2ebench/layers.go) reads them.
 	SharedRuns    uint64 `json:"shared_runs"`
 	SharedBatches uint64 `json:"shared_batches"`
 }

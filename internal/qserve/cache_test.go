@@ -63,8 +63,8 @@ func graphStatsOf(t *testing.T, baseURL, name string) GraphStats {
 }
 
 // referenceAnswer computes a request on a fresh cache-disabled
-// single-tenant server — the ground truth every cached, coalesced or
-// shared answer must be byte-identical to. Workers is pinned to 1, the
+// single-tenant server — the ground truth every cached or coalesced
+// answer must be byte-identical to. Workers is pinned to 1, the
 // canonical stream shape.
 func referenceAnswer(t *testing.T, src []byte, name, reqBody string) []byte {
 	t.Helper()
@@ -354,5 +354,8 @@ func TestHealthzReportsResultCache(t *testing.T) {
 	rc := h.ResultCache
 	if !rc.Enabled || rc.BudgetBytes != 1<<20 || rc.Entries != 1 || rc.Misses != 1 || rc.Computations != 1 {
 		t.Errorf("cache-on healthz reports %+v", rc)
+	}
+	if rc.SharedRuns != 0 || rc.SharedBatches != 0 {
+		t.Errorf("shared_runs %d / shared_batches %d, want the retired counters at 0", rc.SharedRuns, rc.SharedBatches)
 	}
 }

@@ -68,7 +68,7 @@ func waitForStats(t *testing.T, baseURL string, pred func(ResultCacheStats) bool
 
 // TestSingleFlightCoalesces is the race exercise of the single-flight
 // layer (run it under -race): N concurrent identical requests plus N
-// near-identical ones (same stream, different tolerance) produce
+// near-identical ones (same seed, different tolerance) produce
 // exactly one computation per distinct key, every response within a
 // group byte-identical, whatever the interleaving — late arrivals
 // either join the flight or hit the cache it filled.
@@ -131,64 +131,6 @@ func TestSingleFlightCoalesces(t *testing.T) {
 	_, want := postBody(t, tsRef.URL+"/graphs/big/batch", ident)
 	if !bytes.Equal(identBodies[0], want) {
 		t.Errorf("coalesced answer diverges from fresh recomputation:\n%s\nvs\n%s", identBodies[0], want)
-	}
-}
-
-// TestSharedWorldStreamCohort forces the cohort path: a long
-// fixed-worlds run holds the stream while three tolerance-variant
-// requests (distinct cache keys, same stream key) queue behind it;
-// they must be drafted into one shared run and still answer
-// byte-identically to solo recomputation on a cache-disabled server.
-func TestSharedWorldStreamCohort(t *testing.T) {
-	const n = 1000
-	_, ts := slowCachedServer(t, n)
-	url := ts.URL + "/graphs/big/batch"
-	const queries = `"queries":[{"op":"reliability","s":0,"t":500}]`
-	slow := `{"worlds":3000,"tolerance":0,` + queries + `}`
-	variants := []string{
-		`{"worlds":3000,"tolerance":0.2,` + queries + `}`,
-		`{"worlds":3000,"tolerance":0.3,` + queries + `}`,
-		`{"worlds":3000,"tolerance":0.4,` + queries + `}`,
-	}
-
-	joinSlow := asyncPost(url, slow)
-	// Wait until the slow flight's computation has actually started, so
-	// the variants are guaranteed to arrive mid-run and queue.
-	waitForStats(t, ts.URL, func(st ResultCacheStats) bool { return st.Computations >= 1 }, "the slow flight to start")
-	joins := make([]func() (int, []byte, error), len(variants))
-	for i, body := range variants {
-		joins[i] = asyncPost(url, body)
-	}
-
-	bodies := make([][]byte, len(variants))
-	for i, join := range joins {
-		status, body, err := join()
-		if err != nil || status != http.StatusOK {
-			t.Fatalf("variant %d: status %d err %v: %s", i, status, err, body)
-		}
-		bodies[i] = body
-	}
-	if status, body, err := joinSlow(); err != nil || status != http.StatusOK {
-		t.Fatalf("slow request: status %d err %v: %s", status, err, body)
-	}
-
-	st := cacheStatsOf(t, ts.URL)
-	if st.SharedRuns < 1 || st.SharedBatches < 2 {
-		t.Errorf("shared runs %d / batches %d: the cohort never shared a stream", st.SharedRuns, st.SharedBatches)
-	}
-
-	// Shared execution must be invisible in the answers.
-	ref := &Server{Worlds: 400, Workers: 1, Seed: 3}
-	if _, err := ref.PublishGraph("big", benchGraph(t, n), GraphConfig{}); err != nil {
-		t.Fatal(err)
-	}
-	tsRef := httptest.NewServer(ref.Handler())
-	t.Cleanup(tsRef.Close)
-	for i, body := range variants {
-		_, want := postBody(t, tsRef.URL+"/graphs/big/batch", body)
-		if !bytes.Equal(bodies[i], want) {
-			t.Errorf("shared-run variant %d diverges from solo recomputation:\n%s\nvs\n%s", i, bodies[i], want)
-		}
 	}
 }
 

@@ -29,13 +29,12 @@
 // pure function of (graph release, resolved request), so with
 // ResultCacheBudget set the server stores complete 200 bodies under a
 // content-addressed key (graph generation + resolved worlds, seed,
-// tolerance and query list), coalesces identical concurrent requests
-// into one computation, and lets concurrent batches on the same
-// (release, seed) share one sampled world stream. All three layers
-// return bytes identical to a fresh recomputation — a cache hit, a
-// coalesced response and a shared-stream answer are indistinguishable
-// from computing alone — and republishing or deleting a graph starts a
-// new generation, so no stale answer can outlive its release.
+// tolerance and query list) and coalesces identical concurrent
+// requests into one computation. Both layers return bytes identical to
+// a fresh recomputation — a cache hit and a coalesced response are
+// indistinguishable from computing alone — and republishing or
+// deleting a graph starts a new generation, so no stale answer can
+// outlive its release.
 //
 // Resource limits: besides the worlds and query-count caps, every
 // request is priced against a memory budget before any buffer grows —
@@ -66,6 +65,7 @@ import (
 	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/ugbin"
 	"uncertaingraph/internal/uncertain"
+	"uncertaingraph/internal/worldloop"
 )
 
 // Default limits bounding the per-request Monte-Carlo cost and memory
@@ -159,18 +159,16 @@ type Server struct {
 	// (see resultCacheKey), LRU-evicted once stored bodies exceed this
 	// many bytes, and invalidated when their graph is republished or
 	// deleted. Enabling the cache also turns on single-flight
-	// coalescing (N identical concurrent requests compute once) and
-	// shared world streams (concurrent same-stream batches ride one
-	// sampler tick). 0 — the zero value — disables all three; cached
-	// answers are byte-identical to recomputation, but embedders opt
-	// in. cmd/queryd serves with DefaultResultCacheBudget.
+	// coalescing (N identical concurrent requests compute once). 0 —
+	// the zero value — disables both; cached answers are
+	// byte-identical to recomputation, but embedders opt in. cmd/queryd
+	// serves with DefaultResultCacheBudget.
 	ResultCacheBudget int64
 
 	initOnce sync.Once
 	reg      *Registry
 	defName  string
 	cache    *resultCache
-	streams  streamCoord
 }
 
 // init builds the registry on first use and publishes the compat G
@@ -490,7 +488,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		DefaultWorlds: s.defaultWorlds(),
 		MaxWorlds:     s.maxWorlds(),
 		MaxQueries:    s.maxQueries(),
-		Workers:       query.EffectiveWorkers(s.Workers, s.defaultWorlds()),
+		Workers:       worldloop.Workers(s.Workers, s.defaultWorlds()),
 		Tolerance:     s.Tolerance,
 		MemoryBudget:  s.memoryBudget(),
 		MaxKNNSources: s.maxKNNSources(),
@@ -514,16 +512,13 @@ func (s *Server) handleGraphList(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// resultCacheStats collates the cache's counters with the stream
-// coordinator's; the zero value (Enabled false) reports a disabled
-// cache.
+// resultCacheStats reports the cache's counters; the zero value
+// (Enabled false) reports a disabled cache.
 func (s *Server) resultCacheStats() ResultCacheStats {
 	if s.cache == nil {
 		return ResultCacheStats{}
 	}
-	st := s.cache.stats()
-	st.SharedRuns, st.SharedBatches = s.streams.stats()
-	return st
+	return s.cache.stats()
 }
 
 func (s *Server) handleGraphStats(w http.ResponseWriter, r *http.Request) {
@@ -696,8 +691,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 //     (a cache hit on an evicted graph stays a page-table no-op); a
 //     key already being computed is joined (single-flight); otherwise
 //     this request leads a new flight whose computation runs on its
-//     own goroutine under the flight's context and may share a world
-//     stream with concurrent compatible flights.
+//     own goroutine under the flight's context.
 //
 // A dropped connection (or server shutdown) cancels ctx: the request
 // detaches from its flight — which cancels the computation only when
@@ -728,7 +722,7 @@ func (s *Server) serve(ctx context.Context, w http.ResponseWriter, name string, 
 	}
 
 	if s.cache == nil {
-		status, body, abandoned := s.compute(ctx, name, info.gen, req, worlds, seed, tol)
+		status, body, abandoned := s.compute(ctx, name, req, worlds, seed, tol)
 		if !abandoned {
 			writeRawJSON(w, status, body)
 		}
@@ -742,7 +736,7 @@ func (s *Server) serve(ctx context.Context, w http.ResponseWriter, name string, 
 		return
 	}
 	if leader {
-		go s.runFlight(key, name, info.gen, req, worlds, seed, tol, f)
+		go s.runFlight(key, name, req, worlds, seed, tol, f)
 	}
 	select {
 	case <-f.ready:
@@ -757,9 +751,9 @@ func (s *Server) serve(ctx context.Context, w http.ResponseWriter, name string, 
 // detached from any single request, cancelled only when every attached
 // request has gone — and settles it for all waiters, storing complete
 // 200 bodies in the cache.
-func (s *Server) runFlight(key, name string, gen uint64, req *BatchRequest, worlds int, seed int64, tol float64, f *flight) {
+func (s *Server) runFlight(key, name string, req *BatchRequest, worlds int, seed int64, tol float64, f *flight) {
 	s.cache.computed()
-	status, body, abandoned := s.compute(f.ctx, name, gen, req, worlds, seed, tol)
+	status, body, abandoned := s.compute(f.ctx, name, req, worlds, seed, tol)
 	if abandoned {
 		s.cache.abort(key, f)
 		return
@@ -770,11 +764,8 @@ func (s *Server) runFlight(key, name string, gen uint64, req *BatchRequest, worl
 // compute acquires the graph (reloading it if evicted), runs the fully
 // resolved request through a pooled batch and renders the response to
 // bytes. It returns abandoned=true — no status, no body — when ctx
-// cancelled the run: nobody is listening. With the cache enabled the
-// run goes through the stream coordinator, sharing one sampled world
-// stream with concurrent requests on the same (graph release, seed);
-// otherwise the batch samples alone.
-func (s *Server) compute(ctx context.Context, name string, gen uint64, req *BatchRequest, worlds int, seed int64, tol float64) (status int, body []byte, abandoned bool) {
+// cancelled the run: nobody is listening.
+func (s *Server) compute(ctx context.Context, name string, req *BatchRequest, worlds int, seed int64, tol float64) (status int, body []byte, abandoned bool) {
 	h, err := s.reg.acquire(name)
 	if err != nil {
 		// The graph vanished between peek and acquire, or a path-backed
@@ -808,12 +799,7 @@ func (s *Server) compute(ctx context.Context, name string, gen uint64, req *Batc
 	// Always stamped, never merely defaulted: the batch is pooled, so a
 	// previous request's tolerance must not leak into this one.
 	b.Tolerance = tol
-	if s.cache != nil {
-		err = s.streams.run(ctx, streamKey{name: name, gen: gen, seed: seed}, b)
-	} else {
-		err = b.Run(ctx)
-	}
-	if err != nil {
+	if err = b.Run(ctx); err != nil {
 		h.pool.Put(b)
 		// The usual cause: the client dropped (or the server is
 		// shutting down) and the computation's context cancelled —
@@ -927,7 +913,7 @@ func (s *Server) validate(n int, cfg GraphConfig, req *BatchRequest) error {
 		return fmt.Errorf("%w: %d distinct k-NN sources exceed the per-request cap %d",
 			query.ErrOverBudget, len(knnSources), max)
 	}
-	workers := query.EffectiveWorkers(s.Workers, s.resolveWorlds(cfg, req.Worlds))
+	workers := worldloop.Workers(s.Workers, s.resolveWorlds(cfg, req.Worlds))
 	if need, budget := query.WorstCaseAccumBytes(n, len(knnSources), workers), s.effMemBudget(cfg); need > budget {
 		return fmt.Errorf("%w: worst case %d bytes (%d k-NN sources × %d² vertices × 4 bytes × %d workers) > budget %d bytes",
 			query.ErrOverBudget, need, len(knnSources), n, workers, budget)
@@ -1017,11 +1003,10 @@ func (s *Server) maxUploadBytes() int64 {
 // against the same graph return identical answers — including across
 // an evict/reload cycle, whose reloaded graph is parsed from the same
 // source bytes. Hashing the name keeps equal-shaped requests against
-// different graphs on decorrelated world streams. Tolerance is
-// deliberately excluded from the derivation: an adaptive run is a
-// prefix of the fixed run's world stream, so requests that differ only
-// in tolerance should share one stream — the tighter run extends the
-// looser one rather than resampling.
+// different graphs on decorrelated world streams. Tolerance stays
+// excluded from the derivation because an adaptive run is a prefix of
+// the fixed run's world stream: requests that differ only in tolerance
+// sample the same worlds, the tighter run extending the looser one.
 func (s *Server) requestSeed(name string, req *BatchRequest, worlds int) int64 {
 	if req.Seed != nil {
 		return *req.Seed

@@ -142,7 +142,7 @@ func TestBatchAdaptiveCancelRerunIdentity(t *testing.T) {
 func TestBatchResetClearsAdaptiveState(t *testing.T) {
 	b := NewBatch(dblpUncertain(t), Config{Worlds: 2000, Seed: 5, Tolerance: 0.05})
 	b.AddReliability(0, 13)
-	b.MustRun()
+	mustRun(t, b)
 	if b.WorldsRun() == 0 {
 		t.Fatal("run did not record its world count")
 	}

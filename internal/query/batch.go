@@ -4,17 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
-	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"uncertaingraph/internal/bfs"
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/mathx"
-	"uncertaingraph/internal/parallel"
-	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/uncertain"
+	"uncertaingraph/internal/worldloop"
 )
 
 // Config tunes a Batch run.
@@ -32,9 +28,10 @@ type Config struct {
 	// worker owns one sampler, one reseedable RNG and one BFS scratch —
 	// and spilled into the worlds themselves (parallel
 	// direction-optimizing BFS) once distinct sources × queued worlds
-	// drops below it. Per-world contributions are integer counts and
-	// the parallel walk is bit-identical to the sequential one, so the
-	// merged results are bit-identical for every value.
+	// drops below it (worldloop.Split). Per-world contributions are
+	// integer counts and the parallel walk is bit-identical to the
+	// sequential one, so the merged results are bit-identical for
+	// every value.
 	Workers int
 	// MemoryBudget, when positive, bounds the batch's accumulator
 	// memory in bytes: Run rejects a query set whose worst-case k-NN
@@ -111,19 +108,11 @@ type Batch struct {
 	// full reference walk.
 	fullBFS bool
 
-	// Run machinery, lazily built and reused across runs.
-	proto  *uncertain.Sampler
-	master *rand.Rand
-	seeds  []int64
-	ws     []*worker
-
-	// intra is the per-BFS worker budget of the current dispatch
-	// segment: 1 (sequential walks) while distinct sources × queued
-	// worlds can absorb the whole worker budget, and the leftover
-	// budget per world-worker once they cannot — the regime adaptive
-	// stopping creates, where a block's last worlds would otherwise
-	// leave cores idle. Written only between dispatch barriers.
-	intra int
+	// Run machinery, lazily built and reused across runs: the shared
+	// world loop (seeds, samplers, RNGs) and one accumulator set per
+	// lane.
+	loop worldloop.Loop
+	ws   []*worker
 
 	// Merged results of the last Run.
 	relHits   []int64
@@ -156,21 +145,21 @@ type qmeta struct {
 	s, t, k int32
 }
 
-// worker bundles the per-goroutine state of one Run: a world sampler
-// cloned from the batch's template, a reseedable RNG, the shared BFS
-// scratch, and integer accumulators for every registered query.
+// worker bundles the per-lane state of one Run: the BFS scratch and
+// integer accumulators for every registered query.
 type worker struct {
-	sampler *uncertain.Sampler
-	rng     *rand.Rand
 	scratch *bfs.Scratch
 	rel     []int64
 	disc    []int64
 	distH   [][]int32
 	knnH    [][]int32
+	// intra is the within-world worker budget the lane's last world
+	// was walked with, kept so tests can see the split engage.
+	intra int
 }
 
 // NewBatch returns an empty batch over g. The sampling template and
-// all per-worker buffers are built lazily on the first Run.
+// all per-lane buffers are built lazily on the first Run.
 func NewBatch(g *uncertain.Graph, cfg Config) *Batch {
 	return &Batch{
 		g:            g,
@@ -383,45 +372,16 @@ func (b *Batch) worlds() int {
 	return DefaultWorlds()
 }
 
-func (b *Batch) workerCount(jobs int) int { return EffectiveWorkers(b.Workers, jobs) }
-
-// EffectiveWorkers resolves a configured worker bound against a world
-// count: <= 0 selects GOMAXPROCS, and a run never uses more workers
-// than worlds. Batch.Run and qserve's request pricing share this one
-// clamp, so the worker factor validate charges against the memory
-// budget is the count Run will actually use.
-func EffectiveWorkers(configured, worlds int) int {
-	w := configured
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > worlds {
-		w = worlds
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// adaptiveBlockSize is the number of worlds scanned between the
-// convergence checks of an adaptive (Tolerance > 0) Run. Block
-// boundaries depend only on the configuration, so the schedule — and
-// therefore the stopping point — is deterministic for every Workers
-// value.
-const adaptiveBlockSize = 32
-
 // Run samples the batch's worlds and evaluates every registered query
-// against each, following the same determinism discipline as the
-// sampling pipeline: world seeds are pre-derived from Seed for the
-// whole world budget (randx.FillWorldSeeds), each world's contribution
-// depends only on its seed, and all accumulators are integer counts,
-// so results are bit-identical for every Workers value. Run may be
-// called again — the same Seed reproduces the same answers, a new Seed
-// resamples.
+// against each on the world loop the sampling pipeline shares
+// (internal/worldloop): world seeds are pre-derived from Seed for the
+// whole world budget, each world's contribution depends only on its
+// seed, and all accumulators are integer counts, so results are
+// bit-identical for every Workers value. Run may be called again — the
+// same Seed reproduces the same answers, a new Seed resamples.
 //
 // With Tolerance set, Run is adaptive: worlds are scanned in
-// adaptiveBlockSize blocks, and the run stops at the first block
+// worldloop.Block blocks, and the run stops at the first block
 // barrier where every registered query's relative SEM is inside the
 // tolerance (see Config.Tolerance for the per-kind rules). The
 // convergence decision is computed from the merged integer counts in a
@@ -437,67 +397,29 @@ const adaptiveBlockSize = 32
 // resets every accumulator, so it produces results bit-identical to a
 // never-cancelled run. A nil ctx never cancels.
 func (b *Batch) Run(ctx context.Context) error {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	// Mark the batch un-ran before touching any accumulator: a
 	// cancelled re-Run must leave the previous run's (now wiped)
 	// results unavailable, not silently readable.
 	b.ran = false
 	r := b.worlds()
-	workers := b.workerCount(r)
+	workers := worldloop.Workers(b.Workers, r)
 	if b.MemoryBudget > 0 {
 		if need := WorstCaseAccumBytes(b.g.NumVertices(), b.nknn, workers); need > b.MemoryBudget {
 			return &BudgetError{NeedBytes: need, BudgetBytes: b.MemoryBudget}
 		}
 	}
-	b.prepare(workers, r)
-	// total is the full configured worker budget, before the
-	// worlds-count clamp: the spillover that funds intra-world
-	// parallelism when worlds (or sources) are too few to use it.
-	total := b.Workers
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
-	}
+	b.prepare(workers)
 	adaptive := b.Tolerance > 0
-	block := r
-	if adaptive {
-		block = adaptiveBlockSize
-	}
-	done := 0
-	for done < r {
-		end := done + block
-		if end > r {
-			end = r
-		}
-		b.intra = b.intraWorkers(total, workers, end-done)
-		if workers == 1 {
-			// The serving hot path: kept closure- and channel-free
-			// (worker fan-out lives in runParallel, whose closures would
-			// otherwise force ctx to escape here) so the steady-state
-			// loop performs zero heap allocations.
-			w := b.ws[0]
-			for i := done; i < end; i++ {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				b.scanWorld(w, i)
-				if b.Progress != nil {
-					b.Progress(i+1, r)
-				}
-			}
-		} else {
-			b.runParallel(ctx, workers, done, end, r)
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		done = end
-		// Never stop on fewer than two worlds: a single sample has no
-		// spread, so every query would spuriously report SEM 0.
-		if adaptive && done >= 2 && done < r && b.allConverged(workers, done) {
-			break
-		}
+	done, err := b.loop.Run(ctx, b.g, worldloop.Config{
+		Worlds:   r,
+		Seed:     b.Seed,
+		Workers:  b.Workers,
+		Adaptive: adaptive,
+		Width:    len(b.sources),
+		Progress: b.Progress,
+	}, (*scanner)(b))
+	if err != nil {
+		return err
 	}
 	b.merge(workers)
 	b.worldsRun = done
@@ -506,50 +428,16 @@ func (b *Batch) Run(ctx context.Context) error {
 	return nil
 }
 
-// intraWorkers splits the worker budget between the across-worlds and
-// within-world axes for one dispatch segment of `jobs` worlds run on
-// segWorkers world-goroutines. While distinct sources × queued worlds
-// can absorb the whole budget, every BFS stays sequential (intra 1 —
-// across-worlds parallelism is contention-free and the per-world loop
-// is allocation-free). When it cannot — one large query converging in
-// a single adaptive block, a single-world run — the leftover budget
-// per world-goroutine goes into each walk via the direction-optimizing
-// frontier engine. The split depends only on the configuration and the
-// segment shape, never on the schedule, and the frontier walk is
-// bit-identical to the sequential one, so answers are unchanged.
-func (b *Batch) intraWorkers(total, segWorkers, jobs int) int {
-	if jobs < 1 {
-		return 1
-	}
-	if segWorkers > jobs {
-		segWorkers = jobs
-	}
-	if segWorkers < 1 {
-		segWorkers = 1
-	}
-	if len(b.sources)*jobs >= total {
-		return 1
-	}
-	intra := total / segWorkers
-	if intra < 1 {
-		intra = 1
-	}
-	return intra
+// scanner adapts a Batch to worldloop.Scanner, keeping the per-world
+// methods off the public Batch API.
+type scanner Batch
+
+func (s *scanner) ScanWorld(lane, _ int, world *graph.Graph, _ int64, intra int) {
+	(*Batch)(s).scanWorld(s.ws[lane], world, intra)
 }
 
-// runParallel fans the worlds [base, end) out over the prepared
-// workers via the shared ctx-aware dispatch loop: cancellation stops
-// dispatch and skips queued worlds, and all worker goroutines have
-// exited when it returns — which is what makes the block boundary a
-// barrier for the adaptive convergence check.
-func (b *Batch) runParallel(ctx context.Context, workers, base, end, total int) {
-	var finished atomic.Int64
-	_ = parallel.ForWorkers(ctx, end-base, workers, func(k, j int) {
-		b.scanWorld(b.ws[k], base+j)
-		if b.Progress != nil {
-			b.Progress(base+int(finished.Add(1)), total)
-		}
-	})
+func (s *scanner) Converged(lanes, done int) bool {
+	return (*Batch)(s).allConverged(lanes, done)
 }
 
 // allConverged reports whether every registered query's relative SEM
@@ -637,37 +525,11 @@ func (b *Batch) Converged() bool {
 	return b.converged
 }
 
-// MustRun is Run without cancellation, for callers that predate the
-// context-first API; it cannot fail.
-//
-// Deprecated: use Run(ctx). MustRun remains for one release of
-// compatibility with the pre-context Run() signature.
-func (b *Batch) MustRun() { _ = b.Run(context.Background()) }
-
-// prepare refreshes the world-seed table and the per-worker samplers
-// and accumulators, reusing every buffer from previous runs.
-func (b *Batch) prepare(workers, r int) {
-	if cap(b.seeds) < r {
-		b.seeds = make([]int64, r)
-	}
-	b.seeds = b.seeds[:r]
-	if b.master == nil {
-		b.master = randx.New(b.Seed)
-	} else {
-		b.master.Seed(b.Seed)
-	}
-	randx.FillWorldSeeds(b.seeds, b.master)
-	b.intra = 1 // Run sets the real split before each dispatch segment
-	if b.proto == nil {
-		b.proto = b.g.NewSampler()
-		b.ws = append(b.ws, &worker{
-			sampler: b.proto, rng: randx.New(0), scratch: bfs.NewScratch(),
-		})
-	}
+// prepare resets the per-lane accumulators for workers lanes, reusing
+// every buffer from previous runs.
+func (b *Batch) prepare(workers int) {
 	for len(b.ws) < workers {
-		b.ws = append(b.ws, &worker{
-			sampler: b.proto.Clone(), rng: randx.New(0), scratch: bfs.NewScratch(),
-		})
+		b.ws = append(b.ws, &worker{scratch: bfs.NewScratch()})
 	}
 	for k := 0; k < workers; k++ {
 		b.ws[k].prepare(b.nrel, b.ndist, b.nknn)
@@ -723,22 +585,13 @@ func growCounts(h []int32, need int) []int32 {
 	return h[:need]
 }
 
-// scanWorld materializes world i into w's sampler buffers and scans
-// it. Steady-state cost: zero heap allocations.
-func (b *Batch) scanWorld(w *worker, i int) {
-	// Reseeding replays exactly the stream randx.New(seed) would
-	// produce, without constructing a new generator.
-	w.rng.Seed(b.seeds[i])
-	b.scanSampled(w, w.sampler.Sample(w.rng))
-}
-
-// scanSampled runs one BFS per distinct source over an
-// already-materialized world and folds every query's observation into
-// w's integer accumulators. It is the per-world half RunShared reuses:
-// a shared stream samples each world once and hands the same
-// materialized world to every attached batch.
-func (b *Batch) scanSampled(w *worker, world *graph.Graph) {
+// scanWorld runs one BFS per distinct source over a materialized
+// world, each walk on intra workers, and folds every query's
+// observation into w's integer accumulators. Steady-state cost: zero
+// heap allocations.
+func (b *Batch) scanWorld(w *worker, world *graph.Graph, intra int) {
 	n := world.NumVertices()
+	w.intra = intra
 	for si, s := range b.sources {
 		// A source whose queries all name explicit targets stops its
 		// BFS once the last target resolves; a k-NN source needs every
@@ -746,9 +599,9 @@ func (b *Batch) scanSampled(w *worker, world *graph.Graph) {
 		// agree bit-for-bit on every registered target.
 		var dist []int32
 		if b.knnSlots[si] >= 0 || b.fullBFS {
-			dist = w.scratch.FromSourceParallelInto(world, int(s), b.intra)
+			dist = w.scratch.FromSourceParallelInto(world, int(s), intra)
 		} else {
-			dist = w.scratch.FromSourceTargetsParallelInto(world, int(s), b.srcTargets[si], b.intra)
+			dist = w.scratch.FromSourceTargetsParallelInto(world, int(s), b.srcTargets[si], intra)
 		}
 		for _, id := range b.srcQueries[si] {
 			q := &b.queries[id]

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -30,6 +31,14 @@ func dblpUncertain(tb testing.TB) *uncertain.Graph {
 		tb.Fatal(err)
 	}
 	return g
+}
+
+// mustRun runs b without cancellation, failing the test on error.
+func mustRun(tb testing.TB, b *Batch) {
+	tb.Helper()
+	if err := b.Run(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
 }
 
 // floatRuleMedian reimplements the pre-fix MedianDistance walk — float
@@ -142,7 +151,7 @@ func TestMedianDistanceAgreesWithKNearest(t *testing.T) {
 				distIDs[v] = b.AddDistance(s, v)
 			}
 		}
-		b.MustRun()
+		mustRun(t, b)
 		medians := make(map[int]int, g.NumVertices())
 		for _, nb := range b.KNearestWithMedians(knnID) {
 			medians[nb.V] = nb.Median
@@ -172,11 +181,11 @@ type batchResults struct {
 	knn     [][]int
 }
 
-func runDblpBatch(g *uncertain.Graph, workers int) batchResults {
-	return runDblpBatchBFS(g, workers, false)
+func runDblpBatch(tb testing.TB, g *uncertain.Graph, workers int) batchResults {
+	return runDblpBatchBFS(tb, g, workers, false)
 }
 
-func runDblpBatchBFS(g *uncertain.Graph, workers int, fullBFS bool) batchResults {
+func runDblpBatchBFS(tb testing.TB, g *uncertain.Graph, workers int, fullBFS bool) batchResults {
 	pairs := [][2]int{{0, 13}, {7, 200}, {99, 100}, {250, 251}, {3, 565}}
 	sources := []struct{ s, k int }{{0, 5}, {42, 8}, {123, 3}}
 	b := NewBatch(g, Config{Worlds: 40, Seed: 17, Workers: workers})
@@ -189,7 +198,7 @@ func runDblpBatchBFS(g *uncertain.Graph, workers int, fullBFS bool) batchResults
 	for _, q := range sources {
 		knnIDs = append(knnIDs, b.AddKNearest(q.s, q.k))
 	}
-	b.MustRun()
+	mustRun(tb, b)
 	var res batchResults
 	for i := range pairs {
 		res.rel = append(res.rel, b.Reliability(relIDs[i]))
@@ -213,13 +222,13 @@ func runDblpBatchBFS(g *uncertain.Graph, workers int, fullBFS bool) batchResults
 // randomized graphs and query mixes.)
 func TestBatchWorkerCountBitIdentity(t *testing.T) {
 	g := dblpUncertain(t)
-	r1 := runDblpBatch(g, 1)
-	r4 := runDblpBatch(g, 4)
+	r1 := runDblpBatch(t, g, 1)
+	r4 := runDblpBatch(t, g, 4)
 	if !reflect.DeepEqual(r1, r4) {
 		t.Errorf("Workers=1 and Workers=4 answers differ:\n%+v\nvs\n%+v", r1, r4)
 	}
 	for _, workers := range []int{1, 4} {
-		if full := runDblpBatchBFS(g, workers, true); !reflect.DeepEqual(full, r1) {
+		if full := runDblpBatchBFS(t, g, workers, true); !reflect.DeepEqual(full, r1) {
 			t.Errorf("Workers=%d full-BFS reference diverged from early-exit answers:\n%+v\nvs\n%+v", workers, full, r1)
 		}
 	}
@@ -261,7 +270,7 @@ func TestBatchMatchesEngine(t *testing.T) {
 
 	b := NewBatch(g, Config{Worlds: 60, Seed: e.batch.Seed, Workers: 1})
 	id := b.AddReliability(3, 77)
-	b.MustRun()
+	mustRun(t, b)
 	if want := b.Reliability(id); got != want {
 		t.Errorf("engine %v != batch %v on the same stream", got, want)
 	}
@@ -279,7 +288,7 @@ func TestBatchSharedWorldsConsistency(t *testing.T) {
 	for _, p := range [][2]int{{0, 9}, {10, 400}, {77, 78}} {
 		qs = append(qs, q{rel: b.AddReliability(p[0], p[1]), dist: b.AddDistance(p[0], p[1])})
 	}
-	b.MustRun()
+	mustRun(t, b)
 	for i, quer := range qs {
 		rel := b.Reliability(quer.rel)
 		dist, disc := b.DistanceDistribution(quer.dist)
@@ -303,7 +312,7 @@ func TestBatchSharedSourceKNN(t *testing.T) {
 	b := NewBatch(g, Config{Worlds: 30, Seed: 9, Workers: 1})
 	small := b.AddKNearest(0, 3)
 	big := b.AddKNearest(0, 8)
-	b.MustRun()
+	mustRun(t, b)
 	smallRes := append([]Neighbor(nil), b.KNearestWithMedians(small)...)
 	bigRes := b.KNearestWithMedians(big)
 	if len(smallRes) != 3 || len(bigRes) != 8 {
@@ -314,7 +323,7 @@ func TestBatchSharedSourceKNN(t *testing.T) {
 	}
 	solo := NewBatch(g, Config{Worlds: 30, Seed: 9, Workers: 1})
 	id := solo.AddKNearest(0, 8)
-	solo.MustRun()
+	mustRun(t, solo)
 	if got := solo.KNearestWithMedians(id); !reflect.DeepEqual(got, bigRes) {
 		t.Errorf("duplicated query changed the answer: %v vs %v", bigRes, got)
 	}
@@ -335,14 +344,14 @@ func TestBatchShrinkRegrowKeepsBuffers(t *testing.T) {
 			b.AddDistance(11*i, 13*i+7)
 			b.AddKNearest(11*i, 5)
 		}
-		b.MustRun()
+		mustRun(t, b)
 	}
 	large(1)
 	// A smaller request truncates the per-kind accumulator tables...
 	b.Reset()
 	b.Seed = 2
 	b.AddDistance(0, 7)
-	b.MustRun()
+	mustRun(t, b)
 	large(1) // ...and the regrown shape warms any newly-seen distances.
 	allocs := testing.AllocsPerRun(10, func() {
 		large(1)
@@ -360,10 +369,10 @@ func TestAddKNearestHugeK(t *testing.T) {
 	g := dblpUncertain(t)
 	huge := NewBatch(g, Config{Worlds: 20, Seed: 3, Workers: 1})
 	hid := huge.AddKNearest(0, int(^uint(0)>>1)) // MaxInt
-	huge.MustRun()
+	mustRun(t, huge)
 	all := NewBatch(g, Config{Worlds: 20, Seed: 3, Workers: 1})
 	aid := all.AddKNearest(0, g.NumVertices())
-	all.MustRun()
+	mustRun(t, all)
 	if got, want := huge.KNearest(hid), all.KNearest(aid); !reflect.DeepEqual(got, want) {
 		t.Errorf("huge k diverged from k = n: %d vs %d neighbours", len(got), len(want))
 	}
@@ -381,12 +390,12 @@ func TestBatchResetReuse(t *testing.T) {
 		reused.Seed = int64(round)
 		relID := reused.AddReliability(s, s+31)
 		knnID := reused.AddKNearest(s, 4)
-		reused.MustRun()
+		mustRun(t, reused)
 
 		fresh := NewBatch(g, Config{Worlds: 30, Seed: int64(round), Workers: 1})
 		fRel := fresh.AddReliability(s, s+31)
 		fKnn := fresh.AddKNearest(s, 4)
-		fresh.MustRun()
+		mustRun(t, fresh)
 
 		if got, want := reused.Reliability(relID), fresh.Reliability(fRel); got != want {
 			t.Errorf("round %d: reused reliability %v != fresh %v", round, got, want)

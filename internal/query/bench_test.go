@@ -28,13 +28,13 @@ func BenchmarkBatchQueries(b *testing.B) {
 	const seedCycle = 16
 	for i := 0; i < seedCycle; i++ {
 		batch.Seed = int64(i)
-		batch.MustRun()
+		mustRun(b, batch)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch.Seed = int64(i % seedCycle)
-		batch.MustRun()
+		mustRun(b, batch)
 		benchSink = batch.Reliability(relIDs[0]) + float64(batch.MedianDistance(distIDs[0]))
 	}
 	_ = knnIDs
@@ -54,7 +54,7 @@ func reliabilityOnlyBatch(b *testing.B, fullBFS bool) *Batch {
 	const seedCycle = 16
 	for i := 0; i < seedCycle; i++ {
 		batch.Seed = int64(i)
-		batch.MustRun()
+		mustRun(b, batch)
 	}
 	return batch
 }
@@ -71,7 +71,7 @@ func BenchmarkBatchReliabilityOnly(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch.Seed = int64(i % 16)
-		batch.MustRun()
+		mustRun(b, batch)
 		benchSink = batch.Reliability(0)
 	}
 }
@@ -85,7 +85,7 @@ func BenchmarkBatchReliabilityOnlyFullBFS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		batch.Seed = int64(i % 16)
-		batch.MustRun()
+		mustRun(b, batch)
 		benchSink = batch.Reliability(0)
 	}
 }

@@ -175,7 +175,7 @@ func TestBatchEarlyExitSkipsComponentScan(t *testing.T) {
 	}
 	b := NewBatch(g, Config{Worlds: 4, Seed: 1, Workers: 1})
 	id := b.AddReliability(0, 1)
-	b.MustRun()
+	mustRun(t, b)
 	if got := b.Reliability(id); got != 1 {
 		t.Fatalf("Pr(0~1) = %v on a certain edge, want 1", got)
 	}
@@ -186,7 +186,7 @@ func TestBatchEarlyExitSkipsComponentScan(t *testing.T) {
 		t.Errorf("early-exit walk enqueued %d vertices, want 2", got)
 	}
 	b.fullBFS = true
-	b.MustRun()
+	mustRun(t, b)
 	if got := b.ws[0].scratch.Visited(); got != n {
 		t.Errorf("fullBFS reference enqueued %d vertices, want %d; test observable is broken", got, n)
 	}
@@ -229,7 +229,7 @@ func TestBatchMemoryBudgetRejects(t *testing.T) {
 	}
 	free := NewBatch(g, Config{Worlds: 10, Seed: 3, Workers: 1})
 	fid := free.AddKNearest(0, 5)
-	free.MustRun()
+	mustRun(t, free)
 	if got, want := b.KNearestWithMedians(id), free.KNearestWithMedians(fid); !reflect.DeepEqual(got, want) {
 		t.Errorf("budgeted run diverged: %v vs %v", got, want)
 	}
@@ -245,7 +245,7 @@ func TestBatchResetShedsHighWaterBuffers(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.AddKNearest(i*7, 5)
 	}
-	b.MustRun()
+	mustRun(t, b)
 	high := b.AccumulatorBytes()
 	if high == 0 {
 		t.Fatal("k-NN run retained no accumulator bytes; observable broken")
@@ -267,10 +267,10 @@ func TestBatchResetShedsHighWaterBuffers(t *testing.T) {
 	// bytes) runs under the tiny budget and matches a fresh batch.
 	b.Seed = 11
 	id := b.AddReliability(0, 9)
-	b.MustRun()
+	mustRun(t, b)
 	fresh := NewBatch(g, Config{Worlds: 10, Seed: 11, Workers: 1})
 	fid := fresh.AddReliability(0, 9)
-	fresh.MustRun()
+	mustRun(t, fresh)
 	if got, want := b.Reliability(id), fresh.Reliability(fid); got != want {
 		t.Errorf("post-shed reliability %v != fresh %v", got, want)
 	}

@@ -25,6 +25,7 @@
 package query
 
 import (
+	"context"
 	"math/rand"
 
 	"uncertaingraph/internal/randx"
@@ -82,6 +83,10 @@ func (e *Engine) prepareBatch() *Batch {
 	return b
 }
 
+// run executes the prepared batch without cancellation; the engine's
+// batch carries no MemoryBudget, so Run cannot fail.
+func (e *Engine) run() { _ = e.batch.Run(context.Background()) }
+
 // nextSeed returns the world-stream seed for the next query: one Int63
 // draw from the explicit Rng when set, otherwise the call-indexed
 // derivation from the fixed engine seed.
@@ -106,7 +111,7 @@ func (e *Engine) worlds() int {
 func (e *Engine) Reliability(s, t int) float64 {
 	b := e.prepareBatch()
 	id := b.AddReliability(s, t)
-	b.MustRun()
+	e.run()
 	return b.Reliability(id)
 }
 
@@ -117,7 +122,7 @@ func (e *Engine) Reliability(s, t int) float64 {
 func (e *Engine) DistanceDistribution(s, t int) (dist map[int]float64, disconnected float64) {
 	b := e.prepareBatch()
 	id := b.AddDistance(s, t)
-	b.MustRun()
+	e.run()
 	return b.DistanceDistribution(id)
 }
 
@@ -129,7 +134,7 @@ func (e *Engine) DistanceDistribution(s, t int) (dist map[int]float64, disconnec
 func (e *Engine) MedianDistance(s, t int) int {
 	b := e.prepareBatch()
 	id := b.AddDistance(s, t)
-	b.MustRun()
+	e.run()
 	return b.MedianDistance(id)
 }
 
@@ -144,6 +149,6 @@ func (e *Engine) ExpectedDegree(v int) float64 { return e.G.ExpectedDegree(v) }
 func (e *Engine) KNearest(s, k int) []int {
 	b := e.prepareBatch()
 	id := b.AddKNearest(s, k)
-	b.MustRun()
+	e.run()
 	return b.KNearest(id)
 }

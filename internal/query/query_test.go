@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
@@ -199,11 +200,16 @@ func TestEngineZeroAllocSteadyState(t *testing.T) {
 	id = b.AddReliability(0, 29)
 	b.AddDistance(0, 15)
 	b.AddKNearest(0, 5)
-	b.MustRun() // warm up batch buffers
+	ctx := context.Background()
+	if err := b.Run(ctx); err != nil { // warm up batch buffers
+		t.Fatal(err)
+	}
 	seed := int64(1)
 	allocs = testing.AllocsPerRun(20, func() {
 		b.Seed = seed
-		b.MustRun()
+		if err := b.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
 		seed++
 	})
 	if allocs != 0 {

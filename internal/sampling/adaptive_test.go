@@ -8,6 +8,7 @@ package sampling_test
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -15,7 +16,9 @@ import (
 	"uncertaingraph/internal/datasets"
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/sampling"
+	"uncertaingraph/internal/stats"
 	"uncertaingraph/internal/uncertain"
+	"uncertaingraph/internal/worldloop"
 )
 
 // TestAdaptiveNeverConvergingMatchesFixedRun pins the core property:
@@ -187,6 +190,9 @@ func TestAdaptiveCancelRerunIdentity(t *testing.T) {
 	if rep, err := sampling.Run(ctx, ug, cancelCfg); err == nil || rep != nil {
 		t.Fatalf("cancelled run returned rep=%v err=%v, want nil report and ctx error", rep, err)
 	}
+	if rows, err := sampling.RunVector(ctx, ug, cfg, degreeRow); !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("cancelled RunVector returned %d rows, err=%v; want no rows and context.Canceled", len(rows), err)
+	}
 
 	again, err := sampling.Run(context.Background(), ug, cfg)
 	if err != nil {
@@ -221,40 +227,53 @@ func TestAdaptiveBudgetExhaustedReportsUnconverged(t *testing.T) {
 	}
 }
 
+// degreeRow is a fixed-length vector statistic: every vertex's degree.
+func degreeRow(g *graph.Graph, _ int64) []float64 {
+	deg := g.Degrees()
+	out := make([]float64, len(deg))
+	for i, d := range deg {
+		out[i] = float64(d)
+	}
+	return out
+}
+
 // TestAdaptiveRunVectorPrefixBitIdentity mirrors the scalar prefix
-// property on the vector pipeline, including the worker-count check.
+// property on the vector pipeline, including the worker-count check,
+// for fixed-length rows and for degree distributions, whose rows
+// differ in length and are zero-padded by the convergence test.
 func TestAdaptiveRunVectorPrefixBitIdentity(t *testing.T) {
 	ug := smallUncertain(t)
-	fn := func(g *graph.Graph, _ int64) []float64 {
-		deg := g.Degrees()
-		out := make([]float64, len(deg))
-		for i, d := range deg {
-			out[i] = float64(d)
+	degreeDist := func(g *graph.Graph, _ int64) []float64 { return stats.DegreeDistribution(g) }
+	for name, c := range map[string]struct {
+		fn  sampling.VectorFn
+		tol float64
+	}{
+		"degrees":      {degreeRow, 0.05},
+		"distribution": {degreeDist, 0.5},
+	} {
+		base := sampling.Config{Seed: 5, Tolerance: c.tol, MaxWorlds: 400}
+		cfg1 := base
+		cfg1.Workers = 1
+		cfg4 := base
+		cfg4.Workers = 4
+		rows1, err1 := sampling.RunVector(context.Background(), ug, cfg1, c.fn)
+		rows4, err4 := sampling.RunVector(context.Background(), ug, cfg4, c.fn)
+		if err1 != nil || err4 != nil {
+			t.Fatal(err1, err4)
 		}
-		return out
-	}
-	base := sampling.Config{Seed: 5, Tolerance: 0.05, MaxWorlds: 400}
-	cfg1 := base
-	cfg1.Workers = 1
-	cfg4 := base
-	cfg4.Workers = 4
-	rows1, err1 := sampling.RunVector(context.Background(), ug, cfg1, fn)
-	rows4, err4 := sampling.RunVector(context.Background(), ug, cfg4, fn)
-	if err1 != nil || err4 != nil {
-		t.Fatal(err1, err4)
-	}
-	if len(rows1) >= 400 || len(rows1) < 2 {
-		t.Fatalf("adaptive RunVector used %d worlds, want an early stop within [2, 400)", len(rows1))
-	}
-	if !reflect.DeepEqual(rows1, rows4) {
-		t.Error("adaptive RunVector rows differ across worker counts")
-	}
-	full, err := sampling.RunVector(context.Background(), ug, sampling.Config{Worlds: 400, Seed: 5}, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rows1, full[:len(rows1)]) {
-		t.Error("stopped RunVector rows are not a bit-identical prefix of the fixed run")
+		if len(rows1) >= 400 || len(rows1) < 2 {
+			t.Fatalf("%s: adaptive RunVector used %d worlds, want an early stop within [2, 400)", name, len(rows1))
+		}
+		if !reflect.DeepEqual(rows1, rows4) {
+			t.Errorf("%s: adaptive RunVector rows differ across worker counts", name)
+		}
+		full, err := sampling.RunVector(context.Background(), ug, sampling.Config{Worlds: 400, Seed: 5}, c.fn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(rows1, full[:len(rows1)]) {
+			t.Errorf("%s: stopped RunVector rows are not a bit-identical prefix of the fixed run", name)
+		}
 	}
 }
 
@@ -274,8 +293,8 @@ func TestAdaptiveCertainGraphStopsAtFirstBarrier(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.WorldsUsed != sampling.DefaultBlockSize {
-		t.Errorf("certain graph used %d worlds, want one block (%d)", rep.WorldsUsed, sampling.DefaultBlockSize)
+	if rep.WorldsUsed != worldloop.Block {
+		t.Errorf("certain graph used %d worlds, want one block (%d)", rep.WorldsUsed, worldloop.Block)
 	}
 	for _, name := range sampling.StatNames {
 		if !rep.Converged[name] {

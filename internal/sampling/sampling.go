@@ -12,33 +12,31 @@
 // tolerance, with the world budget as backstop. A stopped run is
 // bit-identical to the same-length prefix of a full fixed-budget run.
 //
-// The r-world loop is the evaluation hot path, and it runs against
-// per-worker buffer pools: each worker owns one uncertain.Sampler
-// (preallocated CSR world buffers), one reseedable RNG, and one
-// statistic Scratch (BFS dist/queue arrays, HyperANF registers), so
-// the steady-state loop materializes and measures worlds without
-// per-world graph allocations. Results are bit-identical for every
-// worker count: world seeds are pre-derived from the master seed, each
-// world's statistics depend only on its seed, and every world writes
-// its own slot of the sample arrays.
+// The r-world loop is the evaluation hot path. It runs on the world
+// loop shared with the query engine (internal/worldloop), which gives
+// each worker lane one sampler clone and one reseedable RNG; this
+// package adds one statistic Scratch per lane (BFS dist/queue arrays,
+// HyperANF registers), so the steady-state loop materializes and
+// measures worlds without per-world graph allocations. Results are
+// bit-identical for every worker count: world seeds are pre-derived
+// from the master seed, each world's statistics depend only on its
+// seed, and every world writes its own slot of the sample arrays.
 package sampling
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sort"
-	"sync/atomic"
 
 	"uncertaingraph/internal/anf"
 	"uncertaingraph/internal/bfs"
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/mathx"
-	"uncertaingraph/internal/parallel"
 	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/stats"
 	"uncertaingraph/internal/uncertain"
+	"uncertaingraph/internal/worldloop"
 )
 
 // StatNames lists the ten scalar statistics of paper Table 4, in the
@@ -62,10 +60,6 @@ const (
 	// DistanceSampledBFS scales up BFS trees from a subset of sources.
 	DistanceSampledBFS
 )
-
-// DefaultBlockSize is the number of worlds sampled between the
-// convergence checks of an adaptive run (selected by BlockSize = 0).
-const DefaultBlockSize = 32
 
 // Config tunes the estimation run.
 type Config struct {
@@ -96,8 +90,8 @@ type Config struct {
 	// results.
 	Progress func(done, total int)
 	// Tolerance, when positive, enables adaptive-precision estimation:
-	// worlds are sampled in BlockSize blocks, and the run stops at the
-	// first block barrier where every statistic's relative SEM
+	// worlds are sampled in worldloop.Block blocks, and the run stops at
+	// the first block barrier where every statistic's relative SEM
 	// (mathx.RelativeSEM, paper Table 5) is at most Tolerance — easy
 	// statistics stop after a block or two, hard ones run to the world
 	// budget. Zero disables adaptive stopping: the run samples exactly
@@ -109,11 +103,6 @@ type Config struct {
 	// bit-identical to the first b blocks of an uncancelled full-budget
 	// run, for every Workers value.
 	MaxWorlds int
-	// BlockSize is the number of worlds sampled between convergence
-	// checks of an adaptive run (0 selects DefaultBlockSize). The block
-	// schedule is deterministic: block boundaries depend only on the
-	// configuration, never on timing or the worker count.
-	BlockSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -125,9 +114,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.EffectiveDiameterQ == 0 {
 		c.EffectiveDiameterQ = 0.9
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = DefaultBlockSize
 	}
 	return c
 }
@@ -141,18 +127,17 @@ func (c Config) budget() int {
 	return c.Worlds
 }
 
-func (c Config) workerCount(jobs int) int {
-	w := c.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// loop maps the run onto the shared world loop; a statistic
+// evaluation offers one unit of within-world width per world.
+func (c Config) loop() worldloop.Config {
+	return worldloop.Config{
+		Worlds:   c.budget(),
+		Seed:     c.Seed,
+		Workers:  c.Workers,
+		Adaptive: c.Tolerance > 0,
+		Width:    1,
+		Progress: c.Progress,
 	}
-	if w > jobs {
-		w = jobs
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // Report aggregates per-world statistic values.
@@ -203,7 +188,7 @@ type Scratch struct {
 	// intra is the worker budget for the BFS distance scans inside one
 	// ScalarsInto call (0 or 1 means sequential). The world loop raises
 	// it only when queued worlds cannot absorb the whole Workers budget
-	// (see forEachWorld); ScalarsOf sets it from cfg.Workers directly.
+	// (see worldloop.Split); ScalarsOf sets it from cfg.Workers directly.
 	// The parallel scans are bit-identical to the sequential ones, so
 	// the value never affects results.
 	intra int
@@ -282,119 +267,40 @@ func ScalarsInto(g *graph.Graph, cfg Config, seed int64, sc *Scratch, vals *[10]
 	vals[9] = stats.ClusteringCoefficient(g)
 }
 
-// worldSeeds pre-derives one seed per world of the whole budget from
-// the master seed so that neither the worker count, the block schedule
-// nor an early stop can affect any world's stream: world i always
-// samples the same world, whether or not the run reaches it.
-func worldSeeds(cfg Config, budget int) []int64 {
-	seeds := make([]int64, budget)
-	randx.FillWorldSeeds(seeds, randx.New(cfg.Seed))
-	return seeds
+// scalarScan is Run's per-world work: the ten statistics of world i
+// into slot i of the sample arrays, on the lane's Scratch.
+type scalarScan struct {
+	cfg     Config
+	samples [][]float64
+	scratch []*Scratch // per lane, built on the lane's first world
 }
 
-// forEachWorld runs fn(worldIndex, world, seed, scratch) for up to
-// budget sampled worlds, fanning the worlds out over cfg.Workers
-// workers on a deterministic block schedule. Each worker owns one
-// Sampler, one reseedable RNG and one Scratch for the whole run, so the
-// per-world loop allocates nothing; the world passed to fn aliases the
-// worker's sampler buffers and is valid only for that call.
-//
-// stop, when non-nil, turns the run adaptive: after each block of
-// cfg.BlockSize worlds completes (a barrier — every world of the block
-// has been evaluated, none of the next block has started), stop(done)
-// is consulted with the number of worlds finished so far, and a true
-// return ends the run. The returned count is the number of worlds
-// evaluated. Because world seeds are pre-derived for the full budget
-// and every world writes only its own slot, a run stopped at block b is
-// bit-identical to the first b blocks of an uncancelled full-budget
-// run, for every Workers value. A nil stop samples the whole budget in
-// one block — the fixed-r fast path, with no barriers.
-//
-// Cancelling ctx stops the loop at world granularity: no new world is
-// dispatched or evaluated once ctx is done, in-flight worlds finish,
-// every worker goroutine is joined before forEachWorld returns, and
-// the context's error is returned. A nil ctx never cancels.
-func forEachWorld(ctx context.Context, ug *uncertain.Graph, cfg Config, budget int, stop func(done int) bool, fn func(i int, world *graph.Graph, seed int64, sc *Scratch)) (int, error) {
-	seeds := worldSeeds(cfg, budget)
-	workers := cfg.workerCount(budget)
-	// Per-worker buffer sets, built lazily on first use: ForWorkers runs
-	// every call for worker w on w's own goroutine, so construction is
-	// race-free and stays parallel. States persist across blocks — the
-	// worker id is a buffer-pool index, never a determinism input.
-	type wstate struct {
-		sampler *uncertain.Sampler
-		rng     *rand.Rand
-		sc      *Scratch
+func (s *scalarScan) ScanWorld(lane, i int, world *graph.Graph, seed int64, intra int) {
+	sc := s.scratch[lane]
+	if sc == nil {
+		sc = NewScratch(s.cfg)
+		s.scratch[lane] = sc
 	}
-	states := make([]*wstate, workers)
-	// intra is the within-world BFS worker budget of the current
-	// dispatch: 1 while the queued worlds can absorb the whole Workers
-	// budget, the leftover budget per world-worker once they cannot (a
-	// short adaptive tail block, a tiny fixed run). It is written only
-	// between dispatch barriers, so worker reads are ordered after it;
-	// the parallel scans are bit-identical, so results never depend on
-	// the split.
-	total := cfg.Workers
-	if total <= 0 {
-		total = runtime.GOMAXPROCS(0)
+	sc.intra = intra
+	var vals [10]float64
+	ScalarsInto(world, s.cfg, seed, sc, &vals)
+	for k := range s.samples {
+		s.samples[k][i] = vals[k]
 	}
-	intra := 1
-	setIntra := func(jobs int) {
-		intra = 1
-		if jobs < total {
-			bw := workers
-			if bw > jobs {
-				bw = jobs
-			}
-			if intra = total / bw; intra < 1 {
-				intra = 1
-			}
+}
+
+// Converged reports whether every statistic's relative SEM over the
+// first done worlds is inside the tolerance. The fixed RelativeSEM
+// makes this safe on sparse worlds: a zero-mean statistic with spread
+// reports +Inf, never the pre-fix 0 that would have stopped the run
+// after one block.
+func (s *scalarScan) Converged(_, done int) bool {
+	for _, xs := range s.samples {
+		if !(mathx.RelativeSEM(xs[:done]) <= s.cfg.Tolerance) {
+			return false
 		}
 	}
-	var finished atomic.Int64
-	body := func(w, i int) {
-		st := states[w]
-		if st == nil {
-			st = &wstate{sampler: ug.NewSampler(), rng: randx.New(0), sc: NewScratch(cfg)}
-			states[w] = st
-		}
-		st.sc.intra = intra
-		// Reseeding replays exactly the stream randx.New(seed) would
-		// produce, without constructing a new generator.
-		st.rng.Seed(seeds[i])
-		world := st.sampler.Sample(st.rng)
-		fn(i, world, seeds[i], st.sc)
-		if cfg.Progress != nil {
-			cfg.Progress(int(finished.Add(1)), budget)
-		}
-	}
-	if stop == nil {
-		setIntra(budget)
-		return budget, parallel.ForWorkers(ctx, budget, workers, body)
-	}
-	done := 0
-	for done < budget {
-		blockLen := cfg.BlockSize
-		if blockLen > budget-done {
-			blockLen = budget - done
-		}
-		base := done
-		bw := workers
-		if bw > blockLen {
-			bw = blockLen
-		}
-		setIntra(blockLen)
-		if err := parallel.ForWorkers(ctx, blockLen, bw, func(w, j int) { body(w, base+j) }); err != nil {
-			return base, err
-		}
-		done += blockLen
-		// Never stop on fewer than two worlds: a single sample has no
-		// spread, so every statistic would spuriously report SEM 0.
-		if done >= 2 && stop(done) {
-			break
-		}
-	}
-	return done, nil
+	return true
 }
 
 // Run samples possible worlds of ug and evaluates all ten statistics
@@ -404,13 +310,13 @@ func forEachWorld(ctx context.Context, ug *uncertain.Graph, cfg Config, budget i
 // a nil ctx never cancels, and a run that returns a Report is
 // bit-identical to an uncancelled run.
 //
-// With Tolerance set, Run is adaptive: it samples in BlockSize blocks
-// and stops at the first barrier where every statistic's relative SEM
-// is inside the tolerance (see Config.Tolerance). The report's sample
-// arrays then hold exactly the WorldsUsed worlds evaluated, and they
-// are bit-identical to the same-length prefix of a full fixed-budget
-// run — adaptive stopping changes how many worlds are measured, never
-// what any world measures.
+// With Tolerance set, Run is adaptive: it samples in worldloop.Block
+// blocks and stops at the first barrier where every statistic's
+// relative SEM is inside the tolerance (see Config.Tolerance). The
+// report's sample arrays then hold exactly the WorldsUsed worlds
+// evaluated, and they are bit-identical to the same-length prefix of a
+// full fixed-budget run — adaptive stopping changes how many worlds
+// are measured, never what any world measures.
 func Run(ctx context.Context, ug *uncertain.Graph, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	budget := cfg.budget()
@@ -423,27 +329,11 @@ func Run(ctx context.Context, ug *uncertain.Graph, cfg Config) (*Report, error) 
 	for i := range samples {
 		samples[i] = make([]float64, budget)
 	}
-	var stop func(done int) bool
-	if cfg.Tolerance > 0 {
-		stop = func(done int) bool {
-			for _, s := range samples {
-				// The fixed RelativeSEM makes this safe on sparse worlds:
-				// a zero-mean statistic with spread reports +Inf, never
-				// the pre-fix 0 that would have stopped the run after one
-				// block.
-				if !(mathx.RelativeSEM(s[:done]) <= cfg.Tolerance) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	used, err := forEachWorld(ctx, ug, cfg, budget, stop, func(i int, world *graph.Graph, seed int64, sc *Scratch) {
-		var vals [10]float64
-		ScalarsInto(world, cfg, seed, sc, &vals)
-		for s := range samples {
-			samples[s][i] = vals[s]
-		}
+	var loop worldloop.Loop
+	used, err := loop.Run(ctx, ug, cfg.loop(), &scalarScan{
+		cfg:     cfg,
+		samples: samples,
+		scratch: make([]*Scratch, worldloop.Workers(cfg.Workers, budget)),
 	})
 	if err != nil {
 		return nil, err
@@ -481,41 +371,49 @@ type VectorFn func(g *graph.Graph, seed int64) []float64
 // full fixed-budget run.
 func RunVector(ctx context.Context, ug *uncertain.Graph, cfg Config, fn VectorFn) ([][]float64, error) {
 	cfg = cfg.withDefaults()
-	budget := cfg.budget()
-	rows := make([][]float64, budget)
-	var stop func(done int) bool
-	if cfg.Tolerance > 0 {
-		var col []float64
-		stop = func(done int) bool {
-			maxLen := 0
-			for _, r := range rows[:done] {
-				if len(r) > maxLen {
-					maxLen = len(r)
-				}
-			}
-			for c := 0; c < maxLen; c++ {
-				col = col[:0]
-				for _, r := range rows[:done] {
-					if c < len(r) {
-						col = append(col, r[c])
-					} else {
-						col = append(col, 0)
-					}
-				}
-				if !(mathx.RelativeSEM(col) <= cfg.Tolerance) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-	used, err := forEachWorld(ctx, ug, cfg, budget, stop, func(i int, world *graph.Graph, seed int64, _ *Scratch) {
-		rows[i] = fn(world, seed)
-	})
+	s := &vectorScan{fn: fn, tol: cfg.Tolerance, rows: make([][]float64, cfg.budget())}
+	var loop worldloop.Loop
+	used, err := loop.Run(ctx, ug, cfg.loop(), s)
 	if err != nil {
 		return nil, err
 	}
-	return rows[:used:used], nil
+	return s.rows[:used:used], nil
+}
+
+// vectorScan is RunVector's per-world work: fn's row for world i into
+// slot i.
+type vectorScan struct {
+	fn   VectorFn
+	tol  float64
+	rows [][]float64
+	col  []float64 // convergence scratch
+}
+
+func (s *vectorScan) ScanWorld(_, i int, world *graph.Graph, seed int64, _ int) {
+	s.rows[i] = s.fn(world, seed)
+}
+
+// Converged reports whether every coordinate's relative SEM over the
+// first done rows is inside the tolerance, zero-padding short rows.
+func (s *vectorScan) Converged(_, done int) bool {
+	maxLen := 0
+	for _, r := range s.rows[:done] {
+		maxLen = max(maxLen, len(r))
+	}
+	for c := 0; c < maxLen; c++ {
+		s.col = s.col[:0]
+		for _, r := range s.rows[:done] {
+			if c < len(r) {
+				s.col = append(s.col, r[c])
+			} else {
+				s.col = append(s.col, 0)
+			}
+		}
+		if !(mathx.RelativeSEM(s.col) <= s.tol) {
+			return false
+		}
+	}
+	return true
 }
 
 // Box summarizes one coordinate of a vector statistic across worlds:

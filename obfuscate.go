@@ -62,16 +62,6 @@ func Obfuscate(ctx context.Context, g *Graph, opts ...Option) (*ObfuscationResul
 	return core.Obfuscate(ctx, g, p)
 }
 
-// ObfuscateWithParams is the v1 form of Obfuscate: no cancellation, all
-// configuration through the params struct (including the legacy Rng
-// seed source).
-//
-// Deprecated: use Obfuscate(ctx, g, opts...). This wrapper remains for
-// one release of compatibility.
-func ObfuscateWithParams(g *Graph, params ObfuscationParams) (*ObfuscationResult, error) {
-	return core.Obfuscate(context.Background(), g, params)
-}
-
 // VerifyObfuscation independently checks whether the uncertain graph
 // k-obfuscates all but an eps-fraction of the original vertices
 // (Definition 2), given the original graph's degrees.

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	ug "uncertaingraph"
+	"uncertaingraph/internal/query"
 )
 
 // TestErrBadConfig pins the validation satellite: the option
@@ -105,10 +106,11 @@ func TestErrBadConfig(t *testing.T) {
 	}
 }
 
-// TestOptionLegacyEquivalence pins the migration contract: the option
-// form of every entry point produces results bit-identical to the
-// deprecated struct form with the same seed — pinned regression values
-// survive the API swap unchanged.
+// TestOptionLegacyEquivalence pins the option-merge contract: the
+// per-knob option form of every entry point produces results
+// bit-identical to the bulk-struct form (WithObfuscation, WithEstimate,
+// query.NewBatch) with the same seed — pinned regression values do not
+// depend on how the configuration is spelled.
 func TestOptionLegacyEquivalence(t *testing.T) {
 	g := ug.SocialGraph(ug.NewRand(31), 250, 320, []float64{0, 0, 0.6, 0.3, 0.1}, 0.4)
 	ctx := context.Background()
@@ -120,9 +122,9 @@ func TestOptionLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1, err := ug.ObfuscateWithParams(g, ug.ObfuscationParams{
+		v1, err := ug.Obfuscate(ctx, g, ug.WithObfuscation(ug.ObfuscationParams{
 			K: 4, Eps: 0.1, Trials: 2, Delta: 1e-3, Seed: 5, Workers: 2,
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +142,12 @@ func TestOptionLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := ug.EstimateStatisticsWithConfig(pub, ug.EstimateConfig{
+		v1, err := ug.EstimateStatistics(ctx, pub, ug.WithEstimate(ug.EstimateConfig{
 			Worlds: 8, Seed: 7, Distances: ug.DistanceExactBFS,
-		})
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(v2.Samples, v1.Samples) {
 			t.Error("option form and struct form sample arrays differ")
 		}
@@ -153,9 +158,12 @@ func TestOptionLegacyEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v1 := ug.StatisticsWithConfig(g, ug.EstimateConfig{
+		v1, err := ug.Statistics(ctx, g, ug.WithEstimate(ug.EstimateConfig{
 			Distances: ug.DistanceExactBFS, Seed: 3,
-		})
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !reflect.DeepEqual(v2, v1) {
 			t.Errorf("option form %v != struct form %v", v2, v1)
 		}
@@ -171,9 +179,11 @@ func TestOptionLegacyEquivalence(t *testing.T) {
 		if err := v2.Run(ctx); err != nil {
 			t.Fatal(err)
 		}
-		v1 := ug.NewQueryBatchWithConfig(pub, ug.QueryConfig{Worlds: 60, Seed: 4, Workers: 2})
+		v1 := query.NewBatch(pub, ug.QueryConfig{Worlds: 60, Seed: 4, Workers: 2})
 		b := v1.AddReliability(0, 100)
-		v1.MustRun()
+		if err := v1.Run(ctx); err != nil {
+			t.Fatal(err)
+		}
 		if v2.Reliability(a) != v1.Reliability(b) {
 			t.Errorf("option form %v != struct form %v", v2.Reliability(a), v1.Reliability(b))
 		}

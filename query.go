@@ -73,13 +73,3 @@ func NewQueryBatch(g *UncertainGraph, opts ...Option) (*QueryBatch, error) {
 	}
 	return query.NewBatch(g, s.queryConfig()), nil
 }
-
-// NewQueryBatchWithConfig is the v1 form of NewQueryBatch: all
-// configuration through the config struct. Run the returned batch with
-// Run(ctx) (or the deprecated MustRun).
-//
-// Deprecated: use NewQueryBatch(g, opts...). This wrapper remains for
-// one release of compatibility.
-func NewQueryBatchWithConfig(g *UncertainGraph, cfg QueryConfig) *QueryBatch {
-	return query.NewBatch(g, cfg)
-}

@@ -58,15 +58,6 @@ func Statistics(ctx context.Context, g *Graph, opts ...Option) (map[string]float
 	return sampling.ScalarsOf(g, cfg, cfg.Seed), nil
 }
 
-// StatisticsWithConfig is the v1 form of Statistics: no cancellation,
-// all configuration through the config struct.
-//
-// Deprecated: use Statistics(ctx, g, opts...). This wrapper remains for
-// one release of compatibility.
-func StatisticsWithConfig(g *Graph, cfg EstimateConfig) map[string]float64 {
-	return sampling.ScalarsOf(g, cfg, cfg.Seed)
-}
-
 // EstimateStatistics samples possible worlds of an uncertain graph and
 // returns the aggregated statistic report (paper Section 6.1).
 //
@@ -107,16 +98,6 @@ func RunVector(ctx context.Context, ug *UncertainGraph, fn VectorFn, opts ...Opt
 		return nil, err
 	}
 	return sampling.RunVector(ctx, ug, s.estimateConfig(StageEstimate), fn)
-}
-
-// EstimateStatisticsWithConfig is the v1 form of EstimateStatistics: no
-// cancellation, all configuration through the config struct.
-//
-// Deprecated: use EstimateStatistics(ctx, ug, opts...). This wrapper
-// remains for one release of compatibility.
-func EstimateStatisticsWithConfig(ug *UncertainGraph, cfg EstimateConfig) *EstimateReport {
-	rep, _ := sampling.Run(context.Background(), ug, cfg)
-	return rep
 }
 
 // DistanceDistribution is the S_PDD shape shared by the exact and
