@@ -76,12 +76,12 @@ func (m UncertainModel) Aborted() bool {
 // WorkerHinted is an optional Model extension: models that carry an
 // explicit worker budget (e.g. one trial of the parallel obfuscation
 // engine, which shares cores with its sibling trials) expose it here;
-// ColumnEntropies otherwise defaults to GOMAXPROCS.
+// the column scans otherwise default to GOMAXPROCS.
 type WorkerHinted interface {
 	ParallelWorkers() int
 }
 
-// Abortable is an optional Model extension: ColumnEntropies polls it
+// Abortable is an optional Model extension: the column scans poll it
 // between chunks and stops scanning once it reports true, returning an
 // unspecified result the caller has agreed to discard.
 type Abortable interface {
@@ -106,7 +106,7 @@ func (m UncertainModel) VertexXBuf(v int, buf []float64) (Dist, []float64) {
 
 // BufferedModel is an optional Model extension: models whose X columns
 // can be computed through a caller-owned scratch buffer implement it,
-// and the entropy scan then streams each chunk's vertices through one
+// and the column scans then stream each chunk's vertices through one
 // buffer instead of allocating per vertex. Implementations must not
 // retain buf; they return the (possibly grown) buffer for the next
 // call.
@@ -114,12 +114,10 @@ type BufferedModel interface {
 	VertexXBuf(v int, buf []float64) (Dist, []float64)
 }
 
-// ColumnEntropies computes H(Y_ω) for every requested property value ω,
-// streaming the X columns of all vertices through entropy accumulators.
-// The vertex scan is parallelized across CPUs.
 // Preparer is an optional Model extension: models whose X columns are
 // cheaper to precompute in bulk (the baseline degree-transition models)
-// implement it, and ColumnEntropies invokes it before the parallel scan.
+// implement it, and the column scans invoke it before the parallel
+// scan.
 type Preparer interface {
 	Prepare(omegas []int)
 }
@@ -133,32 +131,37 @@ type Preparer interface {
 // bit-identical results for any number of workers.
 const scanChunk = 512
 
-func ColumnEntropies(m Model, omegas []int) map[int]float64 {
+// scanChunks is the vertex scan behind every column measure. It splits
+// the vertices into fixed scanChunk-vertex chunks, scans them in
+// parallel (the model's WorkerHinted budget, else GOMAXPROCS; polling
+// Abortable between chunks), and folds X_v of each vertex of a chunk,
+// in vertex order, into that chunk's accumulators: one A per requested
+// ω, starting at A's zero value. It returns the accumulators in chunk
+// order, for the caller to merge in that order, or nil when there is
+// nothing to scan. A chunk's accumulators are nil only after an abort,
+// whose result the caller discards anyway.
+func scanChunks[A any](m Model, omegas []int, fold func(acc []A, x Dist)) [][]A {
 	if prep, ok := m.(Preparer); ok {
 		prep.Prepare(omegas)
 	}
 	n := m.NumVertices()
 	if len(omegas) == 0 || n == 0 {
-		return map[int]float64{}
+		return nil
 	}
 	workers := runtime.GOMAXPROCS(0)
 	if h, ok := m.(WorkerHinted); ok && h.ParallelWorkers() > 0 {
 		workers = h.ParallelWorkers()
 	}
-	numChunks := (n + scanChunk - 1) / scanChunk
 	aborted := func() bool { return false }
 	if ab, ok := m.(Abortable); ok {
 		aborted = ab.Aborted
 	}
 	bm, buffered := m.(BufferedModel)
-	chunkAccs := make([][]mathx.EntropyAccumulator, numChunks)
-	scan := func(c int) {
+	chunkAccs := make([][]A, (n+scanChunk-1)/scanChunk)
+	parallel.For(len(chunkAccs), workers, aborted, func(c int) {
 		lo := c * scanChunk
-		hi := lo + scanChunk
-		if hi > n {
-			hi = n
-		}
-		acc := make([]mathx.EntropyAccumulator, len(omegas))
+		hi := min(lo+scanChunk, n)
+		acc := make([]A, len(omegas))
 		var buf []float64
 		for v := lo; v < hi; v++ {
 			var x Dist
@@ -167,17 +170,29 @@ func ColumnEntropies(m Model, omegas []int) map[int]float64 {
 			} else {
 				x = m.VertexX(v)
 			}
-			for i, omega := range omegas {
-				acc[i].Add(x.Prob(omega))
-			}
+			fold(acc, x)
 		}
 		chunkAccs[c] = acc
+	})
+	return chunkAccs
+}
+
+// ColumnEntropies computes H(Y_ω) for every requested property value ω,
+// streaming the X columns of all vertices through entropy accumulators.
+// The vertex scan is parallelized across CPUs; its result is
+// bit-identical for every worker count.
+func ColumnEntropies(m Model, omegas []int) map[int]float64 {
+	chunks := scanChunks(m, omegas, func(acc []mathx.EntropyAccumulator, x Dist) {
+		for i, omega := range omegas {
+			acc[i].Add(x.Prob(omega))
+		}
+	})
+	out := make(map[int]float64, len(omegas))
+	if chunks == nil {
+		return out
 	}
-	parallel.For(numChunks, workers, aborted, scan)
-	// Merge in chunk order — the same summation tree every run. Chunks
-	// may be nil only after an abort, whose result is discarded anyway.
 	merged := make([]mathx.EntropyAccumulator, len(omegas))
-	for _, acc := range chunkAccs {
+	for _, acc := range chunks {
 		if acc == nil {
 			continue
 		}
@@ -185,7 +200,6 @@ func ColumnEntropies(m Model, omegas []int) map[int]float64 {
 			merged[i].Merge(acc[i])
 		}
 	}
-	out := make(map[int]float64, len(omegas))
 	for i, omega := range omegas {
 		out[omega] = merged[i].Entropy()
 	}

@@ -1,10 +1,5 @@
 package adversary
 
-import (
-	"runtime"
-	"sync"
-)
-
 // This file implements the *a-posteriori belief* anonymity measure used
 // by Hay et al. and Ying et al., which the paper's Section 2 contrasts
 // with the entropy measure it adopts (following Bonchi et al. [4]): the
@@ -17,52 +12,26 @@ import (
 
 // ColumnBeliefLevels returns, for every requested property value ω, the
 // belief anonymity level (Σ_u X_u(ω)) / (max_u X_u(ω)) = 1/max_u Y_ω(u).
-// Columns with zero mass yield level 0.
+// Columns with zero mass yield level 0. It runs ColumnEntropies'
+// chunked scan, so the levels are bit-identical for every worker count
+// and GOMAXPROCS.
 func ColumnBeliefLevels(m Model, omegas []int) map[int]float64 {
-	if prep, ok := m.(Preparer); ok {
-		prep.Prepare(omegas)
-	}
-	n := m.NumVertices()
+	type agg struct{ sum, max float64 }
+	chunks := scanChunks(m, omegas, func(acc []agg, x Dist) {
+		for i, omega := range omegas {
+			p := x.Prob(omega)
+			acc[i].sum += p
+			if p > acc[i].max {
+				acc[i].max = p
+			}
+		}
+	})
 	out := make(map[int]float64, len(omegas))
-	if len(omegas) == 0 || n == 0 {
+	if chunks == nil {
 		return out
 	}
-	type agg struct{ sum, max float64 }
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	locals := make([][]agg, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := make([]agg, len(omegas))
-			for v := lo; v < hi; v++ {
-				x := m.VertexX(v)
-				for i, omega := range omegas {
-					p := x.Prob(omega)
-					acc[i].sum += p
-					if p > acc[i].max {
-						acc[i].max = p
-					}
-				}
-			}
-			locals[w] = acc
-		}(w, lo, hi)
-	}
-	wg.Wait()
 	merged := make([]agg, len(omegas))
-	for _, acc := range locals {
+	for _, acc := range chunks {
 		if acc == nil {
 			continue
 		}

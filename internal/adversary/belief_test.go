@@ -2,6 +2,7 @@ package adversary
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"uncertaingraph/internal/gen"
@@ -71,5 +72,38 @@ func TestBeliefLevelsEmpty(t *testing.T) {
 	m := UncertainModel{G: figure1b(t)}
 	if got := ColumnBeliefLevels(m, nil); len(got) != 0 {
 		t.Error("no columns should give empty map")
+	}
+}
+
+// TestBeliefLevelsGOMAXPROCSBitIdentity pins the belief scan's
+// determinism: on a graph spanning several 512-vertex scan chunks, the
+// per-vertex levels are bit-identical for every GOMAXPROCS, because the
+// chunk boundaries and their merge order never depend on it.
+func TestBeliefLevelsGOMAXPROCSBitIdentity(t *testing.T) {
+	g := gen.HolmeKim(randx.New(21), 1300, 3, 0.3)
+	rng := randx.New(22)
+	pairs := make([]uncertain.Pair, 0, g.NumEdges())
+	g.ForEachEdge(func(u, v int) {
+		pairs = append(pairs, uncertain.Pair{U: u, V: v, P: 0.2 + 0.8*rng.Float64()})
+	})
+	ugr, err := uncertain.New(g.NumVertices(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := UncertainModel{G: ugr}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want []float64
+	for _, procs := range []int{1, 2, 3, 7} {
+		runtime.GOMAXPROCS(procs)
+		got := BeliefLevels(m, g.Degrees())
+		if want == nil {
+			want = got
+			continue
+		}
+		for v := range want {
+			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
+				t.Fatalf("GOMAXPROCS %d: vertex %d belief level %v, GOMAXPROCS 1 gives %v", procs, v, got[v], want[v])
+			}
+		}
 	}
 }

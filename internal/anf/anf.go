@@ -7,12 +7,24 @@
 // §6.3 on each sampled possible world, repeating runs and jackknifing
 // to bound the estimation error. DistanceDistribution and Jackknifed
 // reproduce that pipeline.
+//
+// The kernel uses HyperANF's own two speed techniques, and neither
+// moves an output bit relative to the textbook iteration that unions
+// every neighbour's counter and re-estimates every counter each round:
+//   - systolic updates: an iteration unions in and copies across only
+//     the counters that changed in the previous one, re-estimates only
+//     the counters it changes, and sums cached estimates in vertex
+//     order (Engine states why each step is exact);
+//   - broadword maxima: hll's Union takes the register-wise maximum of
+//     eight byte registers per uint64 step. Every register stays below
+//     0x80, so the per-byte compare cannot borrow across bytes and
+//     picks the maximum the byte loop would.
+//
+// hll's Estimate reads 2^-r from a table; for an integer r math.Exp2
+// is exact, so the table holds exactly the values math.Exp2 returns.
 package anf
 
 import (
-	"runtime"
-	"sync"
-
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/hll"
 	"uncertaingraph/internal/mathx"
@@ -43,45 +55,49 @@ func (o Options) withDefaults() Options {
 
 // NeighbourhoodFunction estimates N(t) for t = 0, 1, ... until no
 // counter changes (or MaxIter). N(0) = n; N(t) counts ordered pairs
-// (u, v) with dist(u,v) <= t, including u = v.
+// (u, v) with dist(u,v) <= t, including u = v. It runs a fresh Engine.
 func NeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
-	opt = opt.withDefaults()
-	n := g.NumVertices()
-	cur := make([]hll.Counter, n)
-	next := make([]hll.Counter, n)
-	for v := 0; v < n; v++ {
-		cur[v] = hll.New(opt.Bits)
-		cur[v].AddHash(hll.Hash64(uint64(v), opt.Seed))
-		next[v] = hll.New(opt.Bits)
-	}
-	nf := []float64{sumEstimates(cur)}
-	for t := 1; t <= opt.MaxIter; t++ {
-		changed := iterate(g, cur, next)
-		cur, next = next, cur
-		nf = append(nf, sumEstimates(cur))
-		if !changed {
-			break
-		}
-	}
-	return nf
+	return NewEngine(opt).NeighbourhoodFunction(g, opt.Seed)
 }
 
 // Engine runs HyperANF repeatedly against reusable state: every
 // counter register of every vertex lives in one flat byte array that
-// is zeroed — not reallocated — between runs, and the neighbourhood
-// function and distance-count buffers are reused likewise. The
-// possible-world estimation pipeline holds one Engine per worker and
-// reuses it across all that worker's sampled worlds. An Engine runs
-// its iterations sequentially (the worlds are the parallel axis) and
-// produces bit-identical results to the package-level functions:
-// register unions are idempotent maxima, so the iteration schedule
-// cannot affect any estimate.
+// is reset — not reallocated — between runs, and the per-vertex
+// estimate and change flags, the neighbourhood function and the
+// distance-count buffers are reused likewise. The possible-world
+// estimation pipeline holds one Engine per worker and reuses it across
+// all that worker's sampled worlds; the package-level functions run a
+// fresh one. An Engine runs its iterations sequentially (the worlds
+// are the parallel axis).
+//
+// The iteration is HyperANF's systolic one, and it returns the same
+// N(t), bit for bit, as recomputing next[v] = cur[v] ∪ ⋃_{u~v} cur[u]
+// for every v and summing every counter's estimate each iteration:
+//   - v unions in only the counters of neighbours that changed in the
+//     previous iteration. An unchanged neighbour u holds its value of
+//     two iterations back, which v's counter already contains, so that
+//     union is a no-op — and a v with no changed neighbour cannot
+//     change at all;
+//   - the other buffer holds every counter's value of two iterations
+//     back, so only a counter that changed in the previous iteration
+//     is copied across before the unions;
+//   - only changed counters are re-estimated. Each vertex's estimate
+//     is cached, and N(t) sums the cache in vertex order: the same
+//     floats added in the same order, so the run also stops at the
+//     same iteration.
+//
+// The unions themselves are hll's broadword maxima, eight registers
+// per word.
 type Engine struct {
 	opt       Options
 	regs      []byte
 	cur, next []hll.Counter
-	nf        []float64
-	counts    []float64
+	est       []float64 // est[v] = cur[v].Estimate()
+	// changed[v] reports whether v's counter changed in the previous
+	// iteration; grew collects the current iteration's flags.
+	changed, grew []bool
+	nf            []float64
+	counts        []float64
 }
 
 // NewEngine returns an engine with the given options; buffers grow on
@@ -90,22 +106,27 @@ func NewEngine(opt Options) *Engine {
 	return &Engine{opt: opt.withDefaults()}
 }
 
+// ensure sizes the buffers for n vertices and zeroes the cur half of
+// the registers. The next half needs no zeroing: every counter changes
+// at t = 0, so the first iteration copies all of them across.
 func (e *Engine) ensure(n int) {
 	m := hll.RegisterCount(e.opt.Bits)
 	if need := 2 * n * m; cap(e.regs) < need {
 		e.regs = make([]byte, need)
 		e.cur = make([]hll.Counter, 0, n)
 		e.next = make([]hll.Counter, 0, n)
+		e.est = make([]float64, n)
+		e.changed = make([]bool, n)
+		e.grew = make([]bool, n)
 	} else {
-		for i := range e.regs[:need] {
-			e.regs[i] = 0
-		}
+		clear(e.regs[:n*m])
 	}
 	e.cur, e.next = e.cur[:0], e.next[:0]
 	for v := 0; v < n; v++ {
-		e.cur = append(e.cur, hll.FromRegisters(e.regs[2*v*m:(2*v+1)*m]))
-		e.next = append(e.next, hll.FromRegisters(e.regs[(2*v+1)*m:(2*v+2)*m]))
+		e.cur = append(e.cur, hll.FromRegisters(e.regs[v*m:(v+1)*m]))
+		e.next = append(e.next, hll.FromRegisters(e.regs[(n+v)*m:(n+v+1)*m]))
 	}
+	e.est, e.changed, e.grew = e.est[:n], e.changed[:n], e.grew[:n]
 }
 
 // NeighbourhoodFunction is the buffer-reusing form of the package
@@ -116,17 +137,46 @@ func (e *Engine) NeighbourhoodFunction(g *graph.Graph, seed uint64) []float64 {
 	e.ensure(n)
 	for v := 0; v < n; v++ {
 		e.cur[v].AddHash(hll.Hash64(uint64(v), seed))
+		e.est[v] = e.cur[v].Estimate()
+		e.changed[v] = true
 	}
-	e.nf = append(e.nf[:0], sumEstimates(e.cur))
+	e.nf = append(e.nf[:0], e.sum())
 	for t := 1; t <= e.opt.MaxIter; t++ {
-		changed := iterateRange(g, e.cur, e.next, 0, n)
+		anyGrew := false
+		for v := 0; v < n; v++ {
+			next := e.next[v]
+			if e.changed[v] {
+				next.CopyFrom(e.cur[v])
+			}
+			grew := false
+			for _, u := range g.Neighbors(v) {
+				if e.changed[u] && next.Union(e.cur[u]) {
+					grew = true
+				}
+			}
+			if grew {
+				e.est[v] = next.Estimate()
+				anyGrew = true
+			}
+			e.grew[v] = grew
+		}
 		e.cur, e.next = e.next, e.cur
-		e.nf = append(e.nf, sumEstimates(e.cur))
-		if !changed {
+		e.changed, e.grew = e.grew, e.changed
+		e.nf = append(e.nf, e.sum())
+		if !anyGrew {
 			break
 		}
 	}
 	return e.nf
+}
+
+// sum returns N(t): the cached estimates added in vertex order.
+func (e *Engine) sum() float64 {
+	var s float64
+	for _, x := range e.est {
+		s += x
+	}
+	return s
 }
 
 // DistanceDistribution is the buffer-reusing form of the package
@@ -154,94 +204,13 @@ func (e *Engine) DistanceDistribution(g *graph.Graph, seed uint64) stats.Distanc
 	return stats.DistanceDistribution{Counts: e.counts, Disconnected: disconnected}
 }
 
-// iterate computes next[v] = cur[v] ∪ (∪_{u ~ v} cur[u]) for all v in
-// parallel and reports whether any counter changed.
-func iterate(g *graph.Graph, cur, next []hll.Counter) bool {
-	n := g.NumVertices()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	changedBy := make([]bool, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if iterateRange(g, cur, next, lo, hi) {
-				changedBy[w] = true
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, c := range changedBy {
-		if c {
-			return true
-		}
-	}
-	return false
-}
-
-// iterateRange updates next[v] for v in [lo, hi) and reports whether
-// any counter in the range changed.
-func iterateRange(g *graph.Graph, cur, next []hll.Counter, lo, hi int) bool {
-	anyChanged := false
-	for v := lo; v < hi; v++ {
-		// Start from the previous value of v's counter.
-		next[v].CopyFrom(cur[v])
-		changed := false
-		for _, u := range g.Neighbors(v) {
-			if next[v].Union(cur[u]) {
-				changed = true
-			}
-		}
-		if changed {
-			anyChanged = true
-		}
-	}
-	return anyChanged
-}
-
-func sumEstimates(counters []hll.Counter) float64 {
-	var sum float64
-	for _, c := range counters {
-		sum += c.Estimate()
-	}
-	return sum
-}
-
 // DistanceDistribution converts a HyperANF run into the S_PDD shape:
 // Counts[d] ~ (N(d) - N(d-1))/2 unordered pairs at distance d (negative
 // increments from estimation noise are clamped to zero), and
 // Disconnected = C(n,2) - connected. The distribution's Diameter() is
-// the paper's lower bound S_DiamLB.
+// the paper's lower bound S_DiamLB. It runs a fresh Engine.
 func DistanceDistribution(g *graph.Graph, opt Options) stats.DistanceDistribution {
-	nf := NeighbourhoodFunction(g, opt)
-	n := float64(g.NumVertices())
-	counts := make([]float64, len(nf))
-	var connected float64
-	for d := 1; d < len(nf); d++ {
-		inc := (nf[d] - nf[d-1]) / 2
-		if inc < 0 {
-			inc = 0
-		}
-		counts[d] = inc
-		connected += inc
-	}
-	total := n * (n - 1) / 2
-	disconnected := total - connected
-	if disconnected < 0 {
-		disconnected = 0
-	}
-	return stats.DistanceDistribution{Counts: counts, Disconnected: disconnected}
+	return NewEngine(opt).DistanceDistribution(g, opt.Seed)
 }
 
 // Jackknifed runs HyperANF `runs` times with different hash seeds,

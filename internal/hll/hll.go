@@ -9,6 +9,7 @@
 package hll
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 )
@@ -41,7 +42,10 @@ func RegisterCount(b int) int {
 // counter without copying: the caller owns the memory, so many
 // counters can share one flat backing array (the layout HyperANF wants
 // — one allocation for all vertices, reusable across runs). The slice
-// length must be a power of two in [16, 65536].
+// length must be a power of two in [16, 65536], and every register
+// must be below 0x80 — true of a zeroed slice and of anything AddHash,
+// CopyFrom and Union write into it — because Union's broadword maximum
+// relies on it.
 func FromRegisters(reg []byte) Counter {
 	n := len(reg)
 	if n == 0 || n&(n-1) != 0 {
@@ -84,16 +88,30 @@ func (c Counter) CopyFrom(src Counter) {
 
 // Union folds other into c (register-wise max) and reports whether any
 // register changed. Counters must have equal size.
+//
+// The maximum is taken broadword, eight registers per uint64 word (a
+// counter has a power of two >= 16 registers, so it is whole words).
+// It relies on the invariant that every register is below 0x80:
+// AddHash's guard bit bounds a rank by 65-b <= 61. With hi = 0x80 in
+// every byte, ((a|hi) - b) & hi then cannot borrow across bytes, and
+// its byte is 0x80 exactly where a >= b — the same choice the bytewise
+// loop makes.
 func (c Counter) Union(other Counter) bool {
 	if len(c.reg) != len(other.reg) {
 		panic("hll: union of differently sized counters")
 	}
+	const hi = 0x8080808080808080
 	changed := false
-	for i, r := range other.reg {
-		if r > c.reg[i] {
-			c.reg[i] = r
+	dst, src := c.reg, other.reg
+	for len(dst) >= 8 && len(src) >= 8 {
+		a := binary.LittleEndian.Uint64(dst)
+		b := binary.LittleEndian.Uint64(src)
+		if lt := ^((a | hi) - b) & hi; lt != 0 {
+			take := (lt >> 7) * 0xFF // 0xFF in every byte where a < b
+			binary.LittleEndian.PutUint64(dst, a&^take|b&take)
 			changed = true
 		}
+		dst, src = dst[8:], src[8:]
 	}
 	return changed
 }
@@ -105,7 +123,7 @@ func (c Counter) Estimate() float64 {
 	var invSum float64
 	zeros := 0
 	for _, r := range c.reg {
-		invSum += math.Exp2(-float64(r))
+		invSum += pow2neg[r]
 		if r == 0 {
 			zeros++
 		}
@@ -117,6 +135,17 @@ func (c Counter) Estimate() float64 {
 	}
 	return est
 }
+
+// pow2neg[r] is 2^-r. A power of two with an integer exponent is
+// exact: math.Exp2's argument reduction leaves a zero fraction and ends
+// in Ldexp(1, -r), so the table holds exactly the values the call
+// returns and Estimate's sum is unchanged bit for bit.
+var pow2neg = func() (t [256]float64) {
+	for r := range t {
+		t[r] = math.Exp2(-float64(r))
+	}
+	return t
+}()
 
 // alpha returns the HyperLogLog bias-correction constant for m
 // registers.

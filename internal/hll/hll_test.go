@@ -1,7 +1,9 @@
 package hll
 
 import (
+	"bytes"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -138,5 +140,69 @@ func TestHash64SeedDecorrelates(t *testing.T) {
 	}
 	if same > 0 {
 		t.Errorf("%d/1000 hashes collide across seeds", same)
+	}
+}
+
+// TestPow2NegMatchesExp2 pins the table Estimate reads: every entry is
+// bit-identical to math.Exp2(-r).
+func TestPow2NegMatchesExp2(t *testing.T) {
+	for r := 0; r < 256; r++ {
+		if got, want := pow2neg[r], math.Exp2(-float64(r)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("pow2neg[%d] = %v, want math.Exp2(%d) = %v", r, got, -r, want)
+		}
+	}
+}
+
+// bytewiseUnion is the register-at-a-time maximum the broadword Union
+// must reproduce.
+func bytewiseUnion(dst, src []byte) bool {
+	changed := false
+	for i, r := range src {
+		if r > dst[i] {
+			dst[i] = r
+			changed = true
+		}
+	}
+	return changed
+}
+
+// TestUnionMatchesBytewise drives the broadword Union and the bytewise
+// reference over random register pairs in [0, 0x7F] — independent
+// pairs, pairs where src never exceeds dst (no change), and pairs
+// differing in one raised register — and requires the same registers
+// and the same change flag.
+func TestUnionMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, b := range []int{4, 7, 16} {
+		m := RegisterCount(b)
+		for trial := 0; trial < 60; trial++ {
+			dst, src := make([]byte, m), make([]byte, m)
+			for i := range dst {
+				dst[i] = byte(rng.Intn(0x80))
+			}
+			switch trial % 3 {
+			case 0:
+				for i := range src {
+					src[i] = byte(rng.Intn(0x80))
+				}
+			case 1:
+				for i := range src {
+					src[i] = byte(rng.Intn(int(dst[i]) + 1))
+				}
+			case 2:
+				copy(src, dst)
+				i := rng.Intn(m)
+				src[i] = dst[i] + byte(rng.Intn(0x80-int(dst[i])))
+			}
+			want := append([]byte(nil), dst...)
+			wantChanged := bytewiseUnion(want, src)
+			c := FromRegisters(dst)
+			if got := c.Union(FromRegisters(src)); got != wantChanged {
+				t.Errorf("b=%d trial %d: Union reported %v, bytewise %v", b, trial, got, wantChanged)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("b=%d trial %d: broadword registers differ from the bytewise maximum", b, trial)
+			}
+		}
 	}
 }

@@ -292,7 +292,8 @@ func WithObfuscation(p ObfuscationParams) Option {
 // PowerLawMinDegree, EffectiveDiameterQ). The shared options override
 // the corresponding fields regardless of option order. Negative
 // Workers or Worlds counts are rejected with ErrBadConfig (0 still
-// selects the defaults, matching the v1 struct).
+// selects the defaults, matching the v1 struct), and so is an ANFBits
+// outside 4–16 other than 0 (the default).
 func WithEstimate(cfg EstimateConfig) Option {
 	return func(s *settings) error {
 		if cfg.Workers < 0 {
@@ -300,6 +301,9 @@ func WithEstimate(cfg EstimateConfig) Option {
 		}
 		if cfg.Worlds < 0 {
 			return badConfig("EstimateConfig.Worlds %d must be >= 0", cfg.Worlds)
+		}
+		if cfg.ANFBits != 0 && (cfg.ANFBits < 4 || cfg.ANFBits > 16) {
+			return badConfig("EstimateConfig.ANFBits %d must be 0 or in [4, 16]", cfg.ANFBits)
 		}
 		s.est = cfg
 		s.estSet = true

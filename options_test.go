@@ -106,6 +106,29 @@ func TestErrBadConfig(t *testing.T) {
 	}
 }
 
+// TestEstimateRejectsBadANFBits pins the ANFBits check: an exponent
+// outside 4–16 would reach hll and panic inside a world-loop lane
+// goroutine, where no caller can recover it, so WithEstimate rejects it
+// with ErrBadConfig. 0 (the default) and both ends of the range run.
+func TestEstimateRejectsBadANFBits(t *testing.T) {
+	g := ug.GraphFromEdges(4, []ug.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	pub := ug.CertainGraph(g)
+	ctx := context.Background()
+	for _, bits := range []int{-1, 3, 17} {
+		_, err := ug.EstimateStatistics(ctx, pub, ug.WithWorkers(2),
+			ug.WithEstimate(ug.EstimateConfig{Worlds: 4, ANFBits: bits}))
+		if !errors.Is(err, ug.ErrBadConfig) {
+			t.Errorf("ANFBits %d: err = %v, want ErrBadConfig", bits, err)
+		}
+	}
+	for _, bits := range []int{0, 4, 16} {
+		if _, err := ug.EstimateStatistics(ctx, pub, ug.WithWorkers(2),
+			ug.WithEstimate(ug.EstimateConfig{Worlds: 4, ANFBits: bits})); err != nil {
+			t.Errorf("ANFBits %d: %v", bits, err)
+		}
+	}
+}
+
 // TestOptionLegacyEquivalence pins the option-merge contract: the
 // per-knob option form of every entry point produces results
 // bit-identical to the bulk-struct form (WithObfuscation, WithEstimate,

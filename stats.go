@@ -109,7 +109,8 @@ type DistanceDistribution = stats.DistanceDistribution
 func ExactDistances(g *Graph) DistanceDistribution { return bfs.DistanceDistribution(g) }
 
 // ApproxDistances estimates the distance distribution with HyperANF
-// using 2^bits registers per counter (bits = 0 selects the default).
+// using 2^bits registers per counter. bits must be 0 (the default, 7)
+// or in [4, 16]; any other value panics.
 func ApproxDistances(g *Graph, bits int, seed uint64) DistanceDistribution {
 	return anf.DistanceDistribution(g, anf.Options{Bits: bits, Seed: seed})
 }
