@@ -16,6 +16,14 @@
 // random-perturbation baselines of Section 7.3, whose X columns are
 // degree-transition probabilities under the random model (the entropy
 // measure of Bonchi et al.). Both are adapted to the Model interface.
+//
+// For an uncertain graph, X_v is supported on {0, ..., L_v}, where L_v
+// is the number of candidate pairs incident to v, and is exactly 0
+// outside it. The column scans therefore evaluate, per vertex, only the
+// requested ω inside that support. Skipping the others is exact, not an
+// approximation: an exact 0 changes neither an entropy accumulator nor
+// a belief sum or maximum, so every column measure is bit-identical to
+// a fold over all requested ω.
 package adversary
 
 import (
@@ -30,8 +38,8 @@ import (
 	"uncertaingraph/internal/uncertain"
 )
 
-// Dist is a probability mass function over non-negative integers.
-// pbinom.Dist satisfies it.
+// Dist is a probability mass function over non-negative integers:
+// Prob is 0 for every negative k. pbinom.Dist satisfies it.
 type Dist interface {
 	Prob(k int) float64
 }
@@ -96,24 +104,6 @@ func (m UncertainModel) VertexX(v int) Dist {
 	return m.G.DegreeDist(v, m.ExactThreshold)
 }
 
-// VertexXBuf implements BufferedModel: the incident probabilities are
-// staged through the scan's per-chunk buffer instead of a per-vertex
-// allocation.
-func (m UncertainModel) VertexXBuf(v int, buf []float64) (Dist, []float64) {
-	d, buf := m.G.DegreeDistBuf(v, m.ExactThreshold, buf)
-	return d, buf
-}
-
-// BufferedModel is an optional Model extension: models whose X columns
-// can be computed through a caller-owned scratch buffer implement it,
-// and the column scans then stream each chunk's vertices through one
-// buffer instead of allocating per vertex. Implementations must not
-// retain buf; they return the (possibly grown) buffer for the next
-// call.
-type BufferedModel interface {
-	VertexXBuf(v int, buf []float64) (Dist, []float64)
-}
-
 // Preparer is an optional Model extension: models whose X columns are
 // cheaper to precompute in bulk (the baseline degree-transition models)
 // implement it, and the column scans invoke it before the parallel
@@ -134,13 +124,27 @@ const scanChunk = 512
 // scanChunks is the vertex scan behind every column measure. It splits
 // the vertices into fixed scanChunk-vertex chunks, scans them in
 // parallel (the model's WorkerHinted budget, else GOMAXPROCS; polling
-// Abortable between chunks), and folds X_v of each vertex of a chunk,
-// in vertex order, into that chunk's accumulators: one A per requested
-// ω, starting at A's zero value. It returns the accumulators in chunk
-// order, for the caller to merge in that order, or nil when there is
-// nothing to scan. A chunk's accumulators are nil only after an abort,
-// whose result the caller discards anyway.
-func scanChunks[A any](m Model, omegas []int, fold func(acc []A, x Dist)) [][]A {
+// Abortable between chunks), and folds X_v(ω) of each vertex of a
+// chunk, in vertex order, into that chunk's accumulator of ω: one A per
+// requested ω, starting at A's zero value, updated by add. It returns
+// the accumulators in chunk order, for the caller to merge in that
+// order, or nil when there is nothing to scan. A chunk's accumulators
+// are nil only after an abort, whose result the caller discards anyway.
+//
+// add sees only the ω that can carry mass: never a negative ω
+// (Dist.Prob is 0 there), and for an UncertainModel never an ω above
+// the vertex's incident-pair count, the top of its support. Each vertex
+// walks the ω in ascending order through one sorted index built per
+// scan, so an UncertainModel vertex stops at the first ω past its
+// support and a scan costs its in-support entries instead of |V| × |ω|.
+// Skipping is exact because both folds (entropy, belief) leave an
+// accumulator unchanged on an exact 0: every accumulator receives the
+// same non-zero adds, in the same vertex order, as a full fold.
+//
+// For an UncertainModel each chunk rebuilds every vertex's degree law
+// into one reused pbinom.Dist (Dist.Reset) through one reused
+// probability buffer, so the scan allocates nothing per vertex.
+func scanChunks[A any](m Model, omegas []int, add func(acc *A, p float64)) [][]A {
 	if prep, ok := m.(Preparer); ok {
 		prep.Prepare(omegas)
 	}
@@ -156,25 +160,52 @@ func scanChunks[A any](m Model, omegas []int, fold func(acc []A, x Dist)) [][]A 
 	if ab, ok := m.(Abortable); ok {
 		aborted = ab.Aborted
 	}
-	bm, buffered := m.(BufferedModel)
+	order := ascendingOmegas(omegas)
+	um, isUncertain := m.(UncertainModel)
 	chunkAccs := make([][]A, (n+scanChunk-1)/scanChunk)
 	parallel.For(len(chunkAccs), workers, aborted, func(c int) {
 		lo := c * scanChunk
 		hi := min(lo+scanChunk, n)
 		acc := make([]A, len(omegas))
-		var buf []float64
-		for v := lo; v < hi; v++ {
-			var x Dist
-			if buffered {
-				x, buf = bm.VertexXBuf(v, buf)
-			} else {
-				x = m.VertexX(v)
+		if isUncertain {
+			var law pbinom.Dist
+			var probs []float64
+			for v := lo; v < hi; v++ {
+				probs = um.G.AppendIncidentProbs(probs[:0], v)
+				law.Reset(probs, um.ExactThreshold)
+				top := law.NumTerms()
+				for _, i := range order {
+					if omegas[i] > top {
+						break
+					}
+					add(&acc[i], law.Prob(omegas[i]))
+				}
 			}
-			fold(acc, x)
+		} else {
+			for v := lo; v < hi; v++ {
+				x := m.VertexX(v)
+				for _, i := range order {
+					add(&acc[i], x.Prob(omegas[i]))
+				}
+			}
 		}
 		chunkAccs[c] = acc
 	})
 	return chunkAccs
+}
+
+// ascendingOmegas returns the indices of the non-negative entries of
+// omegas, ordered by ascending ω: the sorted index every vertex of a
+// scan walks until it leaves the vertex's support.
+func ascendingOmegas(omegas []int) []int {
+	order := make([]int, 0, len(omegas))
+	for i, omega := range omegas {
+		if omega >= 0 {
+			order = append(order, i)
+		}
+	}
+	sort.Slice(order, func(a, b int) bool { return omegas[order[a]] < omegas[order[b]] })
+	return order
 }
 
 // ColumnEntropies computes H(Y_ω) for every requested property value ω,
@@ -182,11 +213,7 @@ func scanChunks[A any](m Model, omegas []int, fold func(acc []A, x Dist)) [][]A 
 // The vertex scan is parallelized across CPUs; its result is
 // bit-identical for every worker count.
 func ColumnEntropies(m Model, omegas []int) map[int]float64 {
-	chunks := scanChunks(m, omegas, func(acc []mathx.EntropyAccumulator, x Dist) {
-		for i, omega := range omegas {
-			acc[i].Add(x.Prob(omega))
-		}
-	})
+	chunks := scanChunks(m, omegas, (*mathx.EntropyAccumulator).Add)
 	out := make(map[int]float64, len(omegas))
 	if chunks == nil {
 		return out

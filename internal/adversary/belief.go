@@ -17,13 +17,10 @@ package adversary
 // and GOMAXPROCS.
 func ColumnBeliefLevels(m Model, omegas []int) map[int]float64 {
 	type agg struct{ sum, max float64 }
-	chunks := scanChunks(m, omegas, func(acc []agg, x Dist) {
-		for i, omega := range omegas {
-			p := x.Prob(omega)
-			acc[i].sum += p
-			if p > acc[i].max {
-				acc[i].max = p
-			}
+	chunks := scanChunks(m, omegas, func(a *agg, p float64) {
+		a.sum += p
+		if p > a.max {
+			a.max = p
 		}
 	})
 	out := make(map[int]float64, len(omegas))

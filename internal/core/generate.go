@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -37,28 +38,62 @@ func (a Attempt) Failed() bool { return math.IsInf(a.EpsTilde, 1) }
 // the same attempt the sequential best-of-t loop keeps. All t trials
 // are examined (a later trial may beat an earlier success), so the
 // result is bit-identical for every Workers value (including 1).
+//
+// Params that Obfuscate rejects as non-finite (see NonFinite) yield a
+// failed attempt.
 func GenerateObfuscation(g *graph.Graph, sigma float64, params Params) Attempt {
+	if name, _ := NonFinite(params); name != "" {
+		return Attempt{EpsTilde: math.Inf(1)}
+	}
 	params = params.withDefaults()
 	params.Seed = params.resolveSeed()
-	att, _ := generateObfuscation(nil, g, params.Property.Values(g), sigma, params)
+	att, _ := generateObfuscation(nil, newRun(g, params), sigma)
 	return att
 }
 
-// generateObfuscation runs Algorithm 2 with a pre-resolved params.Seed
-// on the property values of g, computed once per run by the caller:
-// Property.Values may intern into its instance (P2, P3), so concurrent
-// probes must share one result instead of calling it themselves.
-// Cancelling ctx abandons the whole probe (used by Obfuscate to discard
-// speculative σ candidates and to propagate caller cancellation); a nil
-// ctx never cancels. The second return value reports how many trials
-// the probe examines — always t, since best-of-t selection must look at
-// every trial — the work measure behind Result.Trials.
-func generateObfuscation(ctx context.Context, g *graph.Graph, values []int, sigma float64, params Params) (Attempt, int) {
+// run is the state every σ probe of one Algorithm 1 run shares. All of
+// it is read-only once built, except the arena pool.
+type run struct {
+	g      *graph.Graph
+	params Params
+	// values are the property values of g, computed once per run:
+	// Property.Values may intern into its instance (P2, P3), so
+	// concurrent probes must share one result instead of calling it
+	// themselves.
+	values  []int
+	degrees []int
+	edges   *edgeTable
+	arenas  sync.Pool // of *trialArena, lent to the running trials
+}
+
+func newRun(g *graph.Graph, params Params) *run {
+	targetEC := int(math.Round(params.C * float64(g.NumEdges())))
+	if n := g.NumVertices(); targetEC > n*(n-1)/2 {
+		targetEC = n * (n - 1) / 2
+	}
+	return &run{
+		g:       g,
+		params:  params,
+		values:  params.Property.Values(g),
+		degrees: g.Degrees(),
+		edges:   newEdgeTable(g, targetEC),
+	}
+}
+
+// generateObfuscation runs Algorithm 2 for one σ probe of r, whose
+// params carry a resolved Seed. Cancelling ctx abandons the whole probe
+// (used by Obfuscate to discard speculative σ candidates and to
+// propagate caller cancellation); a nil ctx never cancels. The second
+// return value reports how many trials the probe examines — always t,
+// since best-of-t selection must look at every trial — the work measure
+// behind Result.Trials.
+func generateObfuscation(ctx context.Context, r *run, sigma float64) (Attempt, int) {
+	g, params := r.g, r.params
 	n := g.NumVertices()
 	dist := params.Property.Distance
 
 	// Line 1: σ-uniqueness of every vertex (θ = σ, Section 5.2).
-	uniq := UniquenessScores(values, dist, sigma)
+	uniq := UniquenessScores(r.values, dist, sigma)
 
 	// Line 2: exclude the ⌈ε/2·n⌉ most unique vertices from perturbation.
 	hSize := int(math.Ceil(params.Eps / 2 * float64(n)))
@@ -82,12 +117,6 @@ func generateObfuscation(ctx context.Context, g *graph.Graph, values []int, sigm
 		return failed, params.Trials
 	}
 
-	degrees := g.Degrees()
-	targetEC := int(math.Round(params.C * float64(g.NumEdges())))
-	if max := n * (n - 1) / 2; targetEC > max {
-		targetEC = max
-	}
-
 	// Split the worker budget between the two parallel levels: up to
 	// trialWorkers trials in flight, each scanning with scanWorkers, so
 	// one probe stays within ~params.Workers busy goroutines. (Obfuscate
@@ -103,19 +132,26 @@ func generateObfuscation(ctx context.Context, g *graph.Graph, values []int, sigm
 	}
 
 	// runTrial is a pure function of its trial index: all randomness
-	// comes from the (seed, σ, trial) stream, so results are independent
-	// of scheduling. It bails out between stages — and per scan chunk —
-	// when the probe was cancelled.
+	// comes from the (seed, σ, trial) stream, and the arena only lends
+	// buffers, so results are independent of scheduling. It bails out
+	// between stages — and per scan chunk — when the probe was
+	// cancelled.
 	runTrial := func(trial int) Attempt {
 		if cancelled(ctx) {
 			return failed
 		}
+		a, _ := r.arenas.Get().(*trialArena)
+		if a == nil {
+			a = &trialArena{}
+		}
+		defer r.arenas.Put(a)
 		rng := trialRng(params.Seed, sigma, trial)
-		ec, ok := selectCandidates(g, aliasQ, inH, targetEC, rng)
+		ec, ok := r.edges.selectCandidates(a, aliasQ, inH, rng)
 		if !ok {
 			return failed
 		}
-		pairs := assignProbabilities(ec, uniq, sigma, params, rng)
+		pairs := assignProbabilities(a, ec, uniq, sigma, params, rng)
+		// New copies out of the arena's pairs: the graph owns its arrays.
 		ug, err := uncertain.New(n, pairs)
 		if err != nil {
 			// Candidate construction guarantees validity; a failure here
@@ -132,7 +168,7 @@ func generateObfuscation(ctx context.Context, g *graph.Graph, values []int, sigm
 			Workers:        scanWorkers,
 			Ctx:            ctx,
 		}
-		epsPrime := adversary.NotObfuscatedFraction(model, degrees, params.K)
+		epsPrime := adversary.NotObfuscatedFraction(model, r.degrees, params.K)
 		if cancelled(ctx) {
 			// The scan aborted early; its ε' is not the pure probe value.
 			return failed
@@ -189,22 +225,93 @@ type candidate struct {
 	isEdge bool
 }
 
-// selectCandidates implements lines 6-12 of Algorithm 2: E_C starts as E;
-// pairs drawn from Q×Q are removed from E_C when they are original edges
-// and added when they are non-edges, until |E_C| = target.
-func selectCandidates(g *graph.Graph, aliasQ *randx.Alias, inH map[int]bool, target int, rng *rand.Rand) ([]candidate, bool) {
-	n := g.NumVertices()
-	ec := make([]candidate, 0, target+16)
-	index := make(map[int64]int32, target+16)
+// trialArena holds one trial's buffers: the pair table and E_C of lines
+// 6-12, and the per-pair uniqueness and output pairs of lines 13-19. A
+// run reuses its arenas across trials and probes; nothing a trial
+// returns aliases one.
+type trialArena struct {
+	slots    []pairSlot
+	ec       []candidate
+	pairUniq []float64
+	pairs    []uncertain.Pair
+}
+
+// pairSlot is one slot of a pair table: a graph.PairKey (0, which no
+// pair u < v has, marks an empty slot) and the pair's position in E_C,
+// or -1 for an original edge removed from E_C.
+type pairSlot struct {
+	key int64
+	pos int32
+}
+
+// edgeTable is the starting point of lines 6-12, built once per run
+// (it depends only on g and c): E_C = E in ForEachEdge order, and the
+// open-addressing pair table holding every original edge at its E_C
+// position. The table has at least twice as many slots as a trial can
+// ever fill — the |E| edges, which stay in the table, flagged, after
+// removal from E_C, plus at most target non-edges, since non-edges are
+// never removed and |E_C| moves by ±1 per draw from |E| <= target up to
+// target — so linear probing always finds a free slot, and the table
+// needs neither growth nor a fallback.
+type edgeTable struct {
+	n, target int
+	ec        []candidate
+	slots     []pairSlot
+	shift     uint // 64 - log2(len(slots))
+}
+
+func newEdgeTable(g *graph.Graph, target int) *edgeTable {
+	bits := 4
+	for 1<<bits < 2*(g.NumEdges()+target) {
+		bits++
+	}
+	e := &edgeTable{
+		n:      g.NumVertices(),
+		target: target,
+		ec:     make([]candidate, 0, g.NumEdges()),
+		slots:  make([]pairSlot, 1<<bits),
+		shift:  uint(64 - bits),
+	}
 	g.ForEachEdge(func(u, v int) {
-		index[graph.PairKey(u, v, n)] = int32(len(ec))
-		ec = append(ec, candidate{u: int32(u), v: int32(v), isEdge: true})
+		key := graph.PairKey(u, v, e.n)
+		*e.find(e.slots, key) = pairSlot{key: key, pos: int32(len(e.ec))}
+		e.ec = append(e.ec, candidate{u: int32(u), v: int32(v), isEdge: true})
 	})
+	return e
+}
+
+// find returns the slot of slots holding key, or the empty slot where
+// key belongs (Fibonacci hashing, linear probing).
+func (e *edgeTable) find(slots []pairSlot, key int64) *pairSlot {
+	mask := len(slots) - 1
+	i := int((uint64(key) * 0x9E3779B97F4A7C15) >> e.shift)
+	for slots[i].key != key && slots[i].key != 0 {
+		i = (i + 1) & mask
+	}
+	return &slots[i]
+}
+
+// selectCandidates implements lines 6-12 of Algorithm 2 in the arena's
+// buffers: E_C starts as E; pairs drawn from Q×Q are removed from E_C
+// when they are original edges and added when they are non-edges,
+// until |E_C| = target. The returned E_C lives in the arena.
+//
+// One table lookup per draw answers both questions the lines ask — is
+// the pair an original edge, and is it in E_C (and where) — since every
+// original edge keeps its slot after leaving E_C: a pair in the table
+// at position -1 is a removed edge, one at a position p is in E_C (an
+// edge when ec[p].isEdge), and a pair absent from it is a non-edge not
+// in E_C.
+func (e *edgeTable) selectCandidates(a *trialArena, aliasQ *randx.Alias, inH []bool, rng *rand.Rand) ([]candidate, bool) {
+	slots := append(a.slots[:0], e.slots...)
+	a.slots = slots
+	ec := append(a.ec[:0], e.ec...)
 	// Give up after a generous number of draws; with c a small constant
 	// and |E| << |V2| the loop normally ends after ~(c-1)|E| additions.
-	maxDraws := 400*(target+16) + 4096
-	for draws := 0; len(ec) != target; draws++ {
+	maxDraws := 400*(e.target+16) + 4096
+	for draws := 0; len(ec) != e.target; draws++ {
 		if draws > maxDraws {
+			a.ec = ec
 			return nil, false
 		}
 		u := aliasQ.Draw(rng)
@@ -212,46 +319,46 @@ func selectCandidates(g *graph.Graph, aliasQ *randx.Alias, inH map[int]bool, tar
 		if u == v || inH[u] || inH[v] {
 			continue
 		}
-		key := graph.PairKey(u, v, n)
-		if g.HasEdge(u, v) {
-			// Line 10: remove the original edge from E_C if still there.
-			if pos, ok := index[key]; ok {
-				last := int32(len(ec) - 1)
-				moved := ec[last]
-				ec[pos] = moved
-				index[graph.PairKey(int(moved.u), int(moved.v), n)] = pos
-				ec = ec[:last]
-				delete(index, key)
+		key := graph.PairKey(u, v, e.n)
+		s := e.find(slots, key)
+		switch {
+		case s.key == 0:
+			// Line 11: add the non-edge, new to E_C.
+			*s = pairSlot{key: key, pos: int32(len(ec))}
+			if u > v {
+				u, v = v, u
 			}
-		} else {
-			// Line 11: add the non-edge if new.
-			if _, ok := index[key]; !ok {
-				index[key] = int32(len(ec))
-				uu, vv := u, v
-				if uu > vv {
-					uu, vv = vv, uu
-				}
-				ec = append(ec, candidate{u: int32(uu), v: int32(vv), isEdge: false})
-			}
+			ec = append(ec, candidate{u: int32(u), v: int32(v)})
+		case s.pos >= 0 && ec[s.pos].isEdge:
+			// Line 10: remove the original edge from E_C; the last
+			// candidate takes its position.
+			last := len(ec) - 1
+			moved := ec[last]
+			ec[s.pos] = moved
+			e.find(slots, graph.PairKey(int(moved.u), int(moved.v), e.n)).pos = s.pos
+			s.pos = -1
+			ec = ec[:last]
 		}
 	}
+	a.ec = ec
 	return ec, true
 }
 
 // assignProbabilities implements lines 13-19: redistribute σ over E_C in
 // proportion to pair uniqueness (Eq. 7), draw perturbations r_e from
 // R_σ(e) (or uniformly, for the q white-noise fraction), and convert
-// them to edge probabilities. rng is the calling trial's private stream.
-func assignProbabilities(ec []candidate, uniq []float64, sigma float64, params Params, rng *rand.Rand) []uncertain.Pair {
+// them to edge probabilities. rng is the calling trial's private stream;
+// the returned pairs live in the arena.
+func assignProbabilities(a *trialArena, ec []candidate, uniq []float64, sigma float64, params Params, rng *rand.Rand) []uncertain.Pair {
 	// U_σ(e) = (U_σ(P(u)) + U_σ(P(v))) / 2; Eq. 7 scales so the mean of
 	// σ(e) over E_C equals σ.
-	pairUniq := make([]float64, len(ec))
+	pairUniq := slices.Grow(a.pairUniq[:0], len(ec))[:len(ec)]
 	var total float64
 	for i, c := range ec {
 		pairUniq[i] = (uniq[c.u] + uniq[c.v]) / 2
 		total += pairUniq[i]
 	}
-	pairs := make([]uncertain.Pair, len(ec))
+	pairs := slices.Grow(a.pairs[:0], len(ec))[:len(ec)]
 	for i, c := range ec {
 		sigmaE := 0.0
 		if total > 0 {
@@ -261,7 +368,7 @@ func assignProbabilities(ec []candidate, uniq []float64, sigma float64, params P
 		if params.Q > 0 && rng.Float64() < params.Q {
 			re = rng.Float64()
 		} else {
-			re = mathx.NewTruncNormal(sigmaE).Sample(rng)
+			re = mathx.SampleTruncNormal(sigmaE, rng)
 		}
 		p := re
 		if c.isEdge {
@@ -269,13 +376,15 @@ func assignProbabilities(ec []candidate, uniq []float64, sigma float64, params P
 		}
 		pairs[i] = uncertain.Pair{U: int(c.u), V: int(c.v), P: p}
 	}
+	a.pairUniq, a.pairs = pairUniq, pairs
 	return pairs
 }
 
-// topUniqueSet returns the indices of the count largest uniqueness
-// scores (ties broken by lower index, making runs reproducible).
-func topUniqueSet(uniq []float64, count int) map[int]bool {
-	set := make(map[int]bool, count)
+// topUniqueSet returns the membership flags of the count vertices with
+// the largest uniqueness scores (ties broken by lower index, making
+// runs reproducible).
+func topUniqueSet(uniq []float64, count int) []bool {
+	set := make([]bool, len(uniq))
 	if count <= 0 {
 		return set
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"uncertaingraph/internal/gen"
@@ -17,8 +18,9 @@ func TestSelectCandidatesExactTarget(t *testing.T) {
 	if alias == nil {
 		t.Fatal("alias construction failed")
 	}
+	a := &trialArena{}
 	for _, target := range []int{g.NumEdges(), 2 * g.NumEdges(), 3 * g.NumEdges()} {
-		ec, ok := selectCandidates(g, alias, map[int]bool{}, target, randx.New(32))
+		ec, ok := newEdgeTable(g, target).selectCandidates(a, alias, make([]bool, g.NumVertices()), randx.New(32))
 		if !ok {
 			t.Fatalf("selection failed for target %d", target)
 		}
@@ -37,6 +39,112 @@ func TestSelectCandidatesExactTarget(t *testing.T) {
 				t.Fatal("isEdge flag wrong")
 			}
 		}
+	}
+}
+
+// selectCandidatesMap is lines 6-12 as they ran before the pair table:
+// a map[int64]int32 position index, a map[int]bool H set and
+// g.HasEdge. It is the reference the table-based selection must match,
+// E_C order included.
+func selectCandidatesMap(g *graph.Graph, aliasQ *randx.Alias, inH map[int]bool, target int, rng *rand.Rand) ([]candidate, bool) {
+	n := g.NumVertices()
+	ec := make([]candidate, 0, target+16)
+	index := make(map[int64]int32, target+16)
+	g.ForEachEdge(func(u, v int) {
+		index[graph.PairKey(u, v, n)] = int32(len(ec))
+		ec = append(ec, candidate{u: int32(u), v: int32(v), isEdge: true})
+	})
+	maxDraws := 400*(target+16) + 4096
+	for draws := 0; len(ec) != target; draws++ {
+		if draws > maxDraws {
+			return nil, false
+		}
+		u := aliasQ.Draw(rng)
+		v := aliasQ.Draw(rng)
+		if u == v || inH[u] || inH[v] {
+			continue
+		}
+		key := graph.PairKey(u, v, n)
+		if g.HasEdge(u, v) {
+			if pos, ok := index[key]; ok {
+				last := int32(len(ec) - 1)
+				moved := ec[last]
+				ec[pos] = moved
+				index[graph.PairKey(int(moved.u), int(moved.v), n)] = pos
+				ec = ec[:last]
+				delete(index, key)
+			}
+		} else {
+			if _, ok := index[key]; !ok {
+				index[key] = int32(len(ec))
+				uu, vv := u, v
+				if uu > vv {
+					uu, vv = vv, uu
+				}
+				ec = append(ec, candidate{u: int32(uu), v: int32(vv), isEdge: false})
+			}
+		}
+	}
+	return ec, true
+}
+
+// TestSelectCandidatesMatchesMapReference pins the pair table's
+// exactness: from identical RNG streams the table-based selection
+// returns the map reference's E_C, order included, for c = 1 and c = 2,
+// dense graphs (where edges often move inside E_C before they are
+// drawn again), the complete-graph clamp, and H-excluded vertices. One arena serves
+// every case, tables of different sizes included, as the arenas of a
+// run do.
+func TestSelectCandidatesMatchesMapReference(t *testing.T) {
+	a := &trialArena{}
+	complete := gen.ErdosRenyiGNP(randx.New(35), 14, 1)
+	nearComplete := gen.ErdosRenyiGNP(randx.New(36), 14, 0.9)
+	for _, tc := range []struct {
+		name  string
+		g     *graph.Graph
+		c     float64
+		hSize int
+	}{
+		{"c=1", testGraph(41, 300), 1, 0},
+		{"c=2", testGraph(42, 300), 2, 0},
+		{"c=2/H", testGraph(43, 300), 2, 15},
+		{"c=3/H", testGraph(44, 500), 3, 25},
+		{"dense", gen.ErdosRenyiGNP(randx.New(37), 12, 0.4), 1.5, 0},
+		{"dense/H", gen.ErdosRenyiGNP(randx.New(38), 16, 0.3), 1.6, 1},
+		{"complete-clamp", complete, 3, 0},
+		{"near-complete-clamp", nearComplete, 3, 0},
+		{"near-complete-clamp/H", nearComplete, 3, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			g, n := tc.g, tc.g.NumVertices()
+			uniq := UniquenessScores(DegreeProperty{}.Values(g), DegreeProperty{}.Distance, 0.5)
+			inH := topUniqueSet(uniq, tc.hSize)
+			inHMap := map[int]bool{}
+			weights := make([]float64, n)
+			for v, u := range uniq {
+				if inH[v] {
+					inHMap[v] = true
+				} else {
+					weights[v] = u
+				}
+			}
+			alias := randx.NewAlias(weights)
+			target := int(math.Round(tc.c * float64(g.NumEdges())))
+			target = min(target, n*(n-1)/2)
+			table := newEdgeTable(g, target)
+			for seed := int64(1); seed <= 20; seed++ {
+				want, wantOK := selectCandidatesMap(g, alias, inHMap, target, randx.New(seed))
+				got, ok := table.selectCandidates(a, alias, inH, randx.New(seed))
+				if ok != wantOK || len(got) != len(want) {
+					t.Fatalf("seed %d: ok=%v |E_C|=%d, reference ok=%v |E_C|=%d", seed, ok, len(got), wantOK, len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d: E_C[%d] = %+v, reference %+v", seed, i, got[i], want[i])
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -61,6 +61,9 @@ func Obfuscate(ctx context.Context, g *graph.Graph, params Params) (*Result, err
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if name, v := NonFinite(params); name != "" {
+		return nil, fmt.Errorf("core: %s = %v must be finite", name, v)
+	}
 	params = params.withDefaults()
 	if params.K < 1 {
 		return nil, fmt.Errorf("core: k = %v must be >= 1", params.K)
@@ -200,12 +203,10 @@ type probeTask struct {
 // the probe would produce, so speculative evaluation cannot perturb the
 // search path.
 type prober struct {
-	ctx    context.Context
-	g      *graph.Graph
-	params Params
-	// values are the property values of g, computed once before any
-	// probe starts and only read afterwards.
-	values []int
+	ctx context.Context
+	// run is the state the probes share, built once before any probe
+	// starts: the property values, the edge table and the trial arenas.
+	run *run
 
 	mu    sync.Mutex
 	tasks map[float64]*probeTask
@@ -213,11 +214,9 @@ type prober struct {
 
 func newProber(ctx context.Context, g *graph.Graph, params Params) *prober {
 	return &prober{
-		ctx:    ctx,
-		g:      g,
-		params: params,
-		values: params.Property.Values(g),
-		tasks:  make(map[float64]*probeTask),
+		ctx:   ctx,
+		run:   newRun(g, params),
+		tasks: make(map[float64]*probeTask),
 	}
 }
 
@@ -241,7 +240,7 @@ func (p *prober) ensureLocked(sigma float64) *probeTask {
 	}
 	p.tasks[sigma] = t
 	go func() {
-		t.att, t.examined = generateObfuscation(taskCtx, p.g, p.values, sigma, p.params)
+		t.att, t.examined = generateObfuscation(taskCtx, p.run, sigma)
 		t.aborted = taskCtx.Err() != nil
 		close(t.done)
 	}()

@@ -2,8 +2,12 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
+	"time"
 
 	"uncertaingraph/internal/adversary"
 	"uncertaingraph/internal/gen"
@@ -169,14 +173,23 @@ func TestObfuscateDeterministicForSeed(t *testing.T) {
 
 func TestTopUniqueSet(t *testing.T) {
 	uniq := []float64{0.1, 5, 3, 5, 0.2}
+	members := func(set []bool) int {
+		k := 0
+		for _, in := range set {
+			if in {
+				k++
+			}
+		}
+		return k
+	}
 	set := topUniqueSet(uniq, 2)
-	if !set[1] || !set[3] || len(set) != 2 {
+	if len(set) != len(uniq) || !set[1] || !set[3] || members(set) != 2 {
 		t.Errorf("top-2 = %v, want {1,3}", set)
 	}
-	if len(topUniqueSet(uniq, 0)) != 0 {
+	if set := topUniqueSet(uniq, 0); len(set) != len(uniq) || members(set) != 0 {
 		t.Error("count 0 should give empty set")
 	}
-	if len(topUniqueSet(uniq, 10)) != 5 {
+	if members(topUniqueSet(uniq, 10)) != 5 {
 		t.Error("count > len should cap")
 	}
 }
@@ -201,5 +214,41 @@ func TestHExclusionRespected(t *testing.T) {
 		if !g.HasEdge(pr.U, pr.V) && (inH[pr.U] || inH[pr.V]) {
 			t.Fatalf("added pair (%d,%d) touches excluded vertex", pr.U, pr.V)
 		}
+	}
+}
+
+// TestObfuscateRejectsNonFiniteParams pins core's own non-finite check,
+// for callers that bypass the facade: Obfuscate returns an error (not a
+// context error: the deadline only keeps a stalled search from hanging)
+// for a NaN or infinite C, Delta, SigmaInit or MaxSigma, and
+// GenerateObfuscation reports a failed attempt instead of panicking.
+func TestObfuscateRejectsNonFiniteParams(t *testing.T) {
+	g := testGraph(51, 300)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, p := range []Params{
+		{C: nan}, {C: inf}, {C: -inf},
+		{Delta: nan}, {Delta: inf},
+		{SigmaInit: nan}, {SigmaInit: inf},
+		{C: 1, MaxSigma: nan}, {MaxSigma: inf},
+	} {
+		name, v := NonFinite(p)
+		if name == "" {
+			t.Fatalf("NonFinite(%+v) found nothing", p)
+		}
+		t.Run(fmt.Sprintf("%s=%v", name, v), func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			p.K, p.Eps, p.Trials, p.Seed = 5, 0.05, 1, 1
+			_, err := Obfuscate(ctx, g, p)
+			if err == nil || errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "must be finite") {
+				t.Errorf("Obfuscate(%+v) err = %v, want a non-finite rejection", p, err)
+			}
+		})
+	}
+	if !GenerateObfuscation(g, 0.5, Params{K: 5, Eps: 0.05, C: nan, Trials: 1, Seed: 1}).Failed() {
+		t.Error("GenerateObfuscation with C = NaN did not fail")
+	}
+	if name, _ := NonFinite(Params{C: 0.5}); name != "" {
+		t.Errorf("finite params flagged: %s", name)
 	}
 }

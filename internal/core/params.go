@@ -79,6 +79,24 @@ type Params struct {
 	Progress func(done, total int)
 }
 
+// NonFinite returns the name and value of the first of C, Delta,
+// SigmaInit and MaxSigma that is NaN or infinite, or "" when all four
+// are finite. Obfuscate rejects such params: the defaults and the C >= 1
+// clamp apply to finite values only, and a non-finite one would
+// otherwise size a slice from NaN, stall the doubling phase, or end the
+// search without a probe.
+func NonFinite(p Params) (string, float64) {
+	for _, f := range [...]struct {
+		name string
+		v    float64
+	}{{"C", p.C}, {"Delta", p.Delta}, {"SigmaInit", p.SigmaInit}, {"MaxSigma", p.MaxSigma}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return f.name, f.v
+		}
+	}
+	return "", 0
+}
+
 func (p Params) withDefaults() Params {
 	if p.C == 0 {
 		p.C = 2

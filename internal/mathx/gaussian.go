@@ -3,6 +3,13 @@
 // normal distribution R_sigma used to draw edge perturbations (paper
 // Eq. 6), Shannon entropy, log-log regression for power-law fitting,
 // Hoeffding sample-size bounds, and jackknife error estimation.
+//
+// R_sigma has two forms: the TruncNormal distribution (PDF, CDF, Mean,
+// Sample) and the sampler SampleTruncNormal, a function of sigma that
+// TruncNormal.Sample delegates to. The sampler computes the
+// normalizer erf(1/(sigma*sqrt2)) only on its sigma > 2 inverse-CDF
+// branch, so a caller drawing one perturbation per candidate pair at a
+// per-pair sigma pays no math.Erf for the usual small sigma.
 package mathx
 
 import "math"

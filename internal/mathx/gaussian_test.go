@@ -176,6 +176,49 @@ func TestTruncNormalZeroSigma(t *testing.T) {
 	}
 }
 
+// sampleWithMass is the sampler as TruncNormal.Sample ran it before the
+// sampler became a function of sigma: it reads the normalizer that
+// NewTruncNormal stores. It is the reference SampleTruncNormal must
+// reproduce draw for draw.
+func sampleWithMass(t TruncNormal, rng *rand.Rand) float64 {
+	if t.Sigma == 0 {
+		return 0
+	}
+	if t.Sigma <= 2 {
+		for {
+			r := math.Abs(rng.NormFloat64() * t.Sigma)
+			if r <= 1 {
+				return r
+			}
+		}
+	}
+	u := rng.Float64()
+	return t.Sigma * math.Sqrt2 * erfinv(u*t.mass)
+}
+
+// TestSampleTruncNormalMatchesDistribution pins that computing the
+// normalizer only on the inverse-CDF branch changes no draw: from
+// identical RNG states, SampleTruncNormal, NewTruncNormal(σ).Sample and
+// the stored-normalizer reference return the same values and leave the
+// streams in the same state, on both sides of the σ = 2 switch.
+func TestSampleTruncNormalMatchesDistribution(t *testing.T) {
+	for _, sigma := range []float64{0, 1e-3, 0.25, 2, 2 + 1e-9, 5, 50} {
+		a, b, c := rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9)), rand.New(rand.NewSource(9))
+		tn := NewTruncNormal(sigma)
+		for i := 0; i < 500; i++ {
+			got := SampleTruncNormal(sigma, a)
+			viaDist := tn.Sample(b)
+			want := sampleWithMass(tn, c)
+			if math.Float64bits(got) != math.Float64bits(want) || math.Float64bits(viaDist) != math.Float64bits(want) {
+				t.Fatalf("sigma=%v draw %d: SampleTruncNormal %v, Sample %v, reference %v", sigma, i, got, viaDist, want)
+			}
+		}
+		if x, y, z := a.Int63(), b.Int63(), c.Int63(); x != z || y != z {
+			t.Fatalf("sigma=%v: RNG streams diverged", sigma)
+		}
+	}
+}
+
 func TestErfinvRoundTrip(t *testing.T) {
 	for _, x := range []float64{-0.999, -0.9, -0.5, -0.1, 0, 1e-6, 0.1, 0.5, 0.9, 0.99, 0.99999} {
 		y := erfinv(x)

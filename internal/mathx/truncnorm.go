@@ -69,27 +69,39 @@ func (t TruncNormal) Mean() float64 {
 	return 2 * s * InvSqrt2Pi * (1 - math.Exp(-1/(2*s*s))) / t.mass
 }
 
-// Sample draws one perturbation value r in [0,1].
-//
-// For sigma <= 1 rejection against the half-normal accepts with
-// probability erf(1/(sigma*sqrt2)) >= erf(1/sqrt2) ~ 0.68, so rejection is
-// cheap; for very large sigma we fall back to inverse-CDF sampling to keep
-// the cost bounded.
+// Sample draws one perturbation value r in [0,1]; it is
+// SampleTruncNormal(t.Sigma, rng).
 func (t TruncNormal) Sample(rng *rand.Rand) float64 {
-	if t.Sigma == 0 {
+	return SampleTruncNormal(t.Sigma, rng)
+}
+
+// SampleTruncNormal draws one value from R_sigma: the same RNG calls and
+// the same value as NewTruncNormal(sigma).Sample(rng), without building
+// the distribution. A sigma <= 0 yields the point mass at 0.
+//
+// For sigma <= 2 rejection against the half-normal accepts with
+// probability erf(1/(sigma*sqrt2)) >= erf(1/(2*sqrt2)) ~ 0.38, so
+// rejection is cheap and needs no normalizer; for larger sigma it falls
+// back to inverse-CDF sampling, the one branch that computes the
+// normalizer erf(1/(sigma*sqrt2)), to keep the cost bounded. Callers
+// drawing once per candidate pair at a per-pair sigma (Algorithm 2)
+// thus pay no math.Erf per draw below sigma = 2.
+func SampleTruncNormal(sigma float64, rng *rand.Rand) float64 {
+	if sigma <= 0 {
 		return 0
 	}
-	if t.Sigma <= 2 {
+	if sigma <= 2 {
 		for {
-			r := math.Abs(rng.NormFloat64() * t.Sigma)
+			r := math.Abs(rng.NormFloat64() * sigma)
 			if r <= 1 {
 				return r
 			}
 		}
 	}
 	// Inverse CDF: r = sigma*sqrt2 * erfinv(u * mass).
+	mass := math.Erf(1 / (sigma * math.Sqrt2))
 	u := rng.Float64()
-	return t.Sigma * math.Sqrt2 * erfinv(u*t.mass)
+	return sigma * math.Sqrt2 * erfinv(u*mass)
 }
 
 // erfinv computes the inverse error function on (-1, 1) using the

@@ -10,10 +10,16 @@
 //   - a CLT/normal approximation Pr(d = w) ~ integral of the Gaussian
 //     N(sum p_i, sum p_i(1-p_i)) over [w-1/2, w+1/2], accurate once L is
 //     a few tens ("n ~ 30" per the paper).
+//
+// New allocates each exact law's DP table. Dist.Reset is its reusing
+// form, for scans that build one law per vertex: it recomputes the law
+// in place, in the table the Dist already holds, and yields the same
+// floats as New.
 package pbinom
 
 import (
 	"math"
+	"slices"
 
 	"uncertaingraph/internal/mathx"
 )
@@ -26,7 +32,7 @@ const DefaultExactThreshold = 30
 // Dist is the distribution of a sum of independent Bernoulli variables,
 // represented either exactly or by its normal approximation.
 type Dist struct {
-	exact []float64 // exact[k] = P(X=k); nil when approximated
+	exact []float64 // exact[k] = P(X=k); empty when approximated
 	mu    float64
 	sigma float64
 	n     int // number of Bernoulli terms (support is 0..n)
@@ -35,7 +41,15 @@ type Dist struct {
 // Exact computes the full distribution by the Lemma 1 dynamic program in
 // O(len(probs)^2) time.
 func Exact(probs []float64) Dist {
-	dist := make([]float64, len(probs)+1)
+	mu, sigma2 := meanVar(probs)
+	return Dist{exact: lemma1(nil, probs), mu: mu, sigma: sqrt(sigma2), n: len(probs)}
+}
+
+// lemma1 runs the Lemma 1 dynamic program in dst's storage (grown when
+// too short) and returns the table dist[0..len(probs)].
+func lemma1(dst, probs []float64) []float64 {
+	dist := slices.Grow(dst[:0], len(probs)+1)[:len(probs)+1]
+	clear(dist)
 	dist[0] = 1
 	// After processing l terms, dist[0..l] is the law of the partial sum.
 	for l, p := range probs {
@@ -46,8 +60,7 @@ func Exact(probs []float64) Dist {
 		}
 		dist[0] *= 1 - p
 	}
-	mu, sigma2 := meanVar(probs)
-	return Dist{exact: dist, mu: mu, sigma: sqrt(sigma2), n: len(probs)}
+	return dist
 }
 
 // Approx builds the normal approximation of the distribution without
@@ -60,13 +73,27 @@ func Approx(probs []float64) Dist {
 // New picks the representation adaptively: exact DP up to threshold
 // terms (0 means DefaultExactThreshold), normal approximation beyond.
 func New(probs []float64, threshold int) Dist {
+	var d Dist
+	d.Reset(probs, threshold)
+	return d
+}
+
+// Reset makes d equal, float for float, to New(probs, threshold),
+// computing an exact law in the DP table d already holds — grown when
+// too short, and kept across approximated laws for the next exact one.
+// A scan that rebuilds one Dist per vertex therefore allocates only
+// while the table grows. Copies of d share its table, so Reset
+// overwrites what they read.
+func (d *Dist) Reset(probs []float64, threshold int) {
 	if threshold <= 0 {
 		threshold = DefaultExactThreshold
 	}
+	mu, sigma2 := meanVar(probs)
+	table := d.exact[:0]
 	if len(probs) <= threshold {
-		return Exact(probs)
+		table = lemma1(table, probs)
 	}
-	return Approx(probs)
+	*d = Dist{exact: table, mu: mu, sigma: sqrt(sigma2), n: len(probs)}
 }
 
 // Prob returns P(X = k).
@@ -74,7 +101,7 @@ func (d Dist) Prob(k int) float64 {
 	if k < 0 || k > d.n {
 		return 0
 	}
-	if d.exact != nil {
+	if len(d.exact) > 0 {
 		return d.exact[k]
 	}
 	if d.sigma == 0 {
@@ -98,13 +125,13 @@ func (d Dist) Sigma() float64 { return d.sigma }
 func (d Dist) NumTerms() int { return d.n }
 
 // IsExact reports whether the distribution holds the exact DP table.
-func (d Dist) IsExact() bool { return d.exact != nil }
+func (d Dist) IsExact() bool { return len(d.exact) > 0 }
 
 // SupportBounds returns a conservative [lo, hi] integer range outside of
 // which P(X = k) is below ~1e-12; useful to skip negligible matrix
 // entries. For exact distributions it is the full support.
 func (d Dist) SupportBounds() (lo, hi int) {
-	if d.exact != nil {
+	if d.IsExact() {
 		return 0, d.n
 	}
 	// 8 standard deviations cover mass 1 - ~1e-15.

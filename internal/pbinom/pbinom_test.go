@@ -236,3 +236,67 @@ func BenchmarkExactDP(b *testing.B) {
 		Exact(probs)
 	}
 }
+
+// sameDist reports whether two laws agree float for float on every
+// observable: term count, representation, moments, support bounds and
+// every point mass (including just outside the support).
+func sameDist(a, b Dist) bool {
+	if a.NumTerms() != b.NumTerms() || a.IsExact() != b.IsExact() ||
+		math.Float64bits(a.Mean()) != math.Float64bits(b.Mean()) ||
+		math.Float64bits(a.Sigma()) != math.Float64bits(b.Sigma()) {
+		return false
+	}
+	alo, ahi := a.SupportBounds()
+	blo, bhi := b.SupportBounds()
+	if alo != blo || ahi != bhi {
+		return false
+	}
+	for k := -2; k <= a.NumTerms()+2; k++ {
+		if math.Float64bits(a.Prob(k)) != math.Float64bits(b.Prob(k)) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestResetMatchesNew drives one reused Dist through exact and CLT
+// sizes that grow, shrink and regrow: every Reset must equal a fresh
+// New float for float, so a stale DP table never leaks into a law.
+func TestResetMatchesNew(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const threshold = 8
+	var d Dist
+	for _, size := range []int{3, 8, 2, 20, 5, 0, 40, 8, 1, 9, 7, 33, 6} {
+		probs := make([]float64, size)
+		for i := range probs {
+			switch i % 5 {
+			case 0:
+				probs[i] = 1
+			case 3:
+				probs[i] = 0
+			default:
+				probs[i] = rng.Float64()
+			}
+		}
+		d.Reset(probs, threshold)
+		if want := New(probs, threshold); !sameDist(d, want) {
+			t.Fatalf("size %d: reused Dist differs from New", size)
+		}
+		if d.IsExact() != (size <= threshold) {
+			t.Fatalf("size %d: IsExact = %v with threshold %d", size, d.IsExact(), threshold)
+		}
+	}
+	// Threshold 0 selects the default, as for New.
+	probs := make([]float64, DefaultExactThreshold)
+	for i := range probs {
+		probs[i] = 0.25
+	}
+	d.Reset(probs, 0)
+	if !sameDist(d, New(probs, 0)) || !d.IsExact() {
+		t.Fatal("threshold 0 must select DefaultExactThreshold")
+	}
+	// Once the table has grown, Reset allocates nothing.
+	if allocs := testing.AllocsPerRun(20, func() { d.Reset(probs[:7], threshold) }); allocs != 0 {
+		t.Errorf("warm Reset allocates %v times, want 0", allocs)
+	}
+}

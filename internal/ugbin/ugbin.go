@@ -30,9 +30,10 @@
 // reject any other size before touching a section. Every count is
 // validated against the file size before a single byte of section data
 // is interpreted, the checksum is verified, and the arrays then pass
-// uncertain.FromColumns's full structural validation (zero-allocation),
-// so corrupt or hostile files produce errors, never panics and never
-// attacker-sized allocations.
+// uncertain.FromColumns's full structural validation, duplicate pairs
+// included (one n-entry scratch array, n already bounded by the file
+// size), so corrupt or hostile files produce errors, never panics and
+// never attacker-sized allocations.
 package ugbin
 
 import (

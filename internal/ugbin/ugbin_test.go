@@ -255,9 +255,57 @@ func TestDecodeRejectsStructuralCorruption(t *testing.T) {
 	})
 }
 
-// TestLoadAllocationsConstant pins the "zero allocation proportional to
-// graph size" contract of the mmap path: loading a graph 8× larger must
-// not change the (small, constant) allocation count.
+// TestLoadRejectsDuplicatePair writes a .ugb whose sections are a
+// consistent CSR over two copies of pair (0,1), with a valid checksum,
+// and expects every load path to refuse it: the file would otherwise
+// carry a repeated pair into a serving daemon.
+func TestLoadRejectsDuplicatePair(t *testing.T) {
+	// A legitimate graph with the same n and m fixes the layout.
+	legit, err := uncertain.New(3, []uncertain.Pair{{U: 0, V: 1, P: 0.5}, {U: 0, V: 2, P: 0.7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := encode(t, legit)
+	lay, err := layoutFor(3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := uncertain.Columns{
+		PairU:  []int32{0, 0},
+		PairV:  []int32{1, 1},
+		PairP:  []float64{0.5, 0.7},
+		IncOff: []int64{0, 2, 4, 4},
+		IncIdx: []int32{0, 1, 0, 1},
+	}
+	copy(enc[lay.pairU.off:], int32Bytes(dup.PairU))
+	copy(enc[lay.pairV.off:], int32Bytes(dup.PairV))
+	copy(enc[lay.pairP.off:], float64Bytes(dup.PairP))
+	copy(enc[lay.incOff.off:], int64Bytes(dup.IncOff))
+	copy(enc[lay.incIdx.off:], int32Bytes(dup.IncIdx))
+	refreshCRC(enc)
+	path := filepath.Join(t.TempDir(), "dup.ugb")
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	modes := []Mode{ModeAuto, ModeHeap}
+	if mmapSupported {
+		modes = append(modes, ModeMmap)
+	}
+	for _, mode := range modes {
+		if _, err := LoadMode(path, mode); err == nil || !strings.Contains(err.Error(), "repeats an earlier pair") {
+			t.Errorf("LoadMode(%v) of a duplicated pair: err = %v, want a duplicate rejection", mode, err)
+		}
+	}
+	if _, err := Decode(enc); err == nil {
+		t.Error("Decode accepted a duplicated pair")
+	}
+}
+
+// TestLoadAllocationsConstant pins the constant-allocation-count
+// contract of the mmap path: loading a graph 8× larger must not change
+// the (small, constant) allocation count. The one allocation whose size
+// follows the graph is FromColumns' transient n-entry scratch array for
+// the duplicate check.
 func TestLoadAllocationsConstant(t *testing.T) {
 	if !mmapSupported {
 		t.Skip("no mmap on this platform")

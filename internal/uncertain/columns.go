@@ -31,9 +31,10 @@ func (g *Graph) Columns() Columns {
 // accounting.
 //
 // The arrays are fully validated before adoption — every invariant New
-// establishes is checked here, in O(n + |E_C|) time with zero heap
-// allocation, so a hostile or corrupt file can produce an error but
-// never a Graph that panics later:
+// establishes is checked here, in O(n + |E_C|) time, allocating only
+// one n-entry scratch array for the duplicate check, so a hostile or
+// corrupt file can produce an error but never a Graph that panics or
+// miscounts later:
 //
 //   - consistent lengths (|PairU| = |PairV| = |PairP| = m,
 //     |IncOff| = n+1, |IncIdx| = 2m)
@@ -43,11 +44,13 @@ func (g *Graph) Columns() Columns {
 //   - IncOff starting at 0, nondecreasing, ending at 2m
 //   - IncIdx entries in [0, m), strictly increasing within each
 //     vertex, each referencing a pair incident to that vertex
+//   - no pair repeating an earlier pair's endpoints
 //
-// The last condition pins the exact layout New builds: within a vertex
-// the indices ascend (candidate-list order) and reference only incident
-// pairs, which together force every pair to appear exactly twice — once
-// under each endpoint — without needing per-pair counters.
+// The IncIdx condition pins the exact layout New builds: within a
+// vertex the indices ascend (candidate-list order) and reference only
+// incident pairs, which together force every pair to appear exactly
+// twice — once under each endpoint — without needing per-pair counters.
+// The duplicate check is New's own (see firstRepeat).
 func FromColumns(n int, c Columns, mappedBytes int64) (*Graph, error) {
 	if n < 0 || n > MaxVertices {
 		return nil, fmt.Errorf("uncertain: vertex count %d outside [0,%d]", n, MaxVertices)
@@ -104,8 +107,38 @@ func FromColumns(n int, c Columns, mappedBytes int64) (*Graph, error) {
 	if c.IncOff[n] != int64(2*m) {
 		return nil, fmt.Errorf("uncertain: incident offsets end at %d, want 2m = %d", c.IncOff[n], 2*m)
 	}
+	if i := c.firstRepeat(make([]int32, n)); i >= 0 {
+		return nil, fmt.Errorf("uncertain: pair %d (%d,%d) repeats an earlier pair", i, c.PairU[i], c.PairV[i])
+	}
 	return &Graph{
 		n: n, pairU: c.PairU, pairV: c.PairV, pairP: c.PairP,
 		incOff: c.IncOff, incIdx: c.IncIdx, mapped: mappedBytes,
 	}, nil
+}
+
+// firstRepeat returns the index of the first pair, in candidate-list
+// order, whose endpoints repeat an earlier pair's, or -1 when the pairs
+// are distinct. It is the duplicate check of both New and FromColumns,
+// and needs no map: it walks the CSR index one vertex u at a time,
+// stamping each partner with u+1, so a partner met twice under u is a
+// repeated pair, and the later of the two indices (they ascend within
+// a vertex) is the repeat. The columns must already satisfy every other
+// FromColumns invariant; stamp must hold n zeros and is overwritten.
+func (c Columns) firstRepeat(stamp []int32) int {
+	first := -1
+	for u := range stamp {
+		mark := int32(u + 1)
+		for _, idx := range c.IncIdx[c.IncOff[u]:c.IncOff[u+1]] {
+			w := c.PairU[idx]
+			if int(w) == u {
+				w = c.PairV[idx]
+			}
+			if stamp[w] != mark {
+				stamp[w] = mark
+			} else if first < 0 || int(idx) < first {
+				first = int(idx)
+			}
+		}
+	}
+	return first
 }

@@ -18,6 +18,11 @@
 // candidate-list order. The columnar arrays are exactly the sections of
 // the on-disk binary format (internal/ugbin), so a graph can operate
 // directly over an mmap'd file with zero copies.
+//
+// New and FromColumns share one duplicate-pair check: a stamp pass over
+// the CSR index, with one n-entry scratch array and no map (see
+// Columns.firstRepeat). A graph from either constructor, and hence from
+// a .ug or a .ugb file, never carries a repeated pair.
 package uncertain
 
 import (
@@ -63,7 +68,8 @@ const MaxVertices = math.MaxInt32
 
 // New constructs an uncertain graph on n vertices from the candidate
 // pairs. It rejects self-loops, out-of-range vertices, duplicate pairs,
-// and probabilities outside [0, 1].
+// and probabilities outside [0, 1], reporting the first faulty pair in
+// input order (a duplicate is the first pair repeating an earlier one).
 func New(n int, pairs []Pair) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("uncertain: negative vertex count %d", n)
@@ -71,48 +77,67 @@ func New(n int, pairs []Pair) (*Graph, error) {
 	if n > MaxVertices {
 		return nil, fmt.Errorf("uncertain: vertex count %d exceeds %d", n, MaxVertices)
 	}
-	seen := make(map[int64]struct{}, len(pairs))
-	pairU := make([]int32, 0, len(pairs))
-	pairV := make([]int32, 0, len(pairs))
-	pairP := make([]float64, 0, len(pairs))
+	for i, pr := range pairs {
+		if err := checkPair(n, pr); err != nil {
+			// Duplicates are found after the CSR build; one among the
+			// clean pairs before i is the earlier fault.
+			if _, dup := build(n, pairs[:i]); dup != nil {
+				return nil, dup
+			}
+			return nil, err
+		}
+	}
+	return build(n, pairs)
+}
+
+// checkPair reports the fault of one candidate pair taken alone.
+func checkPair(n int, pr Pair) error {
+	if pr.U == pr.V {
+		return fmt.Errorf("uncertain: self-loop at vertex %d", pr.U)
+	}
+	if pr.U < 0 || pr.V < 0 || pr.U >= n || pr.V >= n {
+		return fmt.Errorf("uncertain: pair (%d,%d) out of range [0,%d)", pr.U, pr.V, n)
+	}
+	if !(pr.P >= 0 && pr.P <= 1) {
+		return fmt.Errorf("uncertain: probability %v of pair (%d,%d) outside [0,1]", pr.P, pr.U, pr.V)
+	}
+	return nil
+}
+
+// build copies pairs, each of which passed checkPair, into the columnar
+// arrays and the CSR index, and rejects a pair repeating an earlier one.
+func build(n int, pairs []Pair) (*Graph, error) {
+	pairU := make([]int32, len(pairs))
+	pairV := make([]int32, len(pairs))
+	pairP := make([]float64, len(pairs))
 	incOff := make([]int64, n+1)
-	for _, pr := range pairs {
-		if pr.U == pr.V {
-			return nil, fmt.Errorf("uncertain: self-loop at vertex %d", pr.U)
+	for i, pr := range pairs {
+		u, v := pr.U, pr.V
+		if u > v {
+			u, v = v, u
 		}
-		if pr.U < 0 || pr.V < 0 || pr.U >= n || pr.V >= n {
-			return nil, fmt.Errorf("uncertain: pair (%d,%d) out of range [0,%d)", pr.U, pr.V, n)
-		}
-		if !(pr.P >= 0 && pr.P <= 1) {
-			return nil, fmt.Errorf("uncertain: probability %v of pair (%d,%d) outside [0,1]", pr.P, pr.U, pr.V)
-		}
-		key := graph.PairKey(pr.U, pr.V, n)
-		if _, dup := seen[key]; dup {
-			return nil, fmt.Errorf("uncertain: duplicate pair (%d,%d)", pr.U, pr.V)
-		}
-		seen[key] = struct{}{}
-		if pr.U > pr.V {
-			pr.U, pr.V = pr.V, pr.U
-		}
-		pairU = append(pairU, int32(pr.U))
-		pairV = append(pairV, int32(pr.V))
-		pairP = append(pairP, pr.P)
-		incOff[pr.U+1]++
-		incOff[pr.V+1]++
+		pairU[i], pairV[i], pairP[i] = int32(u), int32(v), pr.P
+		incOff[u+1]++
+		incOff[v+1]++
 	}
 	for v := 0; v < n; v++ {
 		incOff[v+1] += incOff[v]
 	}
-	incIdx := make([]int32, 2*len(pairU))
-	fill := make([]int64, n)
+	incIdx := make([]int32, 2*len(pairs))
+	fill := make([]int32, n)
 	for i := range pairU {
 		u, v := pairU[i], pairV[i]
-		incIdx[incOff[u]+fill[u]] = int32(i)
+		incIdx[incOff[u]+int64(fill[u])] = int32(i)
 		fill[u]++
-		incIdx[incOff[v]+fill[v]] = int32(i)
+		incIdx[incOff[v]+int64(fill[v])] = int32(i)
 		fill[v]++
 	}
-	return &Graph{n: n, pairU: pairU, pairV: pairV, pairP: pairP, incOff: incOff, incIdx: incIdx}, nil
+	g := &Graph{n: n, pairU: pairU, pairV: pairV, pairP: pairP, incOff: incOff, incIdx: incIdx}
+	clear(fill)
+	if i := g.Columns().firstRepeat(fill); i >= 0 {
+		return nil, fmt.Errorf("uncertain: duplicate pair (%d,%d)", pairs[i].U, pairs[i].V)
+	}
+	return g, nil
 }
 
 // FromCertain lifts a deterministic graph into an uncertain graph whose
@@ -240,15 +265,6 @@ func (g *Graph) ExpectedAverageDegree() float64 {
 // selects pbinom.DefaultExactThreshold).
 func (g *Graph) DegreeDist(v int, threshold int) pbinom.Dist {
 	return pbinom.New(g.IncidentProbs(v), threshold)
-}
-
-// DegreeDistBuf is DegreeDist evaluated through a caller-owned
-// probability buffer: the incident probabilities are written into
-// buf[:0] and the (possibly grown) buffer is returned for the next
-// call. pbinom does not retain the slice.
-func (g *Graph) DegreeDistBuf(v int, threshold int, buf []float64) (pbinom.Dist, []float64) {
-	buf = g.AppendIncidentProbs(buf[:0], v)
-	return pbinom.New(buf, threshold), buf
 }
 
 // SampleWorld draws one possible world W ~ Pr(W) by materializing each

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"uncertaingraph/internal/core"
 )
 
 // ErrBadConfig is returned (wrapped, with detail) by the context-first
@@ -269,7 +271,9 @@ func WithEps(eps float64) Option {
 // WithEps override the corresponding fields regardless of option
 // order. A params struct carrying a negative Workers or Trials count,
 // or the deprecated Rng field, is rejected with ErrBadConfig: under
-// the v2 determinism contract all randomness derives from the seed.
+// the v2 determinism contract all randomness derives from the seed. So
+// is a NaN or infinite C, Delta, SigmaInit or MaxSigma; zero still
+// selects each default, and a finite C below 1 is still raised to 1.
 func WithObfuscation(p ObfuscationParams) Option {
 	return func(s *settings) error {
 		if p.Workers < 0 {
@@ -277,6 +281,9 @@ func WithObfuscation(p ObfuscationParams) Option {
 		}
 		if p.Trials < 0 {
 			return badConfig("ObfuscationParams.Trials %d must be >= 0", p.Trials)
+		}
+		if name, v := core.NonFinite(p); name != "" {
+			return badConfig("ObfuscationParams.%s = %v must be finite (0 selects the default)", name, v)
 		}
 		if p.Rng != nil {
 			return badConfig("ObfuscationParams.Rng is not supported by the option API; use WithSeed")

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	ug "uncertaingraph"
 	"uncertaingraph/internal/query"
@@ -103,6 +104,46 @@ func TestErrBadConfig(t *testing.T) {
 		if !errors.Is(c.err, ug.ErrBadConfig) {
 			t.Errorf("%s: err = %v, want ErrBadConfig", c.name, c.err)
 		}
+	}
+}
+
+// TestObfuscationRejectsNonFiniteParams pins the non-finite check of
+// WithObfuscation: a NaN or infinite C, Delta, SigmaInit or MaxSigma is
+// rejected with ErrBadConfig before any work starts, instead of
+// panicking in a trial goroutine, stalling the σ search, or ending it
+// without a probe. A short deadline turns a stalled search into a
+// failure rather than a hang. Zero and a finite C below 1 still pass.
+func TestObfuscationRejectsNonFiniteParams(t *testing.T) {
+	g := ug.BarabasiAlbert(ug.NewRand(3), 300, 3)
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		p    ug.ObfuscationParams
+	}{
+		{"C=NaN", ug.ObfuscationParams{C: nan}},
+		{"C=+Inf", ug.ObfuscationParams{C: inf}},
+		{"C=-Inf", ug.ObfuscationParams{C: -inf}},
+		{"Delta=NaN", ug.ObfuscationParams{Delta: nan}},
+		{"Delta=+Inf", ug.ObfuscationParams{Delta: inf}},
+		{"SigmaInit=NaN", ug.ObfuscationParams{SigmaInit: nan}},
+		{"SigmaInit=+Inf", ug.ObfuscationParams{SigmaInit: inf}},
+		{"MaxSigma=NaN", ug.ObfuscationParams{C: 1, MaxSigma: nan}},
+		{"MaxSigma=+Inf", ug.ObfuscationParams{MaxSigma: inf}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			c.p.Trials = 1
+			_, err := ug.Obfuscate(ctx, g, ug.WithK(5), ug.WithEps(0.05), ug.WithSeed(1), ug.WithObfuscation(c.p))
+			if !errors.Is(err, ug.ErrBadConfig) {
+				t.Errorf("err = %v, want ErrBadConfig", err)
+			}
+		})
+	}
+	_, err := ug.Obfuscate(context.Background(), g, ug.WithK(2), ug.WithEps(0.3), ug.WithSeed(1),
+		ug.WithObfuscation(ug.ObfuscationParams{C: 0.5, Trials: 1, Delta: 1e-2}))
+	if errors.Is(err, ug.ErrBadConfig) {
+		t.Errorf("finite C below 1 with default zeros rejected: %v", err)
 	}
 }
 
