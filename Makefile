@@ -6,7 +6,7 @@ GO ?= go
 # Label stamped onto every bench-<name> record in BENCH_<name>.json.
 BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 
-BENCH_TARGETS = bench-sampling bench-query bench-bfs bench-obfuscate bench-qserve bench-io
+BENCH_TARGETS = bench-sampling bench-query bench-obfuscate bench-qserve bench-io
 
 .PHONY: build test race vet fmt-check seed-check lint cover bench $(BENCH_TARGETS) e2ebench-check ci
 
@@ -76,19 +76,13 @@ bench:
 bench-sampling: BENCH_PKG = ./internal/sampling
 bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$
 bench-sampling: BENCH_TIME = 3x
-# bench-query: batched vs one-shot serving of the same query mix, plus
-# the reliability-only early-exit pair (bit-identical answers). The
+# bench-query: a request-shaped batch of mixed queries, plus the
+# reliability-only early-exit pair (bit-identical answers). The
 # BatchQueries line must report 0 allocs/op: the per-world query loop
 # is allocation-free once warm.
 bench-query: BENCH_PKG = ./internal/query
-bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkSingleQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$
+bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$
 bench-query: BENCH_TIME = 3x
-# bench-bfs: pure push vs pure pull vs the direction-optimizing
-# heuristic on a >= 100k-edge scale-free graph; DirectionOpt's
-# frontier-switches/op lands in the record's metrics map.
-bench-bfs: BENCH_PKG = ./internal/bfs
-bench-bfs: BENCH_RE = BenchmarkBFSPush$$|BenchmarkBFSPull$$|BenchmarkBFSDirectionOpt$$
-bench-bfs: BENCH_TIME = 3x
 # bench-obfuscate: sequential vs parallel full Algorithm 1 runs on the
 # ~5k-vertex stand-in.
 bench-obfuscate: BENCH_PKG = .

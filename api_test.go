@@ -146,9 +146,16 @@ func TestAttackAndQueryFacade(t *testing.T) {
 		}
 	}
 
-	// Query engine over a certain publication: exact semantics.
-	e := ug.NewQueryEngine(c, 50, ug.NewRand(10))
-	if e.Reliability(0, 0) != 1 {
+	// Query batch over a certain publication: exact semantics.
+	b, err := ug.NewQueryBatch(c, ug.WithWorlds(50), ug.WithSeed(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	self := b.AddReliability(0, 0)
+	if err := b.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if b.Reliability(self) != 1 {
 		t.Error("self reliability")
 	}
 }

@@ -57,19 +57,11 @@
 //
 // Statistic estimation and query batches run on one possible-world
 // loop, internal/worldloop, which owns the world seeds, the block
-// schedule and the worker split. The worker budget has two composable
-// axes. The loop spends it across sampled worlds while there are
-// enough queued walks to absorb it, and spills the leftover budget
-// into each world's BFS when there are not (one large query over few
-// worlds, the tail block of an adaptive run): the per-world traversal
-// itself then runs as a direction-optimizing frontier walk — push over
-// the sparse frontier list, pull over unvisited vertices once the
-// frontier is dense — parallelized over fixed 512-vertex chunks.
-// Because BFS distances are a function of the level sets alone and the
-// direction heuristic is driven by integer totals, the split is
-// invisible in results: the same bit-identity holds within a world as
-// across worlds. See the README's "Intra-world parallelism"
-// subsection.
+// schedule and the worker budget. Parallelism has one axis: the loop
+// spends the budget across sampled worlds, one worker per world in
+// flight, and walks each world sequentially. Each world contributes
+// only integer counts or its own sample slot, so the worker count is
+// invisible in results.
 //
 // WithTolerance(tol) turns fixed-r Monte-Carlo runs adaptive: the
 // estimation pipeline and query batches walk their world budget in

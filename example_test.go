@@ -88,15 +88,20 @@ func ExampleSampleWorld() {
 	// true false
 }
 
-// ExampleNewQueryEngine answers a reliability query on a published
-// uncertain graph.
-func ExampleNewQueryEngine() {
+// ExampleNewQueryBatch answers reliability and distance queries on a
+// published uncertain graph from one shared set of sampled worlds.
+func ExampleNewQueryBatch() {
 	g, _ := ug.NewUncertainGraph(3, []ug.Pair{
 		{U: 0, V: 1, P: 1}, {U: 1, V: 2, P: 1},
 	})
-	e := ug.NewQueryEngine(g, 100, ug.NewRand(2))
-	fmt.Println(e.Reliability(0, 2))
-	fmt.Println(e.MedianDistance(0, 2))
+	b, _ := ug.NewQueryBatch(g, ug.WithWorlds(100), ug.WithSeed(2))
+	rel := b.AddReliability(0, 2)
+	dist := b.AddDistance(0, 2)
+	if err := b.Run(context.Background()); err != nil {
+		panic(err)
+	}
+	fmt.Println(b.Reliability(rel))
+	fmt.Println(b.MedianDistance(dist))
 	// Output:
 	// 1
 	// 2

@@ -29,43 +29,37 @@ func main() {
 	fmt.Printf("published uncertain graph: %d vertices, %d candidate pairs\n",
 		published.NumVertices(), published.NumPairs())
 
-	// The consumer's side: only `published` from here on.
-	engine := ug.NewQueryEngine(published, 1000, ug.NewRand(3))
-
-	s, t := 0, 1
-	fmt.Printf("\nreliability Pr(%d ~ %d) = %.3f\n", s, t, engine.Reliability(s, t))
-
-	dist, disc := engine.DistanceDistribution(s, t)
-	fmt.Printf("distance distribution %d -> %d (P(disconnected)=%.3f):\n", s, t, disc)
-	for d := 1; d <= 6; d++ {
-		if p, ok := dist[d]; ok {
-			fmt.Printf("  d=%d: %.3f\n", d, p)
-		}
-	}
-	fmt.Printf("median distance: %d\n", engine.MedianDistance(s, t))
-
-	fmt.Printf("\n5 nearest neighbours of %d (median distance): %v\n",
-		s, engine.KNearest(s, 5))
-	fmt.Printf("expected degree of %d: %.2f\n", s, engine.ExpectedDegree(s))
-
-	// The serving shape: a batch samples its worlds once and evaluates
-	// every query against them — one BFS per distinct source per world,
-	// shared by all queries with that source, zero allocations in the
+	// The consumer's side: only `published` from here on. A batch
+	// samples its worlds once and evaluates every registered query
+	// against them — one BFS per distinct source per world, shared by
+	// all queries with that source, zero allocations in the
 	// steady-state loop. This is what cmd/queryd runs per request; the
 	// daemon passes each request's context to Run, so a dropped client
 	// stops the work mid-flight.
-	batch, err := ug.NewQueryBatch(published, ug.WithWorlds(1000), ug.WithSeed(4))
+	batch, err := ug.NewQueryBatch(published, ug.WithWorlds(1000), ug.WithSeed(3))
 	if err != nil {
 		log.Fatal(err)
 	}
+	s, t := 0, 1
 	relID := batch.AddReliability(s, t)
 	distID := batch.AddDistance(s, t)
 	knnID := batch.AddKNearest(s, 5)
 	if err := batch.Run(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nbatched (one world set for all three queries):\n")
-	fmt.Printf("  reliability %.3f, median %d\n",
-		batch.Reliability(relID), batch.MedianDistance(distID))
-	fmt.Printf("  neighbours with medians: %v\n", batch.KNearestWithMedians(knnID))
+
+	fmt.Printf("\nreliability Pr(%d ~ %d) = %.3f\n", s, t, batch.Reliability(relID))
+	dist, disc := batch.DistanceDistribution(distID)
+	fmt.Printf("distance distribution %d -> %d (P(disconnected)=%.3f):\n", s, t, disc)
+	for d := 1; d <= 6; d++ {
+		if p, ok := dist[d]; ok {
+			fmt.Printf("  d=%d: %.3f\n", d, p)
+		}
+	}
+	fmt.Printf("median distance: %d\n", batch.MedianDistance(distID))
+	fmt.Printf("\n5 nearest neighbours of %d (with median distances): %v\n",
+		s, batch.KNearestWithMedians(knnID))
+
+	// Expected degrees are closed-form: no sampling needed.
+	fmt.Printf("expected degree of %d: %.2f\n", s, published.ExpectedDegree(s))
 }

@@ -3,20 +3,14 @@
 // estimator (internal/anf) and the exact path for the small and
 // mid-sized graphs used in tests, examples and scaled-down experiments.
 //
-// Two entry styles are provided: the package-level functions
-// parallelize the source scan (for one-shot evaluation of a large
-// graph; the *Workers variants take an explicit budget), while a
-// Scratch runs against reusable dist/queue/count buffers — the shape
-// the possible-world engine wants, where each worker owns one Scratch
-// across its whole run. Every entry produces bit-identical
-// distributions for every worker count: counts are exact small
-// integers, so summation order cannot perturb the result.
-//
-// Two axes of parallelism compose: scanSources spreads many sources
-// over workers (across-source), and the frontier engine (frontier.go)
-// spreads one traversal over workers (within-source,
-// direction-optimizing push/pull) for the regime where sources are
-// scarcer than cores.
+// Every walk is the sequential queue BFS. A Scratch runs it against
+// reusable dist/queue/count buffers — the shape the possible-world
+// engine wants, where each worker lane owns one Scratch across its
+// whole run and parallelism lives across worlds, never inside one
+// walk. The one fan-out here is across sources: a distance-distribution
+// scan deals its sources out to workers (scanSources). Its counts are
+// exact small integers, so summation order cannot perturb them and
+// every worker count gives a bit-identical distribution.
 package bfs
 
 import (
@@ -29,8 +23,9 @@ import (
 	"uncertaingraph/internal/stats"
 )
 
-// maxProcs is the workers default when a caller passes <= 0.
-func maxProcs() int { return runtime.GOMAXPROCS(0) }
+// sourceChunk is the fixed number of sources one scanSources work
+// item covers; chunk boundaries depend only on the source count.
+const sourceChunk = 512
 
 // FromSource returns the distances from src to every vertex (-1 for
 // unreachable vertices). It is a convenience wrapper over the single
@@ -61,15 +56,6 @@ type Scratch struct {
 	// visited records how many vertices the most recent FromSourceInto
 	// or FromSourceTargetsInto walk enqueued (including the source).
 	visited int
-
-	// Frontier-engine state (frontier.go): the sparse frontier list,
-	// the current/next level bitmaps, the direction-switch counter of
-	// the last walk, and a bench/test knob forcing one direction.
-	curr     []int32
-	currBits []uint64
-	nextBits []uint64
-	switches int
-	forceDir direction
 
 	// pool holds the extra per-worker scratches scanSources spins up
 	// when a distance-distribution scan runs with workers > 1; worker 0
@@ -217,8 +203,8 @@ func (s *Scratch) reset() {
 
 // scanSources runs BFS from nsrc sources (sources nil means vertices
 // 0..nsrc-1) and accumulates ordered distance counts into s.counts,
-// returning the number of ordered reachable pairs. With workers > 1
-// the sources are dealt out in fixed 512-wide chunks to per-worker
+// returning the number of ordered reachable pairs. workers <= 0 means
+// GOMAXPROCS. With workers > 1 the sources are dealt out in fixed 512-wide chunks to per-worker
 // scratches (worker 0 reuses s; the rest come from s.pool, grown once
 // and kept warm) and the per-worker counts are merged afterwards.
 // Chunk boundaries depend only on nsrc, every count is an exact small
@@ -227,12 +213,10 @@ func (s *Scratch) reset() {
 func (s *Scratch) scanSources(g *graph.Graph, sources []int32, nsrc, workers int) float64 {
 	s.ensure(g.NumVertices())
 	s.reset()
-	if workers > nsrc {
-		workers = nsrc
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, nsrc))
 	srcAt := func(i int) int {
 		if sources == nil {
 			return i
@@ -249,7 +233,7 @@ func (s *Scratch) scanSources(g *graph.Graph, sources []int32, nsrc, workers int
 	for len(s.pool) < workers-1 {
 		s.pool = append(s.pool, NewScratch())
 	}
-	nchunks := (nsrc + frontierChunk - 1) / frontierChunk
+	nchunks := (nsrc + sourceChunk - 1) / sourceChunk
 	reach := make([]float64, workers)
 	prepared := make([]bool, workers)
 	parallel.ForWorkers(context.Background(), nchunks, workers, func(w, c int) {
@@ -262,7 +246,7 @@ func (s *Scratch) scanSources(g *graph.Graph, sources []int32, nsrc, workers int
 			sc.reset()
 			prepared[w] = true
 		}
-		lo, hi := c*frontierChunk, (c+1)*frontierChunk
+		lo, hi := c*sourceChunk, (c+1)*sourceChunk
 		if hi > nsrc {
 			hi = nsrc
 		}
@@ -290,19 +274,12 @@ func (s *Scratch) scanSources(g *graph.Graph, sources []int32, nsrc, workers int
 }
 
 // DistanceDistribution computes the exact pairwise distance
-// distribution sequentially, reusing s's buffers. The returned Counts
-// alias the scratch and are valid only until the next call on s.
-func (s *Scratch) DistanceDistribution(g *graph.Graph) stats.DistanceDistribution {
-	return s.DistanceDistributionParallel(g, 1)
-}
-
-// DistanceDistributionParallel is DistanceDistribution with the source
-// scan spread over up to `workers` goroutines (<= 0 means GOMAXPROCS).
-// The result is bit-identical for every worker count; see scanSources.
-func (s *Scratch) DistanceDistributionParallel(g *graph.Graph, workers int) stats.DistanceDistribution {
-	if workers <= 0 {
-		workers = maxProcs()
-	}
+// distribution, reusing s's buffers, with the source scan spread over
+// up to `workers` goroutines (<= 0 means GOMAXPROCS, 1 is fully
+// sequential). The result is bit-identical for every worker count; see
+// scanSources. The returned Counts alias the scratch and are valid
+// only until the next call on s.
+func (s *Scratch) DistanceDistribution(g *graph.Graph, workers int) stats.DistanceDistribution {
 	n := g.NumVertices()
 	reachable := s.scanSources(g, nil, n, workers)
 	// Ordered counts halve to unordered; every pair was seen twice.
@@ -316,21 +293,19 @@ func (s *Scratch) DistanceDistributionParallel(g *graph.Graph, workers int) stat
 	}
 }
 
-// SampledDistanceDistribution is the scratch form of the package-level
-// estimator; the returned Counts alias the scratch.
-func (s *Scratch) SampledDistanceDistribution(g *graph.Graph, samples int, rng *rand.Rand) stats.DistanceDistribution {
-	return s.SampledDistanceDistributionParallel(g, samples, rng, 1)
-}
-
-// SampledDistanceDistributionParallel is SampledDistanceDistribution
-// with the source scan spread over up to `workers` goroutines (<= 0
-// means GOMAXPROCS). The rng draws happen up front on the calling
+// SampledDistanceDistribution estimates the distance distribution from
+// BFS trees of `samples` uniformly chosen sources (the sampling
+// approach of Lipton–Naughton cited in §6.3), scaling ordered counts by
+// n/samples; with samples >= n it falls back to the exact computation.
+// The source scan runs on up to `workers` goroutines (as in
+// DistanceDistribution). The rng draws happen up front on the calling
 // goroutine, so the sampled sources — and with them the result — are
-// bit-identical for every worker count.
-func (s *Scratch) SampledDistanceDistributionParallel(g *graph.Graph, samples int, rng *rand.Rand, workers int) stats.DistanceDistribution {
+// bit-identical for every worker count. The returned Counts alias the
+// scratch.
+func (s *Scratch) SampledDistanceDistribution(g *graph.Graph, samples int, rng *rand.Rand, workers int) stats.DistanceDistribution {
 	n := g.NumVertices()
 	if samples >= n {
-		return s.DistanceDistributionParallel(g, workers)
+		return s.DistanceDistribution(g, workers)
 	}
 	srcs := sampleSources(rng, n, samples)
 	reachable := s.scanSources(g, srcs, samples, workers)
@@ -380,32 +355,7 @@ func sampleSources(rng *rand.Rand, n, samples int) []int32 {
 // DistanceDistribution returns the exact distribution of pairwise
 // distances by running a BFS from every vertex (O(n*m) time), counting
 // each unordered pair once. Sources are processed on GOMAXPROCS
-// goroutines; DistanceDistributionWorkers takes an explicit budget.
+// goroutines; Scratch.DistanceDistribution takes an explicit budget.
 func DistanceDistribution(g *graph.Graph) stats.DistanceDistribution {
-	return DistanceDistributionWorkers(g, 0)
-}
-
-// DistanceDistributionWorkers is DistanceDistribution on up to
-// `workers` goroutines (<= 0 means GOMAXPROCS); workers == 1 is fully
-// sequential — this is the hook that lets the facade's WithWorkers
-// reach the one-shot scan instead of it always fanning out.
-func DistanceDistributionWorkers(g *graph.Graph, workers int) stats.DistanceDistribution {
-	return NewScratch().DistanceDistributionParallel(g, workers)
-}
-
-// SampledDistanceDistribution estimates the distance distribution from
-// BFS trees of `samples` uniformly chosen sources (the sampling
-// approach of Lipton–Naughton cited in §6.3), scaling ordered counts by
-// n/samples. With samples >= n it falls back to the exact computation.
-// Sources are processed on GOMAXPROCS goroutines;
-// SampledDistanceDistributionWorkers takes an explicit budget.
-func SampledDistanceDistribution(g *graph.Graph, samples int, rng *rand.Rand) stats.DistanceDistribution {
-	return SampledDistanceDistributionWorkers(g, samples, rng, 0)
-}
-
-// SampledDistanceDistributionWorkers is SampledDistanceDistribution on
-// up to `workers` goroutines (<= 0 means GOMAXPROCS); workers == 1 is
-// fully sequential.
-func SampledDistanceDistributionWorkers(g *graph.Graph, samples int, rng *rand.Rand, workers int) stats.DistanceDistribution {
-	return NewScratch().SampledDistanceDistributionParallel(g, samples, rng, workers)
+	return NewScratch().DistanceDistribution(g, 0)
 }

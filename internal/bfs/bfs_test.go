@@ -2,6 +2,7 @@ package bfs
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"uncertaingraph/internal/gen"
@@ -183,7 +184,7 @@ func TestDistanceDistributionCompleteGraph(t *testing.T) {
 func TestSampledApproximatesExact(t *testing.T) {
 	g := gen.HolmeKim(randx.New(2), 800, 3, 0.3)
 	exact := DistanceDistribution(g)
-	sampled := SampledDistanceDistribution(g, 200, randx.New(3))
+	sampled := NewScratch().SampledDistanceDistribution(g, 200, randx.New(3), 2)
 	// Average distance from a quarter of sources should be close.
 	if math.Abs(exact.AvgDistance()-sampled.AvgDistance()) > 0.15*exact.AvgDistance() {
 		t.Errorf("APD exact %v vs sampled %v", exact.AvgDistance(), sampled.AvgDistance())
@@ -197,7 +198,7 @@ func TestSampledApproximatesExact(t *testing.T) {
 func TestSampledFallsBackToExact(t *testing.T) {
 	g := gen.ErdosRenyiGNM(randx.New(4), 50, 120)
 	a := DistanceDistribution(g)
-	b := SampledDistanceDistribution(g, 50, randx.New(5))
+	b := NewScratch().SampledDistanceDistribution(g, 50, randx.New(5), 1)
 	for d := range a.Counts {
 		if a.Counts[d] != b.Counts[d] {
 			t.Fatal("samples >= n should be exact")
@@ -214,5 +215,132 @@ func TestDistanceDistributionMatchesHandCount(t *testing.T) {
 	}
 	if got := d.AvgDistance(); math.Abs(got-1.6) > 1e-12 {
 		t.Errorf("star APD = %v, want 1.6", got)
+	}
+}
+
+// propertyCorpus builds the randomized-graph corpus of the bit-identity
+// tests: >= 40 graphs spanning paths (deep, sparse levels), stars (one
+// dense level), disconnected structures, scale-free graphs and
+// Erdős–Rényi graphs.
+func propertyCorpus(tb testing.TB) []*graph.Graph {
+	tb.Helper()
+	var gs []*graph.Graph
+	path := func(n int) *graph.Graph {
+		edges := make([]graph.Edge, n-1)
+		for i := range edges {
+			edges[i] = graph.Edge{U: i, V: i + 1}
+		}
+		return graph.FromEdges(n, edges)
+	}
+	star := func(n int) *graph.Graph {
+		edges := make([]graph.Edge, n-1)
+		for i := range edges {
+			edges[i] = graph.Edge{U: 0, V: i + 1}
+		}
+		return graph.FromEdges(n, edges)
+	}
+	for trial := 0; trial < 9; trial++ {
+		seed := int64(1000 + trial)
+		rng := randx.New(seed)
+		n := 60 + trial*30
+		gs = append(gs,
+			path(n),
+			star(n),
+			// Disconnected: a sparse G(n, p) below the connectivity
+			// threshold plus an isolated block of vertices.
+			gen.ErdosRenyiGNP(rng, n+20, 0.8/float64(n)),
+			gen.HolmeKim(randx.New(seed+50), n, 3, 0.3),
+			gen.ErdosRenyiGNP(randx.New(seed+100), n, 4.0/float64(n)),
+		)
+	}
+	// Degenerate and dense shapes.
+	gs = append(gs,
+		graph.FromEdges(1, nil),
+		graph.FromEdges(5, nil),
+		gen.ErdosRenyiGNP(randx.New(7), 40, 1), // complete graph
+	)
+	if len(gs) < 40 {
+		tb.Fatalf("property corpus has %d graphs, want >= 40", len(gs))
+	}
+	return gs
+}
+
+// TestDistanceDistributionParallelBitIdentity pins distribution
+// bit-identity across worker counts: exact and sampled, scratch and
+// package level. Counts are float64 but integer-valued before scaling,
+// so equality must be exact, not approximate. The corpus graphs fit in
+// one source chunk; the trailing 1600-vertex graph spans four (two for
+// its sampled scan), so its multi-worker scans run the per-worker merge
+// under contention (make race).
+func TestDistanceDistributionParallelBitIdentity(t *testing.T) {
+	seq := NewScratch()
+	par := NewScratch()
+	corpus := append(propertyCorpus(t), gen.HolmeKim(randx.New(11), 1600, 3, 0.3))
+	for gi, g := range corpus {
+		n := g.NumVertices()
+		wantExact := seq.DistanceDistribution(g, 1)
+		wantCounts := append([]float64(nil), wantExact.Counts...)
+		samples := n / 3
+		var wantSampled []float64
+		var wantSampledDisc float64
+		if samples > 0 {
+			ds := seq.SampledDistanceDistribution(g, samples, randx.New(int64(gi)), 1)
+			wantSampled = append([]float64(nil), ds.Counts...)
+			wantSampledDisc = ds.Disconnected
+		}
+		if pkg := DistanceDistribution(g); !reflect.DeepEqual(append([]float64(nil), pkg.Counts...), wantCounts) || pkg.Disconnected != wantExact.Disconnected {
+			t.Fatalf("graph %d: package-level exact distribution diverges", gi)
+		}
+		for _, workers := range []int{1, 2, 4, 8} {
+			got := par.DistanceDistribution(g, workers)
+			if !reflect.DeepEqual(append([]float64(nil), got.Counts...), wantCounts) || got.Disconnected != wantExact.Disconnected {
+				t.Fatalf("graph %d workers %d: exact distribution diverges", gi, workers)
+			}
+			if samples > 0 {
+				gs := par.SampledDistanceDistribution(g, samples, randx.New(int64(gi)), workers)
+				if !reflect.DeepEqual(append([]float64(nil), gs.Counts...), wantSampled) || gs.Disconnected != wantSampledDisc {
+					t.Fatalf("graph %d workers %d: sampled distribution diverges", gi, workers)
+				}
+			}
+		}
+	}
+}
+
+// TestSampleSourcesDrawOrder pins the partial-Fisher–Yates draw order
+// introduced in PR 7 (the seed-visible replacement for
+// rng.Perm(n)[:samples]): the exact sources, and that they are
+// distinct, in range, and cost exactly `samples` Intn draws.
+func TestSampleSourcesDrawOrder(t *testing.T) {
+	got := sampleSources(randx.New(123), 100, 10)
+	want := []int32{35, 1, 17, 56, 87, 54, 19, 62, 53, 94}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sampleSources(seed 123, n=100, k=10) = %v, want %v", got, want)
+	}
+	// Stream-length pin: after k draws of sampleSources, the generator
+	// must be exactly where k Intn calls leave it — the property that
+	// makes the draw count (not just the order) part of the contract.
+	rngA := randx.New(456)
+	sampleSources(rngA, 1000, 25)
+	rngB := randx.New(456)
+	for i := 0; i < 25; i++ {
+		rngB.Intn(1000 - i)
+	}
+	if a, b := rngA.Int63(), rngB.Int63(); a != b {
+		t.Errorf("sampleSources consumed a different stream length: next draws %d vs %d", a, b)
+	}
+	// Distinctness and range over many seeds.
+	for seed := int64(0); seed < 20; seed++ {
+		n, k := 50, 20
+		srcs := sampleSources(randx.New(seed), n, k)
+		seen := make(map[int32]bool, k)
+		for _, v := range srcs {
+			if v < 0 || int(v) >= n {
+				t.Fatalf("seed %d: source %d out of range [0,%d)", seed, v, n)
+			}
+			if seen[v] {
+				t.Fatalf("seed %d: duplicate source %d", seed, v)
+			}
+			seen[v] = true
+		}
 	}
 }

@@ -75,7 +75,6 @@ func Obfuscate(ctx context.Context, g *graph.Graph, params Params) (*Result, err
 		return nil, errors.New("core: graph has no edges to obfuscate")
 	}
 	params.Seed = params.resolveSeed()
-	params.Rng = nil
 
 	pr := newProber(ctx, g, params)
 	speculate := params.workerCount() > 1

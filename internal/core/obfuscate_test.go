@@ -23,7 +23,7 @@ func testGraph(seed int64, n int) *graph.Graph {
 
 func TestGenerateObfuscationCandidateSetSize(t *testing.T) {
 	g := testGraph(1, 300)
-	params := Params{K: 5, Eps: 0.05, C: 2, Q: 0.01, Trials: 1, Rng: randx.New(2)}
+	params := Params{K: 5, Eps: 0.05, C: 2, Q: 0.01, Trials: 1, Seed: 1543039099823358511}
 	att := GenerateObfuscation(g, 0.5, params)
 	if att.Failed() {
 		t.Fatal("expected success at sigma=0.5")
@@ -36,7 +36,7 @@ func TestGenerateObfuscationCandidateSetSize(t *testing.T) {
 
 func TestGenerateObfuscationProbabilitiesValid(t *testing.T) {
 	g := testGraph(3, 200)
-	params := Params{K: 4, Eps: 0.05, C: 2, Q: 0.05, Trials: 1, Rng: randx.New(4)}
+	params := Params{K: 4, Eps: 0.05, C: 2, Q: 0.05, Trials: 1, Seed: 2244708090865615074}
 	att := GenerateObfuscation(g, 0.3, params)
 	if att.Failed() {
 		t.Fatal("expected success")
@@ -61,7 +61,7 @@ func TestGenerateObfuscationEdgeProbsSkewHigh(t *testing.T) {
 	// With small sigma, original edges should keep p close to 1 and
 	// added pairs close to 0 (modulo the q white-noise fraction).
 	g := testGraph(5, 300)
-	params := Params{K: 2, Eps: 0.2, C: 2, Q: 0.01, Trials: 1, Rng: randx.New(6)}
+	params := Params{K: 2, Eps: 0.2, C: 2, Q: 0.01, Trials: 1, Seed: 3305628230121721621}
 	att := GenerateObfuscation(g, 0.05, params)
 	if att.Failed() {
 		t.Fatal("expected success")
@@ -93,7 +93,7 @@ func TestObfuscateSatisfiesIndependentVerifier(t *testing.T) {
 	// a few percent of vertices (in the paper's million-vertex graphs
 	// the same tail is ~1e-4 of n), so eps must be sized accordingly.
 	g := testGraph(7, 400)
-	params := Params{K: 10, Eps: 0.08, C: 2, Q: 0.01, Trials: 3, Delta: 1e-4, Rng: randx.New(8)}
+	params := Params{K: 10, Eps: 0.08, C: 2, Q: 0.01, Trials: 3, Delta: 1e-4, Seed: 4151935814835861840}
 	res, err := Obfuscate(context.Background(), g, params)
 	if err != nil {
 		t.Fatal(err)
@@ -120,11 +120,11 @@ func TestObfuscateHarderRequirementNeedsMoreNoise(t *testing.T) {
 	// of paper Table 2. Randomness can blur single comparisons, so
 	// compare a low and a high requirement far apart.
 	g := testGraph(9, 400)
-	easy, err := Obfuscate(context.Background(), g, Params{K: 3, Eps: 0.1, C: 2, Q: 0.01, Trials: 2, Delta: 1e-4, Rng: randx.New(10)})
+	easy, err := Obfuscate(context.Background(), g, Params{K: 3, Eps: 0.1, C: 2, Q: 0.01, Trials: 2, Delta: 1e-4, Seed: 5221277731205826435})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hard, err := Obfuscate(context.Background(), g, Params{K: 40, Eps: 0.1, C: 2, Q: 0.01, Trials: 2, Delta: 1e-4, Rng: randx.New(10)})
+	hard, err := Obfuscate(context.Background(), g, Params{K: 40, Eps: 0.1, C: 2, Q: 0.01, Trials: 2, Delta: 1e-4, Seed: 5221277731205826435})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestObfuscateParamValidation(t *testing.T) {
 func TestObfuscateImpossibleRequirementFails(t *testing.T) {
 	// k larger than the vertex count is unattainable: H(Y) <= log2(n).
 	g := testGraph(12, 60)
-	_, err := Obfuscate(context.Background(), g, Params{K: 1000, Eps: 0, C: 2, Trials: 1, Delta: 1e-2, MaxSigma: 8, Rng: randx.New(13)})
+	_, err := Obfuscate(context.Background(), g, Params{K: 1000, Eps: 0, C: 2, Trials: 1, Delta: 1e-2, MaxSigma: 8, Seed: 1867598462707500820})
 	if err == nil {
 		t.Fatal("expected ErrNoObfuscation")
 	}
@@ -159,7 +159,7 @@ func TestObfuscateImpossibleRequirementFails(t *testing.T) {
 func TestObfuscateDeterministicForSeed(t *testing.T) {
 	g := testGraph(14, 200)
 	run := func() *Result {
-		res, err := Obfuscate(context.Background(), g, Params{K: 5, Eps: 0.02, C: 2, Q: 0.01, Trials: 2, Delta: 1e-3, Rng: randx.New(99)})
+		res, err := Obfuscate(context.Background(), g, Params{K: 5, Eps: 0.02, C: 2, Q: 0.01, Trials: 2, Delta: 1e-3, Seed: 2431074399724039541})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestHExclusionRespected(t *testing.T) {
 	// weaker, directly-specified property: no *added* pair touches H.
 	g := testGraph(15, 300)
 	values := DegreeProperty{}.Values(g)
-	params := Params{K: 5, Eps: 0.2, C: 2, Q: 0.01, Trials: 1, Rng: randx.New(16)}
+	params := Params{K: 5, Eps: 0.2, C: 2, Q: 0.01, Trials: 1, Seed: 8983684945297836708}
 	sigma := 0.3
 	uniq := UniquenessScores(values, DegreeProperty{}.Distance, sigma)
 	hSize := int(math.Ceil(params.Eps / 2 * float64(g.NumVertices())))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 	"testing"
 
@@ -162,25 +161,6 @@ func TestProbePurity(t *testing.T) {
 	if !a.Failed() {
 		samePairs(t, a.G, b.G)
 	}
-}
-
-// TestLegacyRngStillDeterministic keeps the pre-Workers call shape
-// (seeding via Params.Rng) reproducible.
-func TestLegacyRngStillDeterministic(t *testing.T) {
-	g := gen.HolmeKim(randx.New(8), 200, 3, 0.2)
-	run := func(r *rand.Rand) *Result {
-		res, err := Obfuscate(context.Background(), g, Params{K: 3, Eps: 0.15, Trials: 2, Delta: 1e-3, Rng: r})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	a, b := run(randx.New(77)), run(randx.New(77))
-	if a.Sigma != b.Sigma || a.EpsTilde != b.EpsTilde {
-		t.Fatalf("legacy Rng seeding not reproducible: (%v,%v) vs (%v,%v)",
-			a.Sigma, a.EpsTilde, b.Sigma, b.EpsTilde)
-	}
-	samePairs(t, a.G, b.G)
 }
 
 // countingProperty wraps a Property and counts its Values calls.

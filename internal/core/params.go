@@ -60,17 +60,8 @@ type Params struct {
 	// index), so Workers trades wall-clock time only.
 	Workers int
 	// Seed is the base seed from which every per-probe, per-trial RNG
-	// stream is derived (randx.Derive). Zero falls back to Rng (drawn
-	// once), then to 1.
+	// stream is derived (randx.Derive). Zero selects 1.
 	Seed int64
-	// Rng is the legacy seed source: when Seed is zero and Rng is set,
-	// one value is drawn from it to derive Seed, so pre-Workers callers
-	// remain reproducible. The engine never shares Rng across trials —
-	// per-trial streams are always derived from the resolved seed.
-	//
-	// Deprecated: set Seed (or use the facade's WithSeed option). Rng
-	// exists for one release of compatibility with pre-Seed callers.
-	Rng *rand.Rand
 	// Progress, when non-nil, is invoked from the search goroutine after
 	// each consumed σ probe with the number of probes consumed so far
 	// and an estimated total (0 while the doubling phase has not yet
@@ -134,19 +125,15 @@ func (p Params) workerCount() int {
 	return w
 }
 
-// resolveSeed fixes the base seed for a run: an explicit Seed wins, then
-// one draw from the legacy Rng, then the historical default of 1. It is
-// called once per top-level entry so that every derived stream — and
-// therefore every result — is a pure function of the resolved value.
+// resolveSeed fixes the base seed for a run: an explicit Seed wins,
+// then the historical default of 1. It is called once per top-level
+// entry so that every derived stream — and therefore every result — is
+// a pure function of the resolved value.
 func (p Params) resolveSeed() int64 {
-	s := p.Seed
-	if s == 0 && p.Rng != nil {
-		s = p.Rng.Int63()
+	if p.Seed == 0 {
+		return 1
 	}
-	if s == 0 {
-		s = 1
-	}
-	return s
+	return p.Seed
 }
 
 // trialRng returns the RNG stream owned by one trial of one σ probe.

@@ -6,7 +6,6 @@ import (
 
 	"uncertaingraph/internal/adversary"
 	"uncertaingraph/internal/graph"
-	"uncertaingraph/internal/randx"
 )
 
 func TestP2InterningAndDistance(t *testing.T) {
@@ -81,7 +80,7 @@ func TestObfuscateWithP2Property(t *testing.T) {
 	res, err := Obfuscate(context.Background(), g, Params{
 		K: 5, Eps: 0.12, Trials: 2, Delta: 1e-3,
 		Property: NewNeighborhoodDegreeProperty(),
-		Rng:      randx.New(23),
+		Seed:     7490268378518980123,
 	})
 	if err != nil {
 		t.Fatal(err)

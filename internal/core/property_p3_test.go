@@ -6,7 +6,6 @@ import (
 
 	"uncertaingraph/internal/adversary"
 	"uncertaingraph/internal/graph"
-	"uncertaingraph/internal/randx"
 )
 
 func TestP3SignaturesDistinguishStructure(t *testing.T) {
@@ -73,7 +72,7 @@ func TestObfuscateWithP3Property(t *testing.T) {
 	res, err := Obfuscate(context.Background(), g, Params{
 		K: 4, Eps: 0.15, Trials: 2, Delta: 1e-3,
 		Property: NewRadiusOneProperty(),
-		Rng:      randx.New(42),
+		Seed:     3440579354231278675,
 	})
 	if err != nil {
 		t.Fatal(err)

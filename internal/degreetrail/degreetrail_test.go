@@ -111,7 +111,7 @@ func TestUncertainReleasesResistTrailAttack(t *testing.T) {
 	for i, s := range snaps {
 		certain[i] = adversary.UncertainModel{G: uncertain.FromCertain(s)}
 		att := core.GenerateObfuscation(s, 0.15, core.Params{
-			K: 5, Eps: 0.5, Trials: 1, Rng: randx.New(int64(10 + i)),
+			K: 5, Eps: 0.5, Trials: 1, Seed: randx.New(int64(10 + i)).Int63(),
 		})
 		if att.Failed() {
 			t.Fatal("obfuscation failed")

@@ -167,14 +167,6 @@ func (g *Graph) NumEdges() int { return g.m }
 // Degree returns the degree of vertex v.
 func (g *Graph) Degree(v int) int { return int(g.offsets[v+1] - g.offsets[v]) }
 
-// DirectedEdgeCount returns 2m, the number of directed arcs in the CSR
-// (every undirected edge is stored twice). It is the natural budget
-// unit for frontier-density decisions in direction-optimizing
-// traversals: a push step examines out-arcs of the frontier, a pull
-// step examines in-arcs of the unvisited set, and both are bounded by
-// this total.
-func (g *Graph) DirectedEdgeCount() int64 { return 2 * int64(g.m) }
-
 // Neighbors returns the sorted neighbor list of v: a subslice of the
 // graph's flat CSR array. It is shared with the graph and must not be
 // modified.

@@ -167,21 +167,3 @@ func TestBuilderRebuild(t *testing.T) {
 		t.Error("builds should snapshot builder state")
 	}
 }
-
-func TestDirectedEdgeCount(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
-	if got := g.DirectedEdgeCount(); got != 6 {
-		t.Errorf("DirectedEdgeCount = %d, want 6", got)
-	}
-	if got := FromEdges(3, nil).DirectedEdgeCount(); got != 0 {
-		t.Errorf("empty graph DirectedEdgeCount = %d, want 0", got)
-	}
-	// Consistency with the degree sum on a generated graph.
-	var deg int64
-	for v := 0; v < g.NumVertices(); v++ {
-		deg += int64(g.Degree(v))
-	}
-	if got := g.DirectedEdgeCount(); got != deg {
-		t.Errorf("DirectedEdgeCount = %d, degree sum = %d", got, deg)
-	}
-}

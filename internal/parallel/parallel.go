@@ -47,33 +47,6 @@ func For(n, workers int, aborted func() bool, fn func(i int)) {
 	wg.Wait()
 }
 
-// ForChunks partitions [0, n) into fixed size-chunk ranges and invokes
-// fn(lo, hi) once per range, on up to `workers` goroutines (claimed in
-// order, work-stealing, like For). Chunk boundaries depend only on
-// (n, chunk) — never on the worker count or the schedule — which is
-// the determinism discipline the adversary entropy scan established:
-// callers that merge per-chunk contributions under an order-insensitive
-// rule (exact integer counts, idempotent maxima) get bit-identical
-// results for every worker count. fn must be safe for concurrent
-// invocation on disjoint ranges.
-func ForChunks(n, chunk, workers int, fn func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	nchunks := (n + chunk - 1) / chunk
-	For(nchunks, workers, nil, func(c int) {
-		lo := c * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		fn(lo, hi)
-	})
-}
-
 // ForCtx is For with context-based abortion: iteration claims stop at
 // the first claim after ctx is done (in-flight iterations run to
 // completion — cancellation lands within one iteration of work), and

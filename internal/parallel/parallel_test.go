@@ -78,41 +78,3 @@ func TestForCtxPreCancelled(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
-
-func TestForChunksCoversEveryIndexOnceWithFixedBoundaries(t *testing.T) {
-	for _, workers := range []int{0, 1, 2, 4, 16} {
-		for _, n := range []int{0, 1, 7, 8, 17, 64} {
-			const chunk = 8
-			var hits [64]atomic.Int32
-			ForChunks(n, chunk, workers, func(lo, hi int) {
-				if lo%chunk != 0 {
-					t.Errorf("workers=%d n=%d: chunk start %d not a multiple of %d", workers, n, lo, chunk)
-				}
-				if hi != lo+chunk && hi != n {
-					t.Errorf("workers=%d n=%d: chunk [%d,%d) is neither full nor final", workers, n, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					hits[i].Add(1)
-				}
-			})
-			for i := 0; i < n; i++ {
-				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, got)
-				}
-			}
-		}
-	}
-}
-
-func TestForChunksClampsChunkToOne(t *testing.T) {
-	var count atomic.Int32
-	ForChunks(5, 0, 2, func(lo, hi int) {
-		if hi != lo+1 {
-			t.Errorf("chunk [%d,%d), want width 1", lo, hi)
-		}
-		count.Add(1)
-	})
-	if count.Load() != 5 {
-		t.Errorf("got %d chunks, want 5", count.Load())
-	}
-}

@@ -325,7 +325,7 @@ func TestCacheInvalidatedOnRepublish(t *testing.T) {
 // the cache off /healthz says so, with it on the budget and counters
 // appear.
 func TestHealthzReportsResultCache(t *testing.T) {
-	off := &Server{G: testGraph(t), Worlds: 50, Seed: 11}
+	off := withTestGraph(t, &Server{Worlds: 50, Seed: 11})
 	tsOff := httptest.NewServer(off.Handler())
 	t.Cleanup(tsOff.Close)
 	status, body := get(t, tsOff.URL+"/healthz")
@@ -340,7 +340,7 @@ func TestHealthzReportsResultCache(t *testing.T) {
 		t.Errorf("cache-off healthz reports %+v", h.ResultCache)
 	}
 
-	on := &Server{G: testGraph(t), Worlds: 50, Seed: 11, ResultCacheBudget: 1 << 20}
+	on := withTestGraph(t, &Server{Worlds: 50, Seed: 11, ResultCacheBudget: 1 << 20})
 	tsOn := httptest.NewServer(on.Handler())
 	t.Cleanup(tsOn.Close)
 	get(t, tsOn.URL+"/reliability?s=0&t=4")

@@ -59,8 +59,11 @@ func FuzzBatchRequestJSON(f *testing.F) {
 	// path (worlds cap, query cap, k-NN source cap, byte budget) is
 	// reachable by the fuzzer.
 	srv := &Server{
-		G: g, Worlds: 8, MaxWorlds: 32, MaxQueries: 16,
+		DefaultGraph: "default", Worlds: 8, MaxWorlds: 32, MaxQueries: 16,
 		Workers: 1, Seed: 1, MemoryBudget: 2 * 5 * 5 * 4, MaxKNNSources: 2,
+	}
+	if _, err := srv.PublishGraph("default", g, GraphConfig{}); err != nil {
+		f.Fatal(err)
 	}
 	handler := srv.Handler()
 

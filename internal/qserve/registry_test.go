@@ -218,7 +218,7 @@ func TestEvictionReloadBitIdentical(t *testing.T) {
 // and /healthz report per-graph residency and hit/miss/eviction
 // counters plus the registry totals.
 func TestGraphListAndHealthz(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 100, Seed: 11}
+	srv := withTestGraph(t, &Server{Worlds: 100, Seed: 11})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	if _, _, err := srv.Publish("extra", ugBytes(t, starGraph(t)), GraphConfig{Worlds: 64}); err != nil {
@@ -360,12 +360,12 @@ func TestUploadReplaceDelete(t *testing.T) {
 	}
 }
 
-// TestLegacyAliasesResolveDefaultGraph pins the one-release compat
-// contract: the old single-graph paths serve the default graph and
-// share its world streams with the named paths (the seed derivation
-// hashes the resolved name, not the URL shape).
+// TestLegacyAliasesResolveDefaultGraph pins the documented alias
+// contract: the single-graph paths serve the default graph and share
+// its world streams with the named paths (the seed derivation hashes
+// the resolved name, not the URL shape).
 func TestLegacyAliasesResolveDefaultGraph(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 150, Seed: 11}
+	srv := withTestGraph(t, &Server{Worlds: 150, Seed: 11})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -399,7 +399,7 @@ func TestLegacyAliasesResolveDefaultGraph(t *testing.T) {
 // fuzzer also probes: traversal-shaped and non-canonical paths are
 // 404, bad names are 400, and nothing panics.
 func TestGraphNameAndPathValidation(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 50, Seed: 11}
+	srv := withTestGraph(t, &Server{Worlds: 50, Seed: 11})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 

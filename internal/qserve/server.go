@@ -83,27 +83,19 @@ const (
 	DefaultMaxKNNSources = 64
 	// DefaultMaxUploadBytes caps one PUT/POST /graphs/{name} body.
 	DefaultMaxUploadBytes = int64(1) << 30
-	// DefaultGraphName is the registry name a Server.G compat graph is
-	// published under when DefaultGraph is unset.
-	DefaultGraphName = "default"
 )
 
 // Server answers possible-world Monte-Carlo queries over a registry of
 // published uncertain graphs. The zero value serves an empty registry;
-// set G (compat single-graph mode) or publish graphs via Publish /
-// PublishFile / the HTTP surface. All exported fields must be set
-// before the first request; after that a Server is safe for concurrent
-// use — each in-flight request borrows a graph handle and a pooled
-// query.Batch from that graph's pool, and resident graphs are
-// read-only.
+// publish graphs via Publish / PublishGraph / PublishFile / the HTTP
+// surface. All exported fields must be set before the first request;
+// after that a Server is safe for concurrent use — each in-flight
+// request borrows a graph handle and a pooled query.Batch from that
+// graph's pool, and resident graphs are read-only.
 type Server struct {
-	// G, when non-nil, is published at startup under DefaultGraph (or
-	// DefaultGraphName) — the pre-registry single-graph mode.
-	G *uncertain.Graph
 	// DefaultGraph names the graph the legacy alias endpoints
-	// (/batch, /reliability, /distance, /knn) resolve to. Empty with
-	// G set selects DefaultGraphName; empty without G leaves the
-	// aliases answering 404.
+	// (/batch, /reliability, /distance, /knn) resolve to. Empty leaves
+	// the aliases answering 404.
 	DefaultGraph string
 	// Worlds is the per-request default sample size (0 selects the
 	// Hoeffding default, 738); a per-graph Worlds override takes
@@ -167,14 +159,12 @@ type Server struct {
 
 	initOnce sync.Once
 	reg      *Registry
-	defName  string
 	cache    *resultCache
 }
 
-// init builds the registry on first use and publishes the compat G
-// graph under the default name. The registry's pool hook resolves each
-// graph's effective memory budget, so pooled batches shed to the same
-// bound validate prices against.
+// init builds the registry on first use. The registry's pool hook
+// resolves each graph's effective memory budget, so pooled batches
+// shed to the same bound validate prices against.
 func (s *Server) init() {
 	s.initOnce.Do(func() {
 		s.reg = &Registry{
@@ -187,23 +177,6 @@ func (s *Server) init() {
 		}
 		if s.ResultCacheBudget > 0 {
 			s.cache = newResultCache(s.ResultCacheBudget)
-		}
-		s.defName = s.DefaultGraph
-		if s.G != nil {
-			if s.defName == "" {
-				s.defName = DefaultGraphName
-			}
-			var buf bytes.Buffer
-			if err := uncertain.Write(&buf, s.G); err != nil {
-				panic(fmt.Sprintf("qserve: serializing Server.G: %v", err))
-			}
-			// install keeps the already-parsed G resident and the
-			// serialization as its reload source; Write emits exact
-			// float representations, so an evict-then-reload cycle
-			// reconstructs G bit-identically.
-			if _, _, err := s.reg.install(s.defName, s.G, buf.Bytes(), "", GraphConfig{}); err != nil {
-				panic(fmt.Sprintf("qserve: publishing Server.G: %v", err))
-			}
 		}
 	})
 }
@@ -474,13 +447,8 @@ func (s *Server) pathGraphName(r *http.Request) (string, int, error) {
 // defaultName resolves the graph the legacy alias endpoints serve.
 // DefaultGraph is read at call time, not frozen at init: cmd/queryd
 // publishes its graphs first and names the default just before
-// serving. The init-time name covers the compat Server.G publish.
-func (s *Server) defaultName() string {
-	if s.DefaultGraph != "" {
-		return s.DefaultGraph
-	}
-	return s.defName
-}
+// serving.
+func (s *Server) defaultName() string { return s.DefaultGraph }
 
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	graphs, totals := s.reg.Stats()

@@ -28,9 +28,20 @@ func testGraph(t *testing.T) *uncertain.Graph {
 	return g
 }
 
+// withTestGraph publishes testGraph under "default" and makes it the
+// graph the alias routes (/batch, /reliability, ...) serve.
+func withTestGraph(t *testing.T, srv *Server) *Server {
+	t.Helper()
+	srv.DefaultGraph = "default"
+	if _, err := srv.PublishGraph("default", testGraph(t), GraphConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func testServer(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv := &Server{G: testGraph(t), Worlds: 400, Seed: 11}
+	srv := withTestGraph(t, &Server{Worlds: 400, Seed: 11})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts
@@ -76,7 +87,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestHealthzEchoesConfiguredLimits(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 16, Seed: 11, MaxQueries: 7, Workers: 3, Tolerance: 0.25}
+	srv := withTestGraph(t, &Server{Worlds: 16, Seed: 11, MaxQueries: 7, Workers: 3, Tolerance: 0.25})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	status, body := get(t, ts.URL+"/healthz")
@@ -344,7 +355,7 @@ func TestValidationErrors(t *testing.T) {
 func TestOverBudgetKNNRejected(t *testing.T) {
 	// 5 vertices, Workers 1: one k-NN source prices at 5*5*4 = 100
 	// bytes, so a 99-byte budget rejects it.
-	srv := &Server{G: testGraph(t), Worlds: 50, Seed: 11, Workers: 1, MemoryBudget: 99}
+	srv := withTestGraph(t, &Server{Worlds: 50, Seed: 11, Workers: 1, MemoryBudget: 99})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -370,7 +381,7 @@ func TestOverBudgetKNNRejected(t *testing.T) {
 // naming more distinct k-NN sources than MaxKNNSources get 413;
 // repeats of one source count once.
 func TestKNNSourceCapRejected(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 50, Seed: 11, MaxKNNSources: 2}
+	srv := withTestGraph(t, &Server{Worlds: 50, Seed: 11, MaxKNNSources: 2})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	post := func(body string) int {
@@ -396,7 +407,7 @@ func TestKNNSourceCapRejected(t *testing.T) {
 // aborts with no response written, and the pooled batch stays healthy —
 // the next request reuses it and answers deterministically.
 func TestRequestCancellationStopsRun(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 4000, Seed: 11}
+	srv := withTestGraph(t, &Server{Worlds: 4000, Seed: 11})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
@@ -435,7 +446,7 @@ func TestRequestCancellationStopsRun(t *testing.T) {
 // Worlds > MaxWorlds must not serve uncapped requests whenever the
 // client omits the worlds field.
 func TestServerDefaultWorldsClamped(t *testing.T) {
-	srv := &Server{G: testGraph(t), Worlds: 500, MaxWorlds: 200, Seed: 11}
+	srv := withTestGraph(t, &Server{Worlds: 500, MaxWorlds: 200, Seed: 11})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	status, body := get(t, ts.URL+"/reliability?s=0&t=1")

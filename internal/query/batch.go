@@ -1,3 +1,27 @@
+// Package query answers analytical queries on published uncertain
+// graphs, the consumption side of the paper's proposal: Section 1
+// argues an uncertain publication is useful precisely because the
+// uncertain-graph literature (reliability, k-nearest-neighbours,
+// shortest paths — Potamias et al., Jin et al., cited in §1 and §6)
+// can run on it directly.
+//
+// All queries are possible-world Monte Carlo with Hoeffding-bounded
+// sample sizes (paper Lemma 2 / Corollary 1): indicators and bounded
+// statistics concentrate after r = ln(2/δ)/(2ε²) worlds.
+//
+// Batch is the one entry: it samples each world once and evaluates
+// many queries against it, sharing one BFS per distinct source per
+// world, with zero heap allocations in the steady-state world loop.
+// Worlds run on the shared world loop (internal/worldloop), which
+// spends the worker budget across worlds; each world's walks run
+// sequentially on its lane.
+//
+// Every median in this package — MedianDistance and the k-NN ranking
+// alike — uses the same count-based rule: the smallest distance whose
+// cumulative world count reaches ceil(r/2), with the disconnection
+// bucket (+infinity) sorted last. The rule is exact integer
+// arithmetic, so it cannot drift from float accumulation the way a
+// "cumulative probability >= 0.5" walk does.
 package query
 
 import (
@@ -23,15 +47,11 @@ type Config struct {
 	// only on (Seed, i), so results are reproducible and identical for
 	// every Workers value.
 	Seed int64
-	// Workers is the total worker budget (<= 0 selects GOMAXPROCS),
-	// spent across worlds while worlds are plentiful — each world
-	// worker owns one sampler, one reseedable RNG and one BFS scratch —
-	// and spilled into the worlds themselves (parallel
-	// direction-optimizing BFS) once distinct sources × queued worlds
-	// drops below it (worldloop.Split). Per-world contributions are
-	// integer counts and the parallel walk is bit-identical to the
-	// sequential one, so the merged results are bit-identical for
-	// every value.
+	// Workers bounds concurrent world evaluations (<= 0 selects
+	// GOMAXPROCS; never more than the world count): each worker owns
+	// one sampler, one reseedable RNG and one BFS scratch, and walks
+	// its worlds sequentially. Per-world contributions are integer
+	// counts, so the merged results are bit-identical for every value.
 	Workers int
 	// MemoryBudget, when positive, bounds the batch's accumulator
 	// memory in bytes: Run rejects a query set whose worst-case k-NN
@@ -63,9 +83,9 @@ type Config struct {
 // distinct query source per world, and every query with that source
 // consumes the same distance array. This is the serving shape — a
 // request carrying q queries costs r worlds + r·|sources| BFS runs
-// instead of the q·r worlds the one-query-at-a-time Engine methods
-// would spend, and the per-world loop allocates nothing once the
-// buffers have grown (every accumulator is an integer count).
+// instead of the q·r worlds answering one query at a time would
+// spend, and the per-world loop allocates nothing once the buffers
+// have grown (every accumulator is an integer count).
 //
 // Each source's BFS is target-resolved: a source carrying only
 // reliability and distance queries stops its walk as soon as every
@@ -153,9 +173,6 @@ type worker struct {
 	disc    []int64
 	distH   [][]int32
 	knnH    [][]int32
-	// intra is the within-world worker budget the lane's last world
-	// was walked with, kept so tests can see the split engage.
-	intra int
 }
 
 // NewBatch returns an empty batch over g. The sampling template and
@@ -415,7 +432,6 @@ func (b *Batch) Run(ctx context.Context) error {
 		Seed:     b.Seed,
 		Workers:  b.Workers,
 		Adaptive: adaptive,
-		Width:    len(b.sources),
 		Progress: b.Progress,
 	}, (*scanner)(b))
 	if err != nil {
@@ -432,8 +448,8 @@ func (b *Batch) Run(ctx context.Context) error {
 // methods off the public Batch API.
 type scanner Batch
 
-func (s *scanner) ScanWorld(lane, _ int, world *graph.Graph, _ int64, intra int) {
-	(*Batch)(s).scanWorld(s.ws[lane], world, intra)
+func (s *scanner) ScanWorld(lane, _ int, world *graph.Graph, _ int64) {
+	(*Batch)(s).scanWorld(s.ws[lane], world)
 }
 
 func (s *scanner) Converged(lanes, done int) bool {
@@ -586,12 +602,10 @@ func growCounts(h []int32, need int) []int32 {
 }
 
 // scanWorld runs one BFS per distinct source over a materialized
-// world, each walk on intra workers, and folds every query's
-// observation into w's integer accumulators. Steady-state cost: zero
-// heap allocations.
-func (b *Batch) scanWorld(w *worker, world *graph.Graph, intra int) {
+// world and folds every query's observation into w's integer
+// accumulators. Steady-state cost: zero heap allocations.
+func (b *Batch) scanWorld(w *worker, world *graph.Graph) {
 	n := world.NumVertices()
-	w.intra = intra
 	for si, s := range b.sources {
 		// A source whose queries all name explicit targets stops its
 		// BFS once the last target resolves; a k-NN source needs every
@@ -599,9 +613,9 @@ func (b *Batch) scanWorld(w *worker, world *graph.Graph, intra int) {
 		// agree bit-for-bit on every registered target.
 		var dist []int32
 		if b.knnSlots[si] >= 0 || b.fullBFS {
-			dist = w.scratch.FromSourceParallelInto(world, int(s), intra)
+			dist = w.scratch.FromSourceInto(world, int(s))
 		} else {
-			dist = w.scratch.FromSourceTargetsParallelInto(world, int(s), b.srcTargets[si], intra)
+			dist = w.scratch.FromSourceTargetsInto(world, int(s), b.srcTargets[si])
 		}
 		for _, id := range b.srcQueries[si] {
 			q := &b.queries[id]

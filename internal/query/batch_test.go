@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"uncertaingraph/internal/datasets"
+	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/uncertain"
 )
 
@@ -97,12 +98,13 @@ func TestMedianRuleDivergenceRegression(t *testing.T) {
 	if cum >= 0.5 {
 		t.Fatal("float accumulation of 1/12 + 4/12 + 1/12 reached 0.5; divergence scenario impossible")
 	}
-	// Find the first engine seed whose 12 sampled worlds produce the
-	// divergent counts. The search is deterministic, so the test is
-	// stable.
+	// Find the first seed whose 12 sampled worlds produce the divergent
+	// counts. The search is deterministic, so the test is stable.
 	for seed := int64(0); seed < 5000; seed++ {
-		e := &Engine{G: g, Worlds: r, Seed: seed}
-		dist, disc := e.DistanceDistribution(s, target)
+		b := NewBatch(g, Config{Worlds: r, Seed: seed})
+		id := b.AddDistance(s, target)
+		mustRun(t, b)
+		dist, disc := b.DistanceDistribution(id)
 		if disc != 0 {
 			t.Fatalf("seed %d: certain path cannot disconnect (disc=%v)", seed, disc)
 		}
@@ -112,11 +114,7 @@ func TestMedianRuleDivergenceRegression(t *testing.T) {
 		if old := floatRuleMedian(dist); old != 4 {
 			t.Fatalf("seed %d: old float rule returned %d; expected the buggy 4", seed, old)
 		}
-		// A fresh engine with the same seed replays the same worlds for
-		// its first query, so MedianDistance sees exactly this
-		// distribution.
-		e2 := &Engine{G: g, Worlds: r, Seed: seed}
-		if got := e2.MedianDistance(s, target); got != 3 {
+		if got := b.MedianDistance(id); got != 3 {
 			t.Fatalf("seed %d: MedianDistance = %d, want count-rule median 3", seed, got)
 		}
 		return
@@ -260,19 +258,43 @@ func TestBatchWorkerCountBitIdentity(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesEngine pins that the batch and the one-shot engine
-// agree when given the same world stream: an engine's first query uses
-// the stream randx.Derive(Seed, 0), which a batch can select directly.
-func TestBatchMatchesEngine(t *testing.T) {
-	g := dblpUncertain(t)
-	e := &Engine{G: g, Worlds: 60, Seed: 5, Workers: 1}
-	got := e.Reliability(3, 77)
-
-	b := NewBatch(g, Config{Worlds: 60, Seed: e.batch.Seed, Workers: 1})
-	id := b.AddReliability(3, 77)
-	mustRun(t, b)
-	if want := b.Reliability(id); got != want {
-		t.Errorf("engine %v != batch %v on the same stream", got, want)
+// TestBatchIntraWorldBitIdentity pins the worlds-scarce regime: a
+// batch whose worker budget exceeds its world count (two worlds at 1,
+// 4 and 16 workers, so most lanes get no world) must answer
+// bit-identically to the sequential configuration, across reliability,
+// distance and k-NN queries on random graphs.
+func TestBatchIntraWorldBitIdentity(t *testing.T) {
+	rng := randx.New(31)
+	for trial := 0; trial < 8; trial++ {
+		ug := randomUncertainGraph(t, rng, 40+rng.Intn(60))
+		n := ug.NumVertices()
+		type answers struct {
+			rel, disc float64
+			dd        map[int]float64
+			med       int
+			knn       []int
+		}
+		var got []answers
+		for _, workers := range []int{1, 4, 16} {
+			b := NewBatch(ug, Config{Worlds: 2, Seed: int64(trial), Workers: workers})
+			r1 := b.AddReliability(0, n-1)
+			d1 := b.AddDistance(0, n/2)
+			k1 := b.AddKNearest(0, 5)
+			mustRun(t, b)
+			dd, disc := b.DistanceDistribution(d1)
+			got = append(got, answers{
+				rel:  b.Reliability(r1),
+				disc: disc,
+				dd:   dd,
+				med:  b.MedianDistance(d1),
+				knn:  b.KNearest(k1),
+			})
+		}
+		for i := 1; i < len(got); i++ {
+			if !reflect.DeepEqual(got[0], got[i]) {
+				t.Fatalf("trial %d: answers diverge between worker configs 0 and %d", trial, i)
+			}
+		}
 	}
 }
 

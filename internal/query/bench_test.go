@@ -89,25 +89,3 @@ func BenchmarkBatchReliabilityOnlyFullBFS(b *testing.B) {
 		benchSink = batch.Reliability(0)
 	}
 }
-
-// BenchmarkSingleQueries is the contrast case: the same 24 queries
-// served one at a time through the one-shot Engine layer, each call
-// sampling its own 64 worlds. The gap against BenchmarkBatchQueries is
-// the point of the batch engine — shared worlds and shared BFS trees.
-func BenchmarkSingleQueries(b *testing.B) {
-	g := dblpUncertain(b)
-	e := &Engine{G: g, Worlds: 64, Workers: 1}
-	e.Reliability(0, 31) // warm up
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var acc float64
-		for j := 0; j < 8; j++ {
-			s, t := 17*j, 23*j+31
-			acc += e.Reliability(s, t)
-			acc += float64(e.MedianDistance(s, t))
-			e.KNearest(s, 10)
-		}
-		benchSink = acc
-	}
-}

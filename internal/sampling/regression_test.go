@@ -15,7 +15,9 @@ import (
 
 	"uncertaingraph/internal/core"
 	"uncertaingraph/internal/datasets"
+	"uncertaingraph/internal/gen"
 	"uncertaingraph/internal/graph"
+	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/sampling"
 	"uncertaingraph/internal/uncertain"
 )
@@ -180,6 +182,34 @@ func TestRunWorkerCountBitIdentity(t *testing.T) {
 	}
 }
 
+// TestRunIntraWorldBitIdentity pins the worlds-scarce regime: with
+// fewer worlds than workers (three worlds at 1, 2 and 8 workers, so
+// some lanes stay idle) the report must stay bit-identical to the
+// sequential configuration for both BFS estimators.
+func TestRunIntraWorldBitIdentity(t *testing.T) {
+	ug := smallUncertain(t)
+	for _, cfg := range []sampling.Config{
+		{Worlds: 3, Seed: 21, Distances: sampling.DistanceExactBFS},
+		{Worlds: 3, Seed: 21, Distances: sampling.DistanceSampledBFS, BFSSources: 16},
+	} {
+		var reps []*sampling.Report
+		for _, workers := range []int{1, 2, 8} {
+			c := cfg
+			c.Workers = workers
+			rep, err := sampling.Run(context.Background(), ug, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reps = append(reps, rep)
+		}
+		for i := 1; i < len(reps); i++ {
+			if !reflect.DeepEqual(reps[0].Samples, reps[i].Samples) {
+				t.Errorf("dist=%d: sample arrays diverge between worker configs 0 and %d", cfg.Distances, i)
+			}
+		}
+	}
+}
+
 // TestRunVectorWorkerCountBitIdentity extends the worker-equivalence
 // check to the vector pipeline behind Figures 2 and 3.
 func TestRunVectorWorkerCountBitIdentity(t *testing.T) {
@@ -199,6 +229,22 @@ func TestRunVectorWorkerCountBitIdentity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(rows1, rows4) {
 		t.Error("RunVector rows differ across worker counts")
+	}
+}
+
+// TestScalarsOfHonorsWorkers pins the satellite fix: the one-shot
+// evaluation's BFS scans now follow cfg.Workers (1 is fully
+// sequential, larger values fan out) with bit-identical results.
+func TestScalarsOfHonorsWorkers(t *testing.T) {
+	g := gen.HolmeKim(randx.New(3), 120, 3, 0.3)
+	for _, distances := range []sampling.DistanceMethod{sampling.DistanceExactBFS, sampling.DistanceSampledBFS} {
+		base := sampling.ScalarsOf(g, sampling.Config{Distances: distances, BFSSources: 16, Workers: 1}, 5)
+		for _, workers := range []int{0, 2, 8} {
+			got := sampling.ScalarsOf(g, sampling.Config{Distances: distances, BFSSources: 16, Workers: workers}, 5)
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("dist=%d workers=%d: scalars diverge from sequential", distances, workers)
+			}
+		}
 	}
 }
 

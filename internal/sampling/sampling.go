@@ -26,7 +26,6 @@ package sampling
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 
 	"uncertaingraph/internal/anf"
@@ -127,15 +126,13 @@ func (c Config) budget() int {
 	return c.Worlds
 }
 
-// loop maps the run onto the shared world loop; a statistic
-// evaluation offers one unit of within-world width per world.
+// loop maps the run onto the shared world loop.
 func (c Config) loop() worldloop.Config {
 	return worldloop.Config{
 		Worlds:   c.budget(),
 		Seed:     c.Seed,
 		Workers:  c.Workers,
 		Adaptive: c.Tolerance > 0,
-		Width:    1,
 		Progress: c.Progress,
 	}
 }
@@ -185,21 +182,13 @@ type Scratch struct {
 	bfs     *bfs.Scratch
 	anf     *anf.Engine
 	anfBits int
-	// intra is the worker budget for the BFS distance scans inside one
-	// ScalarsInto call (0 or 1 means sequential). The world loop raises
-	// it only when queued worlds cannot absorb the whole Workers budget
-	// (see worldloop.Split); ScalarsOf sets it from cfg.Workers directly.
-	// The parallel scans are bit-identical to the sequential ones, so
-	// the value never affects results.
+	// intra is the worker budget of the BFS distance scans inside one
+	// ScalarsInto call (<= 0 selects GOMAXPROCS). NewScratch sets 1, so
+	// per-world scans run sequentially — the world loop spends Workers
+	// across worlds — while ScalarsOf sets cfg.Workers for its one-shot
+	// scan. The source fan-out is bit-identical to the sequential scan,
+	// so the value never affects results.
 	intra int
-}
-
-// intraWorkers resolves the scratch's intra-scan budget (>= 1).
-func (s *Scratch) intraWorkers() int {
-	if s.intra < 1 {
-		return 1
-	}
-	return s.intra
 }
 
 // NewScratch returns scratch buffers for evaluating statistics under
@@ -210,6 +199,7 @@ func NewScratch(cfg Config) *Scratch {
 		bfs:     bfs.NewScratch(),
 		anf:     anf.NewEngine(anf.Options{Bits: cfg.ANFBits}),
 		anfBits: cfg.ANFBits,
+		intra:   1,
 	}
 }
 
@@ -230,9 +220,6 @@ func ScalarsOf(g *graph.Graph, cfg Config, seed int64) map[string]float64 {
 	var vals [10]float64
 	sc := NewScratch(cfg)
 	sc.intra = cfg.Workers
-	if sc.intra <= 0 {
-		sc.intra = runtime.GOMAXPROCS(0)
-	}
 	ScalarsInto(g, cfg, seed, sc, &vals)
 	out := make(map[string]float64, len(StatNames))
 	for i, name := range StatNames {
@@ -254,9 +241,9 @@ func ScalarsInto(g *graph.Graph, cfg Config, seed int64, sc *Scratch, vals *[10]
 	var dd stats.DistanceDistribution
 	switch cfg.Distances {
 	case DistanceExactBFS:
-		dd = sc.bfs.DistanceDistributionParallel(g, sc.intraWorkers())
+		dd = sc.bfs.DistanceDistribution(g, sc.intra)
 	case DistanceSampledBFS:
-		dd = sc.bfs.SampledDistanceDistributionParallel(g, cfg.BFSSources, randx.New(seed), sc.intraWorkers())
+		dd = sc.bfs.SampledDistanceDistribution(g, cfg.BFSSources, randx.New(seed), sc.intra)
 	default:
 		dd = sc.engine(cfg).DistanceDistribution(g, uint64(seed))
 	}
@@ -275,13 +262,12 @@ type scalarScan struct {
 	scratch []*Scratch // per lane, built on the lane's first world
 }
 
-func (s *scalarScan) ScanWorld(lane, i int, world *graph.Graph, seed int64, intra int) {
+func (s *scalarScan) ScanWorld(lane, i int, world *graph.Graph, seed int64) {
 	sc := s.scratch[lane]
 	if sc == nil {
 		sc = NewScratch(s.cfg)
 		s.scratch[lane] = sc
 	}
-	sc.intra = intra
 	var vals [10]float64
 	ScalarsInto(world, s.cfg, seed, sc, &vals)
 	for k := range s.samples {
@@ -389,7 +375,7 @@ type vectorScan struct {
 	col  []float64 // convergence scratch
 }
 
-func (s *vectorScan) ScanWorld(_, i int, world *graph.Graph, seed int64, _ int) {
+func (s *vectorScan) ScanWorld(_, i int, world *graph.Graph, seed int64) {
 	s.rows[i] = s.fn(world, seed)
 }
 

@@ -157,6 +157,10 @@ func Write(w io.Writer, g *uncertain.Graph) error {
 	if !hostLittleEndian {
 		return errors.New("ugbin: writing requires a little-endian host")
 	}
+	// The section slices below may alias a mapping that LoadMode's
+	// finalizer on g releases; they do not keep g reachable, so pin g
+	// until the last section is written.
+	defer runtime.KeepAlive(g)
 	c := g.Columns()
 	lay, err := layoutFor(int64(g.NumVertices()), int64(g.NumPairs()))
 	if err != nil {

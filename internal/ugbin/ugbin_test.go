@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -362,4 +363,42 @@ func TestDecodeMisalignedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameGraph(t, got, g)
+}
+
+// gcWriter runs a full collection after every write, so a graph whose
+// last reference dies inside Write is finalized while its sections are
+// still being copied out.
+type gcWriter struct{ bytes.Buffer }
+
+func (w *gcWriter) Write(p []byte) (int, error) {
+	n, err := w.Buffer.Write(p)
+	runtime.GC()
+	return n, err
+}
+
+// TestWriteKeepsMappedGraphAlive is the regression for a use-after-
+// unmap: Write's last use of g was the header's NumPairs, and the
+// section slices alias the mapping without keeping g reachable, so a
+// collection during the section writes could run LoadMode's finalizer
+// and unmap memory still being copied (SIGSEGV in memmove).
+func TestWriteKeepsMappedGraphAlive(t *testing.T) {
+	if !mmapSupported {
+		t.Skip("no mmap on this platform")
+	}
+	g := testGraph(t, 20000)
+	want := encode(t, g)
+	path := writeTemp(t, g)
+	for trial := 0; trial < 5; trial++ {
+		mapped, err := LoadMode(path, ModeMmap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w gcWriter
+		if err := Write(&w, mapped); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(w.Bytes(), want) {
+			t.Fatalf("trial %d: encoding the mapped graph differs from the heap encode", trial)
+		}
+	}
 }

@@ -9,9 +9,13 @@
 // The loop owns everything the two engines used to duplicate: the
 // world-seed table, one sampler (a clone of one shared template) and
 // one reseedable RNG per worker lane, the worker clamp, the
-// fixed/adaptive block schedule, the split of the worker budget across
-// worlds versus within a world, Progress and cancellation. Callers keep
-// only their per-world scan, their merge and their convergence test.
+// fixed/adaptive block schedule, Progress and cancellation. Callers
+// keep only their per-world scan, their merge and their convergence
+// test.
+//
+// Parallelism has one axis: the worker budget is spent across worlds,
+// one lane per worker, and every world is scanned sequentially on its
+// lane. A run never uses more lanes than worlds.
 //
 // Determinism: world i's seed is the i-th draw of a master RNG seeded
 // with Config.Seed, so the table is prefix-stable and world i samples
@@ -43,10 +47,9 @@ const Block = 32
 type Scanner interface {
 	// ScanWorld folds world i into lane-owned or world-indexed state.
 	// world aliases the lane's sampler buffers and is valid only for
-	// the call; seed is world i's seed; intra is the within-world
-	// worker budget (1 means sequential) and never affects results.
-	// Calls for one lane never overlap.
-	ScanWorld(lane, i int, world *graph.Graph, seed int64, intra int)
+	// the call; seed is world i's seed. Calls for one lane never
+	// overlap.
+	ScanWorld(lane, i int, world *graph.Graph, seed int64)
 	// Converged reports, at a block barrier, whether the first done
 	// worlds — scanned on lanes lanes — meet the run's tolerance.
 	Converged(lanes, done int) bool
@@ -65,10 +68,6 @@ type Config struct {
 	// Scanner.Converged at each barrier; otherwise the whole budget is
 	// one block with no barrier.
 	Adaptive bool
-	// Width is how many independent walks one world offers to
-	// within-world parallelism: the distinct BFS sources of a query
-	// batch, 1 for a statistic evaluation.
-	Width int
 	// Progress, when non-nil, is invoked after each world with the
 	// number of finished worlds and the budget. Lanes invoke it
 	// concurrently.
@@ -80,28 +79,10 @@ type Config struct {
 // worlds. It is the lane count Loop.Run uses, so callers sizing
 // per-lane state or pricing per-lane memory agree with it.
 func Workers(configured, worlds int) int {
-	return max(1, min(workerBudget(configured), worlds))
-}
-
-func workerBudget(configured int) int {
 	if configured <= 0 {
-		return runtime.GOMAXPROCS(0)
+		configured = runtime.GOMAXPROCS(0)
 	}
-	return configured
-}
-
-// Split returns the within-world worker count for a segment of jobs
-// queued worlds on lanes lanes, under a total worker budget and a
-// per-world width. While width × jobs can absorb the whole budget every
-// walk stays sequential (1): parallelism across worlds is
-// contention-free. When it cannot — a short adaptive tail block, a run
-// of a few worlds — the leftover budget per busy lane goes inside each
-// world.
-func Split(total, lanes, jobs, width int) int {
-	if jobs < 1 || width*jobs >= total {
-		return 1
-	}
-	return max(1, total/max(1, min(lanes, jobs)))
+	return max(1, min(configured, worlds))
 }
 
 // Loop runs the block-scheduled world loop. It keeps its seed table,
@@ -138,8 +119,7 @@ func (l *Loop) Run(ctx context.Context, g *uncertain.Graph, cfg Config, s Scanne
 		ctx = context.Background()
 	}
 	r := cfg.Worlds
-	total := workerBudget(cfg.Workers)
-	lanes := Workers(total, r)
+	lanes := Workers(cfg.Workers, r)
 	l.prepare(g, cfg.Seed, r, lanes)
 	block := r
 	if cfg.Adaptive {
@@ -148,19 +128,18 @@ func (l *Loop) Run(ctx context.Context, g *uncertain.Graph, cfg Config, s Scanne
 	done := 0
 	for done < r {
 		end := min(done+block, r)
-		intra := Split(total, lanes, end-done, cfg.Width)
 		if lanes == 1 {
 			for i := done; i < end; i++ {
 				if err := ctx.Err(); err != nil {
 					return done, err
 				}
-				l.scan(s, 0, i, intra)
+				l.scan(s, 0, i)
 				if cfg.Progress != nil {
 					cfg.Progress(i+1, r)
 				}
 			}
 		} else {
-			l.runParallel(ctx, s, cfg, min(lanes, end-done), done, end, intra)
+			l.runParallel(ctx, s, cfg, min(lanes, end-done), done, end)
 		}
 		if err := ctx.Err(); err != nil {
 			return done, err
@@ -177,11 +156,11 @@ func (l *Loop) Run(ctx context.Context, g *uncertain.Graph, cfg Config, s Scanne
 // joins them all, which is what makes the block boundary a barrier. It
 // is separate from Run so the closure's captures never force the
 // one-lane path to allocate.
-func (l *Loop) runParallel(ctx context.Context, s Scanner, cfg Config, lanes, base, end, intra int) {
+func (l *Loop) runParallel(ctx context.Context, s Scanner, cfg Config, lanes, base, end int) {
 	var finished atomic.Int64
 	// Run reads ctx.Err() itself once every lane has joined.
 	_ = parallel.ForWorkers(ctx, end-base, lanes, func(k, j int) {
-		l.scan(s, k, base+j, intra)
+		l.scan(s, k, base+j)
 		if cfg.Progress != nil {
 			cfg.Progress(base+int(finished.Add(1)), cfg.Worlds)
 		}
@@ -189,12 +168,12 @@ func (l *Loop) runParallel(ctx context.Context, s Scanner, cfg Config, lanes, ba
 }
 
 // scan materializes world i on lane k and hands it to s.
-func (l *Loop) scan(s Scanner, k, i, intra int) {
+func (l *Loop) scan(s Scanner, k, i int) {
 	ln := &l.lanes[k]
 	// Reseeding replays exactly the stream randx.New(seed) would
 	// produce, without constructing a new generator.
 	ln.rng.Seed(l.seeds[i])
-	s.ScanWorld(k, i, ln.sampler.Sample(ln.rng), l.seeds[i], intra)
+	s.ScanWorld(k, i, ln.sampler.Sample(ln.rng), l.seeds[i])
 }
 
 // prepare derives the seed table for r worlds and readies lanes lanes,

@@ -45,7 +45,7 @@ func newRecorder(worlds int) *recorder {
 	return &recorder{seeds: make([]int64, worlds), edges: make([]int, worlds), barrierOK: true}
 }
 
-func (r *recorder) ScanWorld(_, i int, world *graph.Graph, seed int64, _ int) {
+func (r *recorder) ScanWorld(_, i int, world *graph.Graph, seed int64) {
 	r.seeds[i] = seed
 	r.edges[i] = world.NumEdges()
 	r.scanned.Add(1)
@@ -152,7 +152,7 @@ func newCanceller(cancel context.CancelFunc, at int) *canceller {
 	return &canceller{cancel: cancel, cancelAt: at, cancelled: make(chan struct{})}
 }
 
-func (c *canceller) ScanWorld(_, i int, _ *graph.Graph, _ int64, _ int) {
+func (c *canceller) ScanWorld(_, i int, _ *graph.Graph, _ int64) {
 	c.inFlight.Add(1)
 	defer c.inFlight.Add(-1)
 	switch {
@@ -207,8 +207,8 @@ func TestCancelJoinsLanes(t *testing.T) {
 // counter is an allocation-free Scanner, safe on concurrent lanes.
 type counter struct{ n atomic.Int64 }
 
-func (c *counter) ScanWorld(int, int, *graph.Graph, int64, int) { c.n.Add(1) }
-func (c *counter) Converged(int, int) bool                      { return false }
+func (c *counter) ScanWorld(int, int, *graph.Graph, int64) { c.n.Add(1) }
+func (c *counter) Converged(int, int) bool                 { return false }
 
 // TestOneLaneZeroAllocs pins the steady state of the serving path: a
 // reused Loop on one lane allocates nothing per run, fixed or
@@ -262,64 +262,6 @@ func TestProgressCountsEveryWorld(t *testing.T) {
 	if calls != 70 || last != 70 {
 		t.Errorf("Progress called %d times, max done %d; want 70 and 70", calls, last)
 	}
-}
-
-// TestSplit pins the one split rule: the budget goes across worlds
-// while width × queued worlds can absorb it and spills inside each
-// world per busy lane when it cannot.
-func TestSplit(t *testing.T) {
-	cases := []struct {
-		total, lanes, jobs, width, want int
-	}{
-		{8, 8, 738, 1, 1},  // worlds plentiful: all budget across worlds
-		{8, 8, 4, 1, 2},    // 1 walk × 4 worlds < 8: 2 workers per walk
-		{64, 64, 1, 1, 64}, // single world: whole budget inside it
-		{1, 1, 1, 1, 1},    // no budget to spill
-		{8, 8, 0, 1, 1},    // empty segment degenerates safely
-		{8, 8, 4, 3, 1},    // 3 walks × 4 worlds >= 8: across worlds
-		{8, 8, 2, 3, 4},    // 3 walks × 2 worlds < 8: 4 per walk
-		{16, 4, 2, 5, 8},   // lanes above jobs clamp to the busy ones
-	}
-	for _, c := range cases {
-		if got := Split(c.total, c.lanes, c.jobs, c.width); got != c.want {
-			t.Errorf("Split(total=%d, lanes=%d, jobs=%d, width=%d) = %d, want %d",
-				c.total, c.lanes, c.jobs, c.width, got, c.want)
-		}
-	}
-
-	// The loop applies the rule per segment: 2 worlds on an 8-worker
-	// budget put 4 workers inside each world. A 40-world adaptive run
-	// keeps its 32-world block and its 8-world tail sequential (8 tail
-	// worlds fill the 8-worker budget); a 36-world run spills 2 workers
-	// into each of its 4 tail worlds.
-	for _, c := range []struct {
-		cfg  Config
-		want []int
-	}{
-		{Config{Worlds: 2, Workers: 8, Width: 1}, []int{4, 4}},
-		{Config{Worlds: 40, Workers: 8, Width: 1, Adaptive: true}, append(repeat(1, 32), repeat(1, 8)...)},
-		{Config{Worlds: 36, Workers: 8, Width: 1, Adaptive: true}, append(repeat(1, 32), repeat(2, 4)...)},
-	} {
-		rec := &intraRecorder{intra: make([]int, c.cfg.Worlds)}
-		run(t, ring(t, 40, 0.5), c.cfg, rec)
-		if !reflect.DeepEqual(rec.intra, c.want) {
-			t.Errorf("%+v: per-world split %v, want %v", c.cfg, rec.intra, c.want)
-		}
-	}
-}
-
-// intraRecorder records the within-world split each world was given.
-type intraRecorder struct{ intra []int }
-
-func (r *intraRecorder) ScanWorld(_, i int, _ *graph.Graph, _ int64, intra int) { r.intra[i] = intra }
-func (r *intraRecorder) Converged(int, int) bool                                { return false }
-
-func repeat(v, n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }
 
 // TestWorkersClamp pins the worker clamp shared by the engines and

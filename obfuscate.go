@@ -78,11 +78,8 @@ func ObfuscationLevels(ug *UncertainGraph, originalDegrees []int) []float64 {
 		adversary.UncertainModel{G: ug}, originalDegrees)
 }
 
-// NewRand returns a reproducible random source for the package's
-// remaining *rand.Rand-taking primitives (graph generators,
-// SampleWorld, the perturbation baselines).
-//
-// Deprecated: the context-first entry points take WithSeed instead of a
-// generator; NewRand remains for the primitives above and for one
-// release of compatibility.
+// NewRand returns a reproducible random source for the primitives that
+// draw many values from one stream: the graph generators, SampleWorld
+// and the perturbation baselines. The context-first entry points take
+// WithSeed instead.
 func NewRand(seed int64) *rand.Rand { return randx.New(seed) }

@@ -105,12 +105,10 @@ func WithSeed(seed uint64) Option {
 
 // WithWorkers bounds the operation's concurrency. 0 selects GOMAXPROCS;
 // negative counts are rejected with ErrBadConfig. Results never depend
-// on the value — workers trade wall-clock time only. The budget spans
-// both parallelism axes: world-sampling operations spend it across
-// sampled worlds while enough worlds are queued to absorb it, and
-// spill the leftover into each world's frontier-parallel BFS when they
-// are not (see the package comment and the README's "Intra-world
-// parallelism" subsection).
+// on the value — workers trade wall-clock time only. World-sampling
+// operations spend the budget across sampled worlds, one worker per
+// world in flight and never more workers than worlds; each world is
+// walked sequentially.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -269,11 +267,10 @@ func WithEps(eps float64) Option {
 // SigmaInit, MaxSigma, ExactThreshold, Property, DisableHExclusion).
 // The shared options — WithSeed, WithWorkers, WithProgress — and WithK/
 // WithEps override the corresponding fields regardless of option
-// order. A params struct carrying a negative Workers or Trials count,
-// or the deprecated Rng field, is rejected with ErrBadConfig: under
-// the v2 determinism contract all randomness derives from the seed. So
-// is a NaN or infinite C, Delta, SigmaInit or MaxSigma; zero still
-// selects each default, and a finite C below 1 is still raised to 1.
+// order. A params struct carrying a negative Workers or Trials count
+// is rejected with ErrBadConfig, and so is a NaN or infinite C, Delta,
+// SigmaInit or MaxSigma; zero still selects each default, and a finite
+// C below 1 is still raised to 1.
 func WithObfuscation(p ObfuscationParams) Option {
 	return func(s *settings) error {
 		if p.Workers < 0 {
@@ -284,9 +281,6 @@ func WithObfuscation(p ObfuscationParams) Option {
 		}
 		if name, v := core.NonFinite(p); name != "" {
 			return badConfig("ObfuscationParams.%s = %v must be finite (0 selects the default)", name, v)
-		}
-		if p.Rng != nil {
-			return badConfig("ObfuscationParams.Rng is not supported by the option API; use WithSeed")
 		}
 		s.obf = p
 		s.obfSet = true

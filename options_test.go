@@ -59,11 +59,6 @@ func TestErrBadConfig(t *testing.T) {
 				ug.WithObfuscation(ug.ObfuscationParams{Workers: -3}))
 			return err
 		}()},
-		{"params rng rejected", func() error {
-			_, err := ug.Obfuscate(ctx, g, ug.WithK(2), ug.WithEps(0.3),
-				ug.WithObfuscation(ug.ObfuscationParams{Rng: ug.NewRand(1)}))
-			return err
-		}()},
 		{"k smuggled through params", func() error {
 			_, err := ug.Obfuscate(ctx, g,
 				ug.WithObfuscation(ug.ObfuscationParams{K: 0.5, Eps: 0.3}))

@@ -1,33 +1,6 @@
 package uncertaingraph
 
-import (
-	"math/rand"
-
-	"uncertaingraph/internal/query"
-)
-
-// QueryEngine answers analytical queries over a published uncertain
-// graph one query at a time. It is a documented shim over QueryBatch:
-// every method registers a single query on a reusable batch and runs
-// it without cancellation, deriving a fresh decorrelated world stream
-// per call.
-//
-// Deprecated: use QueryBatch (NewQueryBatch + Run(ctx)) — it shares
-// worlds and BFS trees across queries and supports request-scoped
-// cancellation. QueryEngine remains for one release of compatibility.
-type QueryEngine = query.Engine
-
-// NewQueryEngine returns an engine over g sampling the given number of
-// worlds (0 selects the Hoeffding default, 738 worlds for ±0.05 at 95%
-// confidence on probability estimates). With a nil rng the engine
-// derives a reproducible, decorrelated world stream per query from its
-// Seed field; an explicit rng seeds each query by one Int63 draw.
-//
-// Deprecated: use NewQueryBatch. NewQueryEngine remains for one
-// release of compatibility.
-func NewQueryEngine(g *UncertainGraph, worlds int, rng *rand.Rand) *QueryEngine {
-	return &query.Engine{G: g, Worlds: worlds, Rng: rng}
-}
+import "uncertaingraph/internal/query"
 
 // QueryBatch evaluates many queries against one shared set of sampled
 // worlds: each world is materialized once, one BFS runs per distinct

@@ -102,7 +102,10 @@ func TestRaceConcurrentQuerydRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &qserve.Server{G: pub, Worlds: 60, Workers: 4, Seed: 3}
+	srv := &qserve.Server{DefaultGraph: "default", Worlds: 60, Workers: 4, Seed: 3}
+	if _, err := srv.PublishGraph("default", pub, qserve.GraphConfig{}); err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -162,8 +165,8 @@ func TestRaceParallelScans(t *testing.T) {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		// bfs fans the sampled sources out over GOMAXPROCS workers.
-		dd := bfs.SampledDistanceDistribution(g, 32, ug.NewRand(4))
+		// bfs fans the sampled sources out over four workers.
+		dd := bfs.NewScratch().SampledDistanceDistribution(g, 32, ug.NewRand(4), 4)
 		if dd.AvgDistance() <= 0 {
 			t.Error("sampled BFS produced no distances")
 		}
