@@ -68,7 +68,9 @@ bench:
 
 # Package benchmarks, each appended as a JSON record to BENCH_<name>.json
 # by one shared recipe (below): bench-<name> sets the package, the
-# benchmark regexp and the iteration count.
+# benchmark regexp and the iteration count. Every benchmark runs five
+# times; benchfmt records its median with the min and max, and warns
+# (never fails) when a median is >10% above the previous record's.
 #
 # bench-sampling: the possible-world engine (the first record in
 # BENCH_sampling.json is the pre-refactor baseline; see README "Graph
@@ -76,13 +78,16 @@ bench:
 bench-sampling: BENCH_PKG = ./internal/sampling
 bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$
 bench-sampling: BENCH_TIME = 3x
-# bench-query: a request-shaped batch of mixed queries, plus the
-# reliability-only early-exit pair (bit-identical answers). The
-# BatchQueries line must report 0 allocs/op: the per-world query loop
-# is allocation-free once warm.
+# bench-query: a request-shaped batch of mixed queries, the
+# reliability-only early-exit pair (bit-identical answers), and one
+# queryd cache miss at its shipped shape (738 worlds on an obfuscated
+# dblp-tiny release, 1-4 queries per request; 16x covers its request
+# cycle once per run; serve-novel's tolerance re-asks, which run
+# adaptive blocks, are not modelled). The BatchQueries line must report
+# 0 allocs/op: the per-world query loop is allocation-free once warm.
 bench-query: BENCH_PKG = ./internal/query
-bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$
-bench-query: BENCH_TIME = 3x
+bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$|BenchmarkBatchServeShaped$$
+bench-query: BENCH_TIME = 16x
 # bench-obfuscate: sequential vs parallel full Algorithm 1 runs on the
 # ~5k-vertex stand-in.
 bench-obfuscate: BENCH_PKG = .
@@ -109,7 +114,7 @@ bench-io: BENCH_TIME = 10x
 $(BENCH_TARGETS): bench-%:
 	@tmp="$$(mktemp)"; \
 	$(GO) test -run '^$$' -bench '$(BENCH_RE)' \
-		-benchmem -benchtime $(BENCH_TIME) $(BENCH_PKG) > "$$tmp" 2>&1; \
+		-benchmem -benchtime $(BENCH_TIME) -count 5 $(BENCH_PKG) > "$$tmp" 2>&1; \
 	status=$$?; \
 	if [ $$status -ne 0 ]; then cat "$$tmp"; rm -f "$$tmp"; exit $$status; fi; \
 	$(GO) run ./cmd/benchfmt -label "$(BENCH_LABEL)" -file BENCH_$*.json < "$$tmp"; \

@@ -121,3 +121,85 @@ func TestAppendHistoryRefusesCorruptFile(t *testing.T) {
 		t.Errorf("corrupt file was rewritten: %s", data)
 	}
 }
+
+// countOutput is what `go test -count 5` prints: every run of one
+// benchmark on its own line, one benchmark after the other.
+const countOutput = `cpu: Intel(R) Xeon(R) Processor
+BenchmarkA-2   	      16	       300 ns/op	       7.0 worlds/op	     100 B/op	       0 allocs/op
+BenchmarkA-2   	      16	       100 ns/op	       5.0 worlds/op	     100 B/op	       0 allocs/op
+BenchmarkA-2   	      16	       500 ns/op	       9.0 worlds/op	     164 B/op	       2 allocs/op
+BenchmarkA-2   	      16	       200 ns/op	       6.0 worlds/op	     100 B/op	       0 allocs/op
+BenchmarkA-2   	      16	       400 ns/op	       8.0 worlds/op	     100 B/op	       0 allocs/op
+BenchmarkB-2   	    1000	        10 ns/op
+BenchmarkB-2   	    1200	        20 ns/op
+PASS
+`
+
+func TestParseRunFoldsRepeatedRuns(t *testing.T) {
+	run, err := parseRun("count", strings.NewReader(countOutput), &strings.Builder{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(run.Benchmarks) != 2 || run.Benchmarks[0].Name != "BenchmarkA" || run.Benchmarks[1].Name != "BenchmarkB" {
+		t.Fatalf("want one entry per benchmark in first-appearance order, got %+v", run.Benchmarks)
+	}
+	a := run.Benchmarks[0]
+	if a.NsPerOp != 300 || a.MinNsPerOp != 100 || a.MaxNsPerOp != 500 || a.Runs != 5 || a.Iterations != 16 {
+		t.Errorf("BenchmarkA folded to %+v, want median 300, min 100, max 500 over 5 runs of 16", a)
+	}
+	if a.BytesPerOp != 164 || a.AllocsPerOp != 2 {
+		t.Errorf("BenchmarkA memory %d B/op, %d allocs/op; want the largest run's 164 and 2", a.BytesPerOp, a.AllocsPerOp)
+	}
+	if a.Metrics["worlds/op"] != 7 {
+		t.Errorf("BenchmarkA worlds/op %v, want the median 7", a.Metrics["worlds/op"])
+	}
+	b := run.Benchmarks[1]
+	if b.NsPerOp != 15 || b.MinNsPerOp != 10 || b.MaxNsPerOp != 20 || b.Runs != 2 || b.Iterations != 1000 {
+		t.Errorf("BenchmarkB folded to %+v, want median 15 (mean of the middle two), min 10, max 20 over 2 runs", b)
+	}
+}
+
+func TestCompareRunsWarnsOnMedianRegression(t *testing.T) {
+	prev := Run{Label: "parent", Benchmarks: []Benchmark{
+		{Name: "BenchmarkSlower", NsPerOp: 100},
+		{Name: "BenchmarkAtBound", NsPerOp: 100},
+		{Name: "BenchmarkFaster", NsPerOp: 100},
+		{Name: "BenchmarkGone", NsPerOp: 100},
+	}}
+	run := Run{Label: "change", Benchmarks: []Benchmark{
+		{Name: "BenchmarkSlower", NsPerOp: 111},
+		{Name: "BenchmarkAtBound", NsPerOp: 110},
+		{Name: "BenchmarkFaster", NsPerOp: 50},
+		{Name: "BenchmarkNew", NsPerOp: 1e9},
+	}}
+	var w strings.Builder
+	if n := compareRuns(prev, run, &w); n != 1 {
+		t.Fatalf("compareRuns warned %d times, want 1:\n%s", n, w.String())
+	}
+	msg := w.String()
+	if !strings.Contains(msg, "BenchmarkSlower") || !strings.Contains(msg, "11.0%") || !strings.Contains(msg, "parent") {
+		t.Errorf("warning does not name the benchmark, the slowdown and the previous record: %q", msg)
+	}
+}
+
+// TestRecordCompareWarnsAndAppends pins record's comparison: the first
+// record of a file warns about nothing, a regressed median produces a
+// warning, and the run is still appended without error (CI warns,
+// never fails).
+func TestRecordCompareWarnsAndAppends(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "BENCH_test.json")
+	var warn strings.Builder
+	if _, n, err := record("first", file, strings.NewReader(countOutput), &strings.Builder{}, &warn); err != nil || n != 1 {
+		t.Fatalf("first record: n=%d err=%v", n, err)
+	}
+	if warn.Len() != 0 {
+		t.Errorf("first record of a file warned: %q", warn.String())
+	}
+	slower := strings.ReplaceAll(countOutput, "       300 ns/op", "       900 ns/op")
+	if _, n, err := record("second", file, strings.NewReader(slower), &strings.Builder{}, &warn); err != nil || n != 2 {
+		t.Fatalf("second record: n=%d err=%v", n, err)
+	}
+	if !strings.Contains(warn.String(), "BenchmarkA median 400 ns/op") || strings.Contains(warn.String(), "BenchmarkB") {
+		t.Errorf("want one warning, for BenchmarkA's median rising 300 -> 400 ns/op; got %q", warn.String())
+	}
+}

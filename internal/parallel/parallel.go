@@ -7,6 +7,8 @@ package parallel
 
 import (
 	"context"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
@@ -75,6 +77,13 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // one in-flight iteration per worker; all goroutines are joined before
 // ForWorkers returns, and the context's error is returned. A nil ctx
 // never cancels.
+//
+// A panic in fn stays on ForWorkers' side of the call: workers skip
+// every index after the first panic, and once all are joined the first
+// panic is re-raised on the calling goroutine as a *WorkerPanic, so
+// the caller can recover it like a panic of its own. (A panic on a bare
+// worker goroutine would end the process.) With one worker fn runs
+// inline and its panics propagate unchanged.
 func ForWorkers(ctx context.Context, n, workers int, fn func(worker, i int)) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -89,15 +98,16 @@ func ForWorkers(ctx context.Context, n, workers int, fn func(worker, i int)) err
 	}
 	next := make(chan int)
 	var wg sync.WaitGroup
+	var first firstPanic
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := range next {
-				if ctx.Err() != nil {
+				if ctx.Err() != nil || first.failed.Load() {
 					continue // drain the channel without doing work
 				}
-				fn(w, i)
+				first.call(fn, w, i)
 			}
 		}(w)
 	}
@@ -111,5 +121,39 @@ dispatch:
 	}
 	close(next)
 	wg.Wait()
+	if first.failed.Load() {
+		panic(first.p)
+	}
 	return ctx.Err()
+}
+
+// WorkerPanic is what ForWorkers re-raises on its caller's goroutine
+// when fn panicked on a worker goroutine: the panic value and the
+// worker's stack at the panic.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("parallel: worker panicked: %v\n\n%s", p.Value, p.Stack)
+}
+
+// firstPanic records the first panic of a ForWorkers loop. p is
+// written only by the worker that set failed, and read only after
+// every worker has joined.
+type firstPanic struct {
+	failed atomic.Bool
+	p      *WorkerPanic
+}
+
+// call runs fn(w, i), recording a panic instead of letting it end the
+// worker goroutine.
+func (f *firstPanic) call(fn func(worker, i int), w, i int) {
+	defer func() {
+		if v := recover(); v != nil && f.failed.CompareAndSwap(false, true) {
+			f.p = &WorkerPanic{Value: v, Stack: debug.Stack()}
+		}
+	}()
+	fn(w, i)
 }

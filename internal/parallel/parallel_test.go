@@ -2,6 +2,8 @@ package parallel
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -77,4 +79,75 @@ func TestForCtxPreCancelled(t *testing.T) {
 	if err := ForCtx(ctx, 10, 3, func(int) { t.Error("fn ran under a dead context") }); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
+}
+
+// TestForWorkersReraisesWorkerPanic pins the panic contract: a panic
+// on a worker goroutine reaches ForWorkers' caller as a *WorkerPanic
+// carrying the value and the worker's stack, only after every worker
+// has joined, and with later indices skipped — including when every
+// call panics, which must not leave the dispatcher blocked.
+func TestForWorkersReraisesWorkerPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		panics  func(i int) bool
+	}{
+		{"one index", 4, func(i int) bool { return i == 37 }},
+		{"every index", 3, func(int) bool { return true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var running, ran atomic.Int64
+			var returned atomic.Bool
+			caught := func() (v any) {
+				defer func() { v = recover() }()
+				_ = ForWorkers(context.Background(), 200, tc.workers, func(_, i int) {
+					running.Add(1)
+					defer running.Add(-1)
+					if returned.Load() {
+						t.Error("fn ran after ForWorkers returned")
+					}
+					ran.Add(1)
+					if tc.panics(i) {
+						panic(fmt.Sprintf("boom at %d", i))
+					}
+				})
+				return nil
+			}()
+			returned.Store(true)
+			wp, ok := caught.(*WorkerPanic)
+			if !ok {
+				t.Fatalf("recovered %T (%v), want *WorkerPanic", caught, caught)
+			}
+			if s, _ := wp.Value.(string); !strings.HasPrefix(s, "boom at ") || len(wp.Stack) == 0 {
+				t.Errorf("WorkerPanic value %v, %d stack bytes; want the panic value and a stack", wp.Value, len(wp.Stack))
+			}
+			if !strings.Contains(wp.Error(), "boom at ") {
+				t.Errorf("Error() = %q, want it to carry the panic value", wp.Error())
+			}
+			if running.Load() != 0 {
+				t.Errorf("%d calls still running when the panic was re-raised", running.Load())
+			}
+			// After a panic every worker skips what it claims next, so
+			// when every call panics each worker makes at most one.
+			if tc.name == "every index" && ran.Load() > int64(tc.workers) {
+				t.Errorf("%d calls ran on %d workers although every call panicked", ran.Load(), tc.workers)
+			}
+		})
+	}
+}
+
+// TestForWorkersInlinePanicPropagates pins the one-worker path: fn
+// runs on the caller's goroutine, so its panic arrives unwrapped.
+func TestForWorkersInlinePanicPropagates(t *testing.T) {
+	defer func() {
+		if v := recover(); v != "inline" {
+			t.Errorf("recovered %v, want the original panic value", v)
+		}
+	}()
+	_ = ForWorkers(context.Background(), 5, 1, func(_, i int) {
+		if i == 2 {
+			panic("inline")
+		}
+	})
+	t.Error("ForWorkers returned normally")
 }

@@ -55,11 +55,14 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"log"
 	"math"
 	"net/http"
 	"path"
+	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"uncertaingraph/internal/query"
 	"uncertaingraph/internal/randx"
@@ -160,6 +163,12 @@ type Server struct {
 	initOnce sync.Once
 	reg      *Registry
 	cache    *resultCache
+	// panics counts batch computations that panicked; /healthz
+	// reports it.
+	panics atomic.Uint64
+	// beforeRun, when non-nil, sees every batch just before it runs:
+	// the fault-injection point of the panic tests.
+	beforeRun func(*query.Batch)
 }
 
 // init builds the registry on first use. The registry's pool hook
@@ -349,7 +358,10 @@ type healthResponse struct {
 	// ResultCache reports the result cache's occupancy and hit/miss/
 	// coalescing counters (Enabled false when the cache is off).
 	ResultCache ResultCacheStats `json:"result_cache"`
-	Graphs      []GraphStats     `json:"graphs"`
+	// ComputePanics counts batch computations that panicked and were
+	// answered with 500.
+	ComputePanics uint64       `json:"compute_panics"`
+	Graphs        []GraphStats `json:"graphs"`
 }
 
 // graphListResponse is the body of GET /graphs.
@@ -463,6 +475,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		DefaultGraph:  s.defaultName(),
 		Registry:      totals,
 		ResultCache:   s.resultCacheStats(),
+		ComputePanics: s.panics.Load(),
 		Graphs:        graphs,
 	}
 	if st, ok := s.reg.GraphStatsFor(s.defaultName()); ok {
@@ -718,7 +731,8 @@ func (s *Server) serve(ctx context.Context, w http.ResponseWriter, name string, 
 // runFlight computes one flight's answer on the leader's goroutine —
 // detached from any single request, cancelled only when every attached
 // request has gone — and settles it for all waiters, storing complete
-// 200 bodies in the cache.
+// 200 bodies in the cache. A computation that panics settles the flight
+// with compute's 500, which is never stored.
 func (s *Server) runFlight(key, name string, req *BatchRequest, worlds int, seed int64, tol float64, f *flight) {
 	s.cache.computed()
 	status, body, abandoned := s.compute(f.ctx, name, req, worlds, seed, tol)
@@ -733,7 +747,23 @@ func (s *Server) runFlight(key, name string, req *BatchRequest, worlds int, seed
 // resolved request through a pooled batch and renders the response to
 // bytes. It returns abandoned=true — no status, no body — when ctx
 // cancelled the run: nobody is listening.
+//
+// A panic during the computation — on this goroutine, or on a world
+// loop lane, whose panics parallel.ForWorkers re-raises here — is
+// logged, counted and answered with 500. The panic skips the batch's
+// return to the pool, so its half-run state is dropped, not reused.
+// Recovering here rather than leaving it to net/http matters for the
+// cache's flights, which run on goroutines of their own: a panic there
+// would end the process and every tenant's requests with it.
 func (s *Server) compute(ctx context.Context, name string, req *BatchRequest, worlds int, seed int64, tol float64) (status int, body []byte, abandoned bool) {
+	defer func() {
+		if v := recover(); v != nil {
+			s.panics.Add(1)
+			log.Printf("qserve: graph %q: batch computation panicked: %v\n%s", name, v, debug.Stack())
+			status, body, abandoned = http.StatusInternalServerError,
+				encodeJSON(errorResponse{Error: "internal error: the batch computation panicked"}), false
+		}
+	}()
 	h, err := s.reg.acquire(name)
 	if err != nil {
 		// The graph vanished between peek and acquire, or a path-backed
@@ -767,6 +797,9 @@ func (s *Server) compute(ctx context.Context, name string, req *BatchRequest, wo
 	// Always stamped, never merely defaulted: the batch is pooled, so a
 	// previous request's tolerance must not leak into this one.
 	b.Tolerance = tol
+	if s.beforeRun != nil {
+		s.beforeRun(b)
+	}
 	if err = b.Run(ctx); err != nil {
 		h.pool.Put(b)
 		// The usual cause: the client dropped (or the server is

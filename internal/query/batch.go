@@ -49,9 +49,10 @@ type Config struct {
 	Seed int64
 	// Workers bounds concurrent world evaluations (<= 0 selects
 	// GOMAXPROCS; never more than the world count): each worker owns
-	// one sampler, one reseedable RNG and one BFS scratch, and walks
-	// its worlds sequentially. Per-world contributions are integer
-	// counts, so the merged results are bit-identical for every value.
+	// one sampler (with its own reseedable source) and one BFS
+	// scratch, and walks its worlds sequentially. Per-world
+	// contributions are integer counts, so the merged results are
+	// bit-identical for every value.
 	Workers int
 	// MemoryBudget, when positive, bounds the batch's accumulator
 	// memory in bytes: Run rejects a query set whose worst-case k-NN
@@ -129,8 +130,7 @@ type Batch struct {
 	fullBFS bool
 
 	// Run machinery, lazily built and reused across runs: the shared
-	// world loop (seeds, samplers, RNGs) and one accumulator set per
-	// lane.
+	// world loop (seeds, samplers) and one accumulator set per lane.
 	loop worldloop.Loop
 	ws   []*worker
 

@@ -184,10 +184,16 @@ func runDblpBatch(tb testing.TB, g *uncertain.Graph, workers int) batchResults {
 }
 
 func runDblpBatchBFS(tb testing.TB, g *uncertain.Graph, workers int, fullBFS bool) batchResults {
-	pairs := [][2]int{{0, 13}, {7, 200}, {99, 100}, {250, 251}, {3, 565}}
-	sources := []struct{ s, k int }{{0, 5}, {42, 8}, {123, 3}}
 	b := NewBatch(g, Config{Worlds: 40, Seed: 17, Workers: workers})
 	b.fullBFS = fullBFS
+	return dblpAnswers(tb, b)
+}
+
+// dblpAnswers registers the dblp fixture's query mix on b, runs it and
+// collects every answer.
+func dblpAnswers(tb testing.TB, b *Batch) batchResults {
+	pairs := [][2]int{{0, 13}, {7, 200}, {99, 100}, {250, 251}, {3, 565}}
+	sources := []struct{ s, k int }{{0, 5}, {42, 8}, {123, 3}}
 	var relIDs, distIDs, knnIDs []int
 	for _, p := range pairs {
 		relIDs = append(relIDs, b.AddReliability(p[0], p[1]))

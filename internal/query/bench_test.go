@@ -1,6 +1,13 @@
 package query
 
-import "testing"
+import (
+	"testing"
+
+	"uncertaingraph/internal/core"
+	"uncertaingraph/internal/datasets"
+	"uncertaingraph/internal/randx"
+	"uncertaingraph/internal/uncertain"
+)
 
 // benchSink keeps the compiler from eliding result extraction.
 var benchSink float64
@@ -87,5 +94,78 @@ func BenchmarkBatchReliabilityOnlyFullBFS(b *testing.B) {
 		batch.Seed = int64(i % 16)
 		mustRun(b, batch)
 		benchSink = batch.Reliability(0)
+	}
+}
+
+// serveRequest is one request of the serve-shaped benchmark: its
+// queries (kind, source, target) and its world seed.
+type serveRequest struct {
+	queries []qmeta
+	seed    int64
+}
+
+// serveShapedFixture builds the serving shape queryd runs in
+// production: a dblp-tiny release obfuscated the way the end-to-end
+// harness releases its tenants (one Algorithm 2 probe at σ 0.3,
+// k 10, ε 0.1), and a fixed, seeded cycle of 1–4-query requests, each
+// query a reliability, distance or 10-NN query with probability 1/3
+// over uniform vertices, with t ≠ s as the harness draws them.
+func serveShapedFixture(b *testing.B) (*uncertain.Graph, []serveRequest) {
+	d, err := datasets.Generate(datasets.Specs[0], datasets.ScaleTiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	att := core.GenerateObfuscation(d.Graph, 0.3, core.Params{K: 10, Eps: 0.1, Seed: 1})
+	if att.Failed() {
+		b.Fatal("no (k=10, eps=0.1)-obfuscation of dblp tiny at sigma 0.3")
+	}
+	n := att.G.NumVertices()
+	rng := randx.New(17)
+	reqs := make([]serveRequest, 16)
+	for i := range reqs {
+		qs := make([]qmeta, 1+rng.Intn(4))
+		for j := range qs {
+			q := qmeta{kind: qkind(rng.Intn(3)), s: int32(rng.Intn(n)), k: 10}
+			if q.kind != qKNearest {
+				q.t = (q.s + 1 + int32(rng.Intn(n-1))) % int32(n)
+			}
+			qs[j] = q
+		}
+		reqs[i] = serveRequest{queries: qs, seed: rng.Int63()}
+	}
+	return att.G, reqs
+}
+
+// BenchmarkBatchServeShaped measures one queryd cache miss at its
+// shipped shape: DefaultWorlds (738) worlds on one worker over the
+// release above, each op one request of the cycle, run through one
+// reused batch with Reset between requests as a pooled batch is. Run
+// it with -benchtime 16x to cover the cycle once per measurement. The
+// end-to-end serve-novel mix also re-asks a quarter of its requests
+// with a tolerance, which runs adaptive blocks; those re-asks are not
+// modelled here.
+func BenchmarkBatchServeShaped(b *testing.B) {
+	g, reqs := serveShapedFixture(b)
+	batch := NewBatch(g, Config{Worlds: DefaultWorlds(), Workers: 1})
+	run := func(r serveRequest) {
+		batch.Reset()
+		for _, q := range r.queries {
+			switch q.kind {
+			case qReliability:
+				batch.AddReliability(int(q.s), int(q.t))
+			case qDistance:
+				batch.AddDistance(int(q.s), int(q.t))
+			case qKNearest:
+				batch.AddKNearest(int(q.s), int(q.k))
+			}
+		}
+		batch.Seed = r.seed
+		mustRun(b, batch)
+	}
+	run(reqs[0]) // builds the sampling template and the BFS scratch
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run(reqs[i%len(reqs)])
 	}
 }

@@ -1,5 +1,7 @@
 // Package randx provides the randomness substrate: reproducible seeded
-// RNG construction and O(1) weighted sampling via Walker's alias method.
+// RNG construction, O(1) weighted sampling via Walker's alias method,
+// and Source, math/rand's generator as a concrete type for the
+// per-world samplers.
 //
 // The obfuscation algorithm (paper Alg. 2) repeatedly draws vertices from
 // the uniqueness-proportional distribution Q while growing the candidate

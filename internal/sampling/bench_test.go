@@ -40,9 +40,9 @@ func benchSeeds() []int64 {
 }
 
 // BenchmarkSampleWorlds measures materializing 100 possible worlds
-// (the paper's r) through one reused Sampler — the steady-state
-// per-world loop of the estimation pipeline, which performs zero heap
-// allocations per world.
+// (the paper's r) through one reused Sampler on the Sample(*rand.Rand)
+// reference path, which performs zero heap allocations per world. The
+// estimation pipeline's world loop samples through SampleSeed instead.
 func BenchmarkSampleWorlds(b *testing.B) {
 	ug := benchPublished(b)
 	seeds := benchSeeds()

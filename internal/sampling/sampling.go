@@ -14,10 +14,10 @@
 //
 // The r-world loop is the evaluation hot path. It runs on the world
 // loop shared with the query engine (internal/worldloop), which gives
-// each worker lane one sampler clone and one reseedable RNG; this
-// package adds one statistic Scratch per lane (BFS dist/queue arrays,
-// HyperANF registers), so the steady-state loop materializes and
-// measures worlds without per-world graph allocations. Results are
+// each worker lane one sampler clone drawing worlds from their seeds;
+// this package adds one statistic Scratch per lane (BFS dist/queue
+// arrays, HyperANF registers), so the steady-state loop materializes
+// and measures worlds without per-world graph allocations. Results are
 // bit-identical for every worker count: world seeds are pre-derived
 // from the master seed, each world's statistics depend only on its
 // seed, and every world writes its own slot of the sample arrays.

@@ -5,26 +5,31 @@ import (
 	"sort"
 
 	"uncertaingraph/internal/graph"
+	"uncertaingraph/internal/randx"
 )
 
 // Sampler materializes possible worlds of one uncertain graph into
-// preallocated CSR buffers: after construction, every Sample call
-// performs zero heap allocations. It is the world engine behind the
-// Monte-Carlo estimation pipeline (paper Section 6.1), where r ≈ 100
-// worlds are sampled per published graph and every statistic is
-// recomputed on each — the hot path that dominates evaluation cost.
+// preallocated CSR buffers: after construction, every Sample and
+// SampleSeed call performs zero heap allocations. It is the world
+// engine behind every possible-world Monte Carlo estimate (paper
+// Section 6.1): statistics on r ≈ 100 worlds per published graph, and
+// every query answered on a release — the hot path that dominates
+// evaluation and serving cost.
 //
 // The trick is a sampling template built once per Sampler: for every
 // vertex, the incident candidate pairs sorted by the opposite
 // endpoint. A world is then materialized in two passes — (1) draw each
 // candidate pair in candidate-list order, exactly the RNG draw order
 // of Graph.SampleWorld, recording presence in a bitmap; (2) walk the
-// template and copy the present neighbors into the world's flat
-// adjacency array, which lands sorted without any per-world sort.
+// template and pack the present neighbors into the world's flat
+// adjacency array, branch-free, which lands sorted without any
+// per-world sort. Sample and SampleSeed differ only in where pass (1)
+// draws its coins: any *rand.Rand, or the sampler's own randx.Source.
 //
 // The returned *graph.Graph is reused: it remains valid only until the
-// next Sample call on the same Sampler. A Sampler is not safe for
-// concurrent use; parallel pipelines hold one Sampler per worker.
+// next Sample or SampleSeed call on the same Sampler. A Sampler is not
+// safe for concurrent use; parallel pipelines hold one Sampler per
+// worker.
 type Sampler struct {
 	g *Graph
 
@@ -38,11 +43,12 @@ type Sampler struct {
 	offsets []int64
 	nbr     []int32
 	world   graph.Graph
+	src     randx.Source // SampleSeed's generator, reseeded per world
 }
 
 // NewSampler builds the sampling template for g. Cost is one sort of
 // the incident lists, O(Σ_v inc(v) log inc(v)); every subsequent
-// Sample is O(|E_C|) with no allocations.
+// Sample or SampleSeed is O(|E_C|) with no allocations.
 func (g *Graph) NewSampler() *Sampler {
 	s := &Sampler{
 		g:       g,
@@ -89,29 +95,69 @@ func (t templateSlots) Swap(i, j int) {
 // one Float64 per candidate pair with 0 < p < 1, in candidate-list
 // order — so for equal RNG states the two produce equal worlds, pinned
 // by TestSamplerMatchesSampleWorld. The returned graph aliases the
-// sampler and is valid until the next Sample call.
+// sampler and is valid until the next Sample or SampleSeed call.
+//
+// Sample is the reference path for any *rand.Rand; the world loop
+// samples through SampleSeed, which draws the same coins without
+// dispatching through rand.Source.
 func (s *Sampler) Sample(rng *rand.Rand) *graph.Graph {
-	probs := s.g.pairP
+	present := s.present
 	m := 0
-	for i := range probs {
-		p := probs[i]
+	for i, p := range s.g.pairP {
 		on := p > 0 && (p >= 1 || rng.Float64() < p)
-		s.present[i] = on
+		present[i] = on
 		if on {
 			m++
 		}
 	}
+	return s.materialize(m)
+}
+
+// SampleSeed draws the world Sample(randx.New(seed)) draws, from the
+// sampler's own randx.Source: the same coins in the same order, each a
+// static call instead of an interface dispatch, after a table-driven
+// reseed. The world loop calls it once per world with that world's
+// pre-derived seed. The returned graph aliases the sampler and is
+// valid until the next Sample or SampleSeed call.
+func (s *Sampler) SampleSeed(seed int64) *graph.Graph {
+	src := &s.src
+	src.Seed(seed)
+	present := s.present
+	m := 0
+	for i, p := range s.g.pairP {
+		on := p > 0 && (p >= 1 || src.Float64() < p)
+		present[i] = on
+		if on {
+			m++
+		}
+	}
+	return s.materialize(m)
+}
+
+// materialize walks the template and packs the present pairs' opposite
+// endpoints into the world's CSR arrays. The pass is branch-free: every
+// slot's neighbor is stored at pos, and pos advances only when the
+// slot's pair is present (a conditional move, not a jump), so the next
+// store overwrites an absent one. nbr[:pos] ends up exactly as a
+// store-if-present loop leaves it, and pos <= k keeps every store
+// inside nbr.
+func (s *Sampler) materialize(m int) *graph.Graph {
+	present, toff, tnbr, tpair := s.present, s.toff, s.tnbr, s.tpair
+	nbr, offsets := s.nbr, s.offsets
 	var pos int64
-	for v := 0; v < s.g.n; v++ {
-		for k := s.toff[v]; k < s.toff[v+1]; k++ {
-			if s.present[s.tpair[k]] {
-				s.nbr[pos] = s.tnbr[k]
+	lo := toff[0]
+	for v := 1; v < len(toff); v++ {
+		hi := toff[v]
+		for k := lo; k < hi; k++ {
+			nbr[pos] = tnbr[k]
+			if present[tpair[k]] {
 				pos++
 			}
 		}
-		s.offsets[v+1] = pos
+		offsets[v] = pos
+		lo = hi
 	}
-	s.world.ResetCSR(s.offsets, s.nbr[:pos], m)
+	s.world.ResetCSR(offsets, nbr[:pos], m)
 	return &s.world
 }
 
@@ -120,10 +166,10 @@ func (s *Sampler) Graph() *Graph { return s.g }
 
 // Clone returns a sampler that shares the receiver's immutable
 // sampling template but owns fresh per-world buffers, so it samples
-// exactly the same worlds from equal RNG states while being safe to
-// drive from another goroutine. Parallel engines build one template
-// (the O(Σ inc(v) log inc(v)) sort) and clone it per worker instead of
-// re-sorting per worker.
+// exactly the same worlds from equal RNG states or seeds while being
+// safe to drive from another goroutine. Parallel engines build one
+// template (the O(Σ inc(v) log inc(v)) sort) and clone it per worker
+// instead of re-sorting per worker.
 func (s *Sampler) Clone() *Sampler {
 	return &Sampler{
 		g:       s.g,

@@ -1,6 +1,7 @@
 package uncertain
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -132,9 +133,77 @@ func TestSamplerCloneSamplesIdenticalWorlds(t *testing.T) {
 	}
 }
 
+// TestSampleSeedMatchesSample pins the devirtualized draw path:
+// SampleSeed(seed) must produce exactly the world Sample draws from
+// randx.New(seed), on graphs whose probabilities include the edge
+// cases of the coin test p > 0 && (p >= 1 || u < p) — impossible and
+// certain pairs, subnormal probabilities, the largest float64 below 1
+// and a probability equal to its coin — and when the two paths
+// alternate on one sampler.
+func TestSampleSeedMatchesSample(t *testing.T) {
+	edgeCases := []float64{0, 1, math.SmallestNonzeroFloat64, 0x1p-1060, 1 - 0x1p-53, 0.5}
+	rng := randx.New(7)
+	var pairs []Pair
+	const n = 40
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if rng.Intn(3) == 0 {
+				continue
+			}
+			p := rng.Float64()
+			if rng.Intn(2) == 0 {
+				p = edgeCases[rng.Intn(len(edgeCases))]
+			}
+			pairs = append(pairs, Pair{U: u, V: v, P: p})
+		}
+	}
+	edgy, err := New(n, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeds := []int64{0, 1, -1, 1<<31 - 1, -(1<<31 - 1), 89482311, math.MinInt64, math.MaxInt64}
+	for s := int64(2); s < 200; s++ {
+		seeds = append(seeds, s*2654435761)
+	}
+	// A pair whose probability equals the coin seed 12345 draws for it
+	// exactly: the strict u < p test must leave it out.
+	tieSeed := int64(12345)
+	tie, err := New(2, []Pair{{U: 0, V: 1, P: randx.New(tieSeed).Float64()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := tie.NewSampler().SampleSeed(tieSeed); w.NumEdges() != 0 {
+		t.Fatalf("a pair whose p equals its coin was drawn present")
+	}
+	seeds = append(seeds, tieSeed)
+	for name, g := range map[string]*Graph{"edge-case probabilities": edgy, "mixed fixture": samplerFixture(t, 30), "coin tie": tie} {
+		viaSeed, viaRand := g.NewSampler(), g.NewSampler()
+		for i, seed := range seeds {
+			var got *graph.Graph
+			if i%2 == 0 {
+				got = viaSeed.SampleSeed(seed)
+			} else {
+				// Alternate paths on one sampler: SampleSeed must not
+				// depend on what the previous call left in the buffers.
+				viaSeed.Sample(randx.New(seed + 1))
+				got = viaSeed.SampleSeed(seed)
+			}
+			want := viaRand.Sample(randx.New(seed))
+			if got.NumEdges() != want.NumEdges() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+				t.Fatalf("%s, seed %d: SampleSeed drew %d edges, Sample(randx.New) %d, or the edge sets differ",
+					name, seed, got.NumEdges(), want.NumEdges())
+			}
+			if err := got.Validate(); err != nil {
+				t.Fatalf("%s, seed %d: invalid world: %v", name, seed, err)
+			}
+		}
+	}
+}
+
 // TestSamplerZeroAllocs pins the acceptance criterion: after the
 // sampler is constructed (the warm-up), the steady-state per-world
-// loop — reseed, sample — performs zero heap allocations.
+// loop — reseed, sample — performs zero heap allocations, on both
+// draw paths.
 func TestSamplerZeroAllocs(t *testing.T) {
 	g := samplerFixture(t, 60)
 	s := g.NewSampler()
@@ -147,5 +216,12 @@ func TestSamplerZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state Sample allocates %v times per world, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(50, func() {
+		s.SampleSeed(seed)
+		seed++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state SampleSeed allocates %v times per world, want 0", allocs)
 	}
 }

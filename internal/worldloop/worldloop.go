@@ -7,11 +7,11 @@
 // Corollary 1 size the budget it may stop short of).
 //
 // The loop owns everything the two engines used to duplicate: the
-// world-seed table, one sampler (a clone of one shared template) and
-// one reseedable RNG per worker lane, the worker clamp, the
-// fixed/adaptive block schedule, Progress and cancellation. Callers
-// keep only their per-world scan, their merge and their convergence
-// test.
+// world-seed table, one sampler per worker lane (a clone of one shared
+// template, drawing each world from its seed with
+// uncertain.Sampler.SampleSeed), the worker clamp, the fixed/adaptive
+// block schedule, Progress and cancellation. Callers keep only their
+// per-world scan, their merge and their convergence test.
 //
 // Parallelism has one axis: the worker budget is spent across worlds,
 // one lane per worker, and every world is scanned sequentially on its
@@ -85,22 +85,15 @@ func Workers(configured, worlds int) int {
 	return max(1, min(configured, worlds))
 }
 
-// Loop runs the block-scheduled world loop. It keeps its seed table,
-// samplers and RNGs across runs, so a reused Loop allocates nothing in
+// Loop runs the block-scheduled world loop. It keeps its seed table
+// and samplers across runs, so a reused Loop allocates nothing in
 // steady state. The zero value is ready to use; a Loop must not be
 // used concurrently.
 type Loop struct {
-	proto  *uncertain.Sampler
-	master *rand.Rand
-	seeds  []int64
-	lanes  []lane
-}
-
-// lane is one worker's sampling state: a sampler cloned from the
-// shared template and a generator reseeded per world.
-type lane struct {
-	sampler *uncertain.Sampler
-	rng     *rand.Rand
+	proto    *uncertain.Sampler
+	master   *rand.Rand
+	seeds    []int64
+	samplers []*uncertain.Sampler // one per lane, cloned from proto
 }
 
 // Run samples up to cfg.Worlds worlds of g and scans each with s,
@@ -167,13 +160,11 @@ func (l *Loop) runParallel(ctx context.Context, s Scanner, cfg Config, lanes, ba
 	})
 }
 
-// scan materializes world i on lane k and hands it to s.
+// scan materializes world i on lane k and hands it to s. SampleSeed
+// draws exactly the world Sample(randx.New(seed)) would.
 func (l *Loop) scan(s Scanner, k, i int) {
-	ln := &l.lanes[k]
-	// Reseeding replays exactly the stream randx.New(seed) would
-	// produce, without constructing a new generator.
-	ln.rng.Seed(l.seeds[i])
-	s.ScanWorld(k, i, ln.sampler.Sample(ln.rng), l.seeds[i])
+	seed := l.seeds[i]
+	s.ScanWorld(k, i, l.samplers[k].SampleSeed(seed), seed)
 }
 
 // prepare derives the seed table for r worlds and readies lanes lanes,
@@ -191,9 +182,9 @@ func (l *Loop) prepare(g *uncertain.Graph, seed int64, r, lanes int) {
 	randx.FillWorldSeeds(l.seeds, l.master)
 	if l.proto == nil || l.proto.Graph() != g {
 		l.proto = g.NewSampler()
-		l.lanes = append(l.lanes[:0], lane{sampler: l.proto, rng: randx.New(0)})
+		l.samplers = append(l.samplers[:0], l.proto)
 	}
-	for len(l.lanes) < lanes {
-		l.lanes = append(l.lanes, lane{sampler: l.proto.Clone(), rng: randx.New(0)})
+	for len(l.samplers) < lanes {
+		l.samplers = append(l.samplers, l.proto.Clone())
 	}
 }

@@ -38,9 +38,12 @@ func SampleWorld(g *UncertainGraph, rng *rand.Rand) *Graph { return g.SampleWorl
 
 // WorldSampler materializes possible worlds into preallocated CSR
 // buffers: zero heap allocations per world, bit-identical to
-// SampleWorld for equal RNG states. The returned graph of each Sample
-// call is reused by the next, and a sampler serves one goroutine; see
-// the README's "Graph representation & memory model" section.
+// SampleWorld for equal RNG states. Sample draws from any *rand.Rand;
+// SampleSeed(seed) draws the world Sample(NewRand(seed)) would from
+// the sampler's own generator — the faster path the world loops use
+// when every world has its own seed. The returned graph of each call
+// is reused by the next, and a sampler serves one goroutine; see the
+// README's "Graph representation & memory model" section.
 type WorldSampler = uncertain.Sampler
 
 // NewWorldSampler builds the reusable sampling state for g.
