@@ -81,10 +81,10 @@ bench-sampling: BENCH_TIME = 3x
 # bench-query: a request-shaped batch of mixed queries, the
 # reliability-only early-exit pair (bit-identical answers), and one
 # queryd cache miss at its shipped shape (738 worlds on an obfuscated
-# dblp-tiny release, 1-4 queries per request; 16x covers its request
-# cycle once per run; serve-novel's tolerance re-asks, which run
-# adaptive blocks, are not modelled). The BatchQueries line must report
-# 0 allocs/op: the per-world query loop is allocation-free once warm.
+# dblp-tiny release, 1-4 queries per request, a quarter of requests
+# re-asked with tolerance 0.05 as serve-novel does; 16x covers its
+# request cycle once per run). The BatchQueries line must report
+# 0 allocs/op: the query world loop is allocation-free once warm.
 bench-query: BENCH_PKG = ./internal/query
 bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$|BenchmarkBatchServeShaped$$
 bench-query: BENCH_TIME = 16x

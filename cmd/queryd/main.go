@@ -3,8 +3,8 @@
 // paper's consumption side (§1, §6), where releases accumulate per
 // dataset, per ε, per epoch and one daemon hosts them all, backed by
 // the batched possible-world query engine (worlds sampled once per
-// request, one BFS per distinct source per world, per-graph pools of
-// zero-alloc buffers across requests).
+// request, one bit-parallel BFS per distinct source per group of up to
+// 64 worlds, per-graph pools of zero-alloc buffers across requests).
 //
 // Usage:
 //

@@ -41,7 +41,8 @@
 //
 // Cancelling the context aborts the operation promptly — between σ
 // probes and scan chunks in Obfuscate, between sampled worlds in
-// EstimateStatistics and QueryBatch.Run — joins every worker goroutine
+// EstimateStatistics, between groups of up to 64 worlds in
+// QueryBatch.Run — joins every worker goroutine
 // (nothing leaks), and returns ctx.Err(). cmd/queryd wires each HTTP
 // request's context into its batch run, so a dropped connection stops
 // its BFS work mid-flight.
@@ -58,10 +59,11 @@
 // Statistic estimation and query batches run on one possible-world
 // loop, internal/worldloop, which owns the world seeds, the block
 // schedule and the worker budget. Parallelism has one axis: the loop
-// spends the budget across sampled worlds, one worker per world in
-// flight, and walks each world sequentially. Each world contributes
-// only integer counts or its own sample slot, so the worker count is
-// invisible in results.
+// spends the budget across sampled worlds, one worker per world (or,
+// for query batches, per packed group of up to 64 worlds) in flight,
+// and walks each sequentially. Each world contributes only integer
+// counts or its own sample slot, so the worker count is invisible in
+// results.
 //
 // WithTolerance(tol) turns fixed-r Monte-Carlo runs adaptive: the
 // estimation pipeline and query batches walk their world budget in

@@ -31,9 +31,9 @@ func main() {
 
 	// The consumer's side: only `published` from here on. A batch
 	// samples its worlds once and evaluates every registered query
-	// against them — one BFS per distinct source per world, shared by
-	// all queries with that source, zero allocations in the
-	// steady-state loop. This is what cmd/queryd runs per request; the
+	// against them — one bit-parallel BFS per distinct source per
+	// group of up to 64 worlds, shared by all queries with that source,
+	// zero allocations in the steady-state loop. This is what cmd/queryd runs per request; the
 	// daemon passes each request's context to Run, so a dropped client
 	// stops the work mid-flight.
 	batch, err := ug.NewQueryBatch(published, ug.WithWorlds(1000), ug.WithSeed(3))

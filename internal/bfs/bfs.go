@@ -4,10 +4,11 @@
 // mid-sized graphs used in tests, examples and scaled-down experiments.
 //
 // Every walk is the sequential queue BFS. A Scratch runs it against
-// reusable dist/queue/count buffers — the shape the possible-world
-// engine wants, where each worker lane owns one Scratch across its
-// whole run and parallelism lives across worlds, never inside one
-// walk. The one fan-out here is across sources: a distance-distribution
+// reusable dist/queue/count buffers — the shape a per-world scan
+// wants, where each worker lane owns one Scratch across its whole run
+// and parallelism lives across worlds, never inside one walk. (The
+// query engine walks packed groups of worlds instead; see
+// internal/query.) The one fan-out here is across sources: a distance-distribution
 // scan deals its sources out to workers (scanSources). Its counts are
 // exact small integers, so summation order cannot perturb them and
 // every worker count gives a bit-identical distribution.
@@ -53,21 +54,12 @@ type Scratch struct {
 	// targets and unmarks them before returning, so no O(n) clear is
 	// ever needed.
 	mark []bool
-	// visited records how many vertices the most recent FromSourceInto
-	// or FromSourceTargetsInto walk enqueued (including the source).
-	visited int
 
 	// pool holds the extra per-worker scratches scanSources spins up
 	// when a distance-distribution scan runs with workers > 1; worker 0
 	// always uses s itself, so the sequential path touches no pool.
 	pool []*Scratch
 }
-
-// Visited returns the number of vertices the most recent FromSourceInto
-// or FromSourceTargetsInto walk on s enqueued, source included. It
-// exists so tests can assert that a target-resolved walk genuinely
-// pruned its component scan.
-func (s *Scratch) Visited() int { return s.visited }
 
 // NewScratch returns an empty scratch; buffers grow on first use.
 func NewScratch() *Scratch { return &Scratch{} }
@@ -84,9 +76,9 @@ func (s *Scratch) ensure(n int) {
 // for unreachable vertices) into the scratch's distance buffer and
 // returns it. The slice aliases the scratch and is valid only until
 // the next call on s; once the buffers have grown to the graph size,
-// repeated calls allocate nothing. This is the single-source entry the
-// batched query engine drives: one BFS per distinct source per sampled
-// world, shared across every query with that source.
+// repeated calls allocate nothing. It is the single-source walk on a
+// materialized world: the per-world reference the query engine's
+// packed walk is tested against, and the exact oracle's walk.
 func (s *Scratch) FromSourceInto(g *graph.Graph, src int) []int32 {
 	s.ensure(g.NumVertices())
 	dist := s.dist
@@ -105,7 +97,6 @@ func (s *Scratch) FromSourceInto(g *graph.Graph, src int) []int32 {
 			}
 		}
 	}
-	s.visited = len(queue)
 	s.queue = queue[:0]
 	return dist
 }
@@ -162,7 +153,6 @@ scan:
 	for _, t := range targets {
 		mark[t] = false
 	}
-	s.visited = len(queue)
 	s.queue = queue[:0]
 	return dist
 }

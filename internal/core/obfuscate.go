@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"uncertaingraph/internal/graph"
+	"uncertaingraph/internal/parallel"
 	"uncertaingraph/internal/uncertain"
 )
 
@@ -195,6 +196,17 @@ type probeTask struct {
 	// bailed out early; its att is not the pure probe value and must
 	// never be consumed.
 	aborted bool
+	// panicked holds a panic of the probe's goroutine, which get
+	// re-raises on the search's goroutine.
+	panicked *parallel.WorkerPanic
+}
+
+// capture records a panic of the probe's goroutine instead of letting
+// it end the process.
+func (t *probeTask) capture() {
+	if v := recover(); v != nil {
+		t.panicked = parallel.Recovered(v)
+	}
 }
 
 // prober evaluates σ probes asynchronously and memoizes them by σ value.
@@ -239,9 +251,13 @@ func (p *prober) ensureLocked(sigma float64) *probeTask {
 	}
 	p.tasks[sigma] = t
 	go func() {
+		defer close(t.done)
+		defer t.capture()
+		if hook := p.run.params.beforeProbe; hook != nil {
+			hook(sigma)
+		}
 		t.att, t.examined = generateObfuscation(taskCtx, p.run, sigma)
 		t.aborted = taskCtx.Err() != nil
-		close(t.done)
 	}()
 	return t
 }
@@ -251,11 +267,17 @@ func (p *prober) ensureLocked(sigma float64) *probeTask {
 // discarded and re-evaluated (purity makes the retry exact) unless the
 // search context itself is done, in which case get returns its error;
 // the re-evaluation path is defensive — the search only cancels probes
-// it never revisits.
+// it never revisits. A probe that panicked has its panic re-raised
+// here, on the caller's goroutine, as a *parallel.WorkerPanic, after
+// every other probe has been cancelled and joined.
 func (p *prober) get(sigma float64) (Attempt, int, error) {
 	for {
 		t := p.ensure(sigma)
 		<-t.done
+		if t.panicked != nil {
+			p.shutdown()
+			panic(t.panicked)
+		}
 		if !t.aborted {
 			t.cancel() // release the task's derived context
 			return t.att, t.examined, nil

@@ -12,6 +12,7 @@ import (
 	"uncertaingraph/internal/adversary"
 	"uncertaingraph/internal/gen"
 	"uncertaingraph/internal/graph"
+	"uncertaingraph/internal/parallel"
 	"uncertaingraph/internal/randx"
 )
 
@@ -250,5 +251,29 @@ func TestObfuscateRejectsNonFiniteParams(t *testing.T) {
 	}
 	if name, _ := NonFinite(Params{C: 0.5}); name != "" {
 		t.Errorf("finite params flagged: %s", name)
+	}
+}
+
+// TestObfuscateReraisesProbePanic pins the probe goroutine's panic
+// path: a panic inside a σ probe reaches Obfuscate's caller as a
+// *parallel.WorkerPanic, with and without speculative probes, instead
+// of ending the process from the probe's bare goroutine.
+func TestObfuscateReraisesProbePanic(t *testing.T) {
+	g := testGraph(14, 200)
+	for _, workers := range []int{1, 2} {
+		params := Params{K: 5, Eps: 0.02, C: 2, Q: 0.01, Trials: 2, Delta: 1e-3, Seed: 1, Workers: workers}
+		params.beforeProbe = func(sigma float64) { panic(fmt.Sprintf("probe at sigma %v", sigma)) }
+		caught := func() (v any) {
+			defer func() { v = recover() }()
+			_, _ = Obfuscate(context.Background(), g, params)
+			return nil
+		}()
+		wp, ok := caught.(*parallel.WorkerPanic)
+		if !ok {
+			t.Fatalf("workers=%d: recovered %T (%v), want *parallel.WorkerPanic", workers, caught, caught)
+		}
+		if s, _ := wp.Value.(string); !strings.HasPrefix(s, "probe at sigma ") || len(wp.Stack) == 0 {
+			t.Errorf("workers=%d: WorkerPanic value %v, %d stack bytes; want the probe's panic and a stack", workers, wp.Value, len(wp.Stack))
+		}
 	}
 }

@@ -68,6 +68,11 @@ type Params struct {
 	// bounded the search). It must not block for long: the search waits
 	// on it. Progress observation never affects results.
 	Progress func(done, total int)
+
+	// beforeProbe, when non-nil, runs on each σ probe's goroutine just
+	// before the probe: the fault-injection point of the probe panic
+	// test.
+	beforeProbe func(sigma float64)
 }
 
 // NonFinite returns the name and value of the first of C, Delta,

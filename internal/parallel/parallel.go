@@ -18,6 +18,11 @@ import (
 // each claim; once it reports true the remaining iterations may be
 // skipped — callers use this to reap cancelled speculative work. All
 // spawned goroutines have returned when For does.
+//
+// A panic in fn is handled as in ForWorkers: goroutines stop claiming
+// after the first panic, and once all have returned it is re-raised on
+// the calling goroutine as a *WorkerPanic. Inline, fn's panics
+// propagate unchanged.
 func For(n, workers int, aborted func() bool, fn func(i int)) {
 	if aborted == nil {
 		aborted = func() bool { return false }
@@ -33,20 +38,25 @@ func For(n, workers int, aborted func() bool, fn func(i int)) {
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
+	var first firstPanic
+	call := func(_, i int) { fn(i) }
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !aborted() {
+			for !aborted() && !first.failed.Load() {
 				i := int(next.Add(1) - 1)
 				if i >= n {
 					return
 				}
-				fn(i)
+				first.call(call, w, i)
 			}
 		}()
 	}
 	wg.Wait()
+	if first.failed.Load() {
+		panic(first.p)
+	}
 }
 
 // ForCtx is For with context-based abortion: iteration claims stop at
@@ -68,7 +78,7 @@ func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
 // long-lived goroutines over an unbuffered channel, invoking
 // fn(worker, i) with the stable worker id — the shape the world-loop
 // engines need, where each worker owns heavy reusable state (samplers,
-// BFS scratch) addressed by that id. fn's first call for a given
+// walkers) addressed by that id. fn's first call for a given
 // worker id happens on that worker's goroutine, so per-worker state
 // may be built lazily and in parallel without synchronization.
 //
@@ -127,9 +137,9 @@ dispatch:
 	return ctx.Err()
 }
 
-// WorkerPanic is what ForWorkers re-raises on its caller's goroutine
-// when fn panicked on a worker goroutine: the panic value and the
-// worker's stack at the panic.
+// WorkerPanic is what For and ForWorkers re-raise on their caller's
+// goroutine when fn panicked on a worker goroutine: the panic value and
+// the worker's stack at the panic.
 type WorkerPanic struct {
 	Value any
 	Stack []byte
@@ -139,8 +149,19 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("parallel: worker panicked: %v\n\n%s", p.Value, p.Stack)
 }
 
-// firstPanic records the first panic of a ForWorkers loop. p is
-// written only by the worker that set failed, and read only after
+// Recovered wraps v, a value recover returned, as a *WorkerPanic with
+// the panicking goroutine's stack. A *WorkerPanic that a nested loop
+// already re-raised is kept as is, so its value and stack stay the
+// innermost ones. Call it from the deferred function that recovered.
+func Recovered(v any) *WorkerPanic {
+	if p, ok := v.(*WorkerPanic); ok {
+		return p
+	}
+	return &WorkerPanic{Value: v, Stack: debug.Stack()}
+}
+
+// firstPanic records the first panic of a For or ForWorkers loop. p
+// is written only by the worker that set failed, and read only after
 // every worker has joined.
 type firstPanic struct {
 	failed atomic.Bool
@@ -152,7 +173,7 @@ type firstPanic struct {
 func (f *firstPanic) call(fn func(worker, i int), w, i int) {
 	defer func() {
 		if v := recover(); v != nil && f.failed.CompareAndSwap(false, true) {
-			f.p = &WorkerPanic{Value: v, Stack: debug.Stack()}
+			f.p = Recovered(v)
 		}
 	}()
 	fn(w, i)

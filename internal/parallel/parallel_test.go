@@ -151,3 +151,64 @@ func TestForWorkersInlinePanicPropagates(t *testing.T) {
 	})
 	t.Error("ForWorkers returned normally")
 }
+
+// TestForReraisesWorkerPanic is TestForWorkersReraisesWorkerPanic for
+// For, the loop behind every obfuscation trial and entropy-scan chunk:
+// the panic reaches For's caller as a *WorkerPanic after every
+// goroutine has returned, and goroutines stop claiming after it.
+func TestForReraisesWorkerPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		panics  func(i int) bool
+	}{
+		{"one index", 4, func(i int) bool { return i == 37 }},
+		{"every index", 3, func(int) bool { return true }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var running, ran atomic.Int64
+			var returned atomic.Bool
+			caught := func() (v any) {
+				defer func() { v = recover() }()
+				For(200, tc.workers, nil, func(i int) {
+					running.Add(1)
+					defer running.Add(-1)
+					if returned.Load() {
+						t.Error("fn ran after For returned")
+					}
+					ran.Add(1)
+					if tc.panics(i) {
+						panic(fmt.Sprintf("boom at %d", i))
+					}
+				})
+				return nil
+			}()
+			returned.Store(true)
+			wp, ok := caught.(*WorkerPanic)
+			if !ok {
+				t.Fatalf("recovered %T (%v), want *WorkerPanic", caught, caught)
+			}
+			if s, _ := wp.Value.(string); !strings.HasPrefix(s, "boom at ") || len(wp.Stack) == 0 {
+				t.Errorf("WorkerPanic value %v, %d stack bytes; want the panic value and a stack", wp.Value, len(wp.Stack))
+			}
+			if running.Load() != 0 {
+				t.Errorf("%d calls still running when the panic was re-raised", running.Load())
+			}
+			if tc.name == "every index" && ran.Load() > int64(tc.workers) {
+				t.Errorf("%d calls ran on %d goroutines although every call panicked", ran.Load(), tc.workers)
+			}
+		})
+	}
+	// Nested loops, as an obfuscation trial's scan runs inside the trial
+	// loop: the inner panic arrives once, not wrapped per level.
+	caught := func() (v any) {
+		defer func() { v = recover() }()
+		For(4, 2, nil, func(int) {
+			For(4, 2, nil, func(i int) { panic("inner") })
+		})
+		return nil
+	}()
+	if wp, ok := caught.(*WorkerPanic); !ok || wp.Value != "inner" {
+		t.Errorf("nested loops re-raised %#v, want a *WorkerPanic holding \"inner\"", caught)
+	}
+}

@@ -122,6 +122,12 @@ func newResultCache(budget int64) *resultCache {
 // critical section is what makes "exactly one computation per distinct
 // key" hold under concurrency — there is no window between a miss and
 // the flight registration for a second request to miss through.
+//
+// A registered flight with no references is abandoned: its last
+// requester detached and cancelled it, and it stays registered only
+// until its computation notices and aborts. It will never settle, so a
+// request must not join it; lookup registers a fresh flight in its
+// place, and abort and settle remove only their own flight.
 func (c *resultCache) lookup(key string) (body []byte, f *flight, leader bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -131,7 +137,7 @@ func (c *resultCache) lookup(key string) (body []byte, f *flight, leader bool) {
 		return el.Value.(*centry).body, nil, false
 	}
 	c.misses++
-	if f, ok := c.flights[key]; ok {
+	if f, ok := c.flights[key]; ok && f.refs > 0 {
 		f.refs++
 		c.coalesced++
 		return nil, f, false
@@ -178,7 +184,7 @@ func (c *resultCache) settle(key, graph string, f *flight, status int, body []by
 	c.mu.Lock()
 	f.status, f.body = status, body
 	close(f.ready)
-	delete(c.flights, key)
+	c.unregisterLocked(key, f)
 	if store {
 		c.putLocked(key, graph, body)
 	}
@@ -191,8 +197,16 @@ func (c *resultCache) settle(key, graph string, f *flight, status int, body []by
 // channel stays open — no reader remains.
 func (c *resultCache) abort(key string, f *flight) {
 	c.mu.Lock()
-	delete(c.flights, key)
+	c.unregisterLocked(key, f)
 	c.mu.Unlock()
+}
+
+// unregisterLocked removes f from the flight table unless a fresh
+// flight has already replaced it under key.
+func (c *resultCache) unregisterLocked(key string, f *flight) {
+	if c.flights[key] == f {
+		delete(c.flights, key)
+	}
 }
 
 func (c *resultCache) putLocked(key, graph string, body []byte) {

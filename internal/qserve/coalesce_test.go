@@ -194,3 +194,37 @@ func TestAbandonedFlightStopsAndGoroutinesSettle(t *testing.T) {
 		t.Errorf("post-cancel answer diverges from fresh recomputation:\n%s\nvs\n%s", got, want)
 	}
 }
+
+// TestLookupNeverJoinsAbandonedFlight pins the single-flight table
+// against a request that arrives after every requester of a flight has
+// detached, but before the cancelled computation has aborted: it must
+// lead a fresh flight, not wait on one that will never settle, and the
+// late abort must not unregister the flight that replaced it.
+// (TestAbandonedFlightStopsAndGoroutinesSettle's post-cancel request
+// used to hang in that window.)
+func TestLookupNeverJoinsAbandonedFlight(t *testing.T) {
+	c := newResultCache(1 << 20)
+	_, old, leader := c.lookup("k")
+	if !leader {
+		t.Fatal("first lookup did not lead a flight")
+	}
+	c.detach(old) // the only requester leaves, which cancels the flight
+	if old.ctx.Err() == nil {
+		t.Fatal("abandoned flight was not cancelled")
+	}
+	_, fresh, leader := c.lookup("k")
+	if !leader || fresh == old {
+		t.Fatalf("a request after the abandon joined the cancelled flight (leader %v)", leader)
+	}
+	c.abort("k", old) // the cancelled computation returns late
+	if _, joined, leader := c.lookup("k"); leader || joined != fresh {
+		t.Fatal("the late abort unregistered the flight that replaced it")
+	}
+	c.settle("k", "g", fresh, http.StatusOK, []byte("answer"), true)
+	if !fresh.settled() {
+		t.Fatal("settling the fresh flight did not release its waiters")
+	}
+	if body, f, _ := c.lookup("k"); f != nil || string(body) != "answer" {
+		t.Errorf("after settle: body %q flight %v, want the stored answer", body, f)
+	}
+}

@@ -7,7 +7,7 @@
 // them.
 //
 // Every named graph owns its serving state: a pool of query.Batch
-// (world samplers, BFS scratch and integer accumulators reused across
+// (world samplers, packed walkers and integer accumulators reused across
 // that graph's requests, never another's), optional Worlds /
 // Tolerance / MemoryBudget overrides falling back to the server
 // defaults, and hit/miss/resident-bytes counters. The registry keeps

@@ -10,11 +10,12 @@
 // statistics concentrate after r = ln(2/δ)/(2ε²) worlds.
 //
 // Batch is the one entry: it samples each world once and evaluates
-// many queries against it, sharing one BFS per distinct source per
-// world, with zero heap allocations in the steady-state world loop.
-// Worlds run on the shared world loop (internal/worldloop), which
-// spends the worker budget across worlds; each world's walks run
-// sequentially on its lane.
+// many queries against it, sharing one walk per distinct source, with
+// zero heap allocations in the steady-state world loop. Worlds run on
+// the shared world loop (internal/worldloop) in packed groups of up to
+// 64: one bit-parallel BFS per source per group yields every world's
+// exact distances at once. The loop spends the worker budget across
+// groups; each group's walks run sequentially on its lane.
 //
 // Every median in this package — MedianDistance and the k-NN ranking
 // alike — uses the same count-based rule: the smallest distance whose
@@ -28,10 +29,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/bits"
 	"sort"
 
-	"uncertaingraph/internal/bfs"
-	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/mathx"
 	"uncertaingraph/internal/uncertain"
 	"uncertaingraph/internal/worldloop"
@@ -49,10 +49,11 @@ type Config struct {
 	Seed int64
 	// Workers bounds concurrent world evaluations (<= 0 selects
 	// GOMAXPROCS; never more than the world count): each worker owns
-	// one sampler (with its own reseedable source) and one BFS
-	// scratch, and walks its worlds sequentially. Per-world
-	// contributions are integer counts, so the merged results are
-	// bit-identical for every value.
+	// one sampler (with its own reseedable source) and one packed
+	// walker, and walks its groups of worlds sequentially. Groups hold
+	// min(64, ⌈block worlds / Workers⌉) worlds, so every worker gets
+	// work. Per-world contributions are integer counts, so the merged
+	// results are bit-identical for every value.
 	Workers int
 	// MemoryBudget, when positive, bounds the batch's accumulator
 	// memory in bytes: Run rejects a query set whose worst-case k-NN
@@ -71,31 +72,41 @@ type Config struct {
 	// no scalar confidence interval, so a batch carrying one never
 	// stops early. Zero disables adaptive stopping entirely.
 	Tolerance float64
-	// Progress, when non-nil, is invoked after each world completes
-	// with the number of finished worlds and the total. Workers invoke
-	// it concurrently; implementations must be safe for concurrent use
-	// and must not block for long. Progress observation never affects
-	// results.
+	// Progress, when non-nil, is invoked once per world, after the
+	// world's group completes, with the number of finished worlds and
+	// the total. Workers invoke it concurrently; implementations must
+	// be safe for concurrent use and must not block for long. Progress
+	// observation never affects results.
 	Progress func(done, total int)
 }
 
 // Batch evaluates many queries against one shared set of sampled
-// possible worlds: each world is materialized once, one BFS runs per
-// distinct query source per world, and every query with that source
-// consumes the same distance array. This is the serving shape — a
-// request carrying q queries costs r worlds + r·|sources| BFS runs
-// instead of the q·r worlds answering one query at a time would
-// spend, and the per-world loop allocates nothing once the buffers
-// have grown (every accumulator is an integer count).
+// possible worlds: each world is drawn once, one BFS runs per distinct
+// query source, and every query with that source consumes the same
+// walk. This is the serving shape — a request carrying q queries costs
+// r worlds + r·|sources| walks instead of the q·r worlds answering one
+// query at a time would spend, and the world loop allocates nothing
+// once the buffers have grown (every accumulator is an integer count).
 //
-// Each source's BFS is target-resolved: a source carrying only
-// reliability and distance queries stops its walk as soon as every
-// registered target has been assigned a distance (generalizing the
-// pre-batch connected() early exit), while a source with a k-NN query
-// still scans its whole component — the per-vertex histogram needs
-// every distance. The early exit consumes no randomness and BFS
-// assigns final distances at discovery, so answers are bit-identical
-// to the full-component walk for every Workers value.
+// Worlds are never materialized. The loop draws up to 64 consecutive
+// worlds into one presence mask per candidate pair, and each source is
+// walked once per group, level by level, over per-vertex 64-bit masks:
+// bit j of visited[u] says u is reached in world j. A slot from v to u
+// through pair p extends the level's frontier to u in the worlds
+// front[v] & masks[p] &^ visited[u], so level d discovers, in every
+// world at once, exactly the vertices a per-world BFS puts at distance
+// d. Popcounts of those masks fold into the same integer counts a
+// per-world scan adds one by one.
+//
+// Each source's walk is target-resolved: a source carrying only
+// reliability and distance queries drops a world from its walk as soon
+// as every registered target is reached in that world (generalizing
+// the pre-batch connected() early exit), while a source with a k-NN
+// query still scans its whole component in every world — the
+// per-vertex histogram needs every distance. The early exit consumes
+// no randomness and BFS assigns final distances at discovery, so
+// answers are bit-identical to the full-component walk for every
+// Workers value.
 //
 // A Batch is reusable: Reset clears the registered queries while
 // keeping the sampling template, worker buffers and accumulators, so a
@@ -123,9 +134,9 @@ type Batch struct {
 	srcTargets        [][]int32 // per source slot: rel/dist target vertices
 	knnSlots          []int32   // per source slot: shared k-NN histogram slot, -1 if none
 
-	// fullBFS forces every per-world BFS to scan the source's whole
-	// component, disabling the target-resolved early exit. It exists so
-	// tests can pin that early-exit results are bit-identical to the
+	// fullBFS forces every walk to scan the source's whole component in
+	// every world, disabling the target-resolved early exit. It exists
+	// so tests can pin that early-exit results are bit-identical to the
 	// full reference walk.
 	fullBFS bool
 
@@ -165,14 +176,31 @@ type qmeta struct {
 	s, t, k int32
 }
 
-// worker bundles the per-lane state of one Run: the BFS scratch and
+// worker bundles the per-lane state of one Run: the packed walker and
 // integer accumulators for every registered query.
 type worker struct {
-	scratch *bfs.Scratch
-	rel     []int64
-	disc    []int64
-	distH   [][]int32
-	knnH    [][]int32
+	walker
+	rel   []int64
+	disc  []int64
+	distH [][]int32
+	knnH  [][]int32
+}
+
+// walker is one lane's bit-parallel BFS state over a group of worlds:
+// bit j of each mask stands for world j of the group. The masks are
+// all zero between walks; a walk clears exactly the vertices it
+// touched.
+type walker struct {
+	visited []uint64 // per vertex: the worlds where it is reached
+	front   []uint64 // per vertex: the worlds where it is at the current level
+	next    []uint64 // per vertex: the worlds where it is at the next level
+	cur     []int32  // vertices with a nonzero front mask
+	nxt     []int32  // vertices with a nonzero next mask
+	touched []int32  // vertices with a nonzero visited mask
+	// discovered is the number of vertices the lane's last walk reached
+	// in any world, source included; tests read it to see the early
+	// exit prune a walk.
+	discovered int
 }
 
 // NewBatch returns an empty batch over g. The sampling template and
@@ -202,8 +230,8 @@ func (b *Batch) NumQueries() int { return len(b.queries) }
 // When a MemoryBudget is set and the retained accumulators exceed it —
 // a pooled batch that served one huge k-NN request keeps its
 // high-water histograms otherwise — Reset sheds them back to zero; the
-// sampling template, BFS scratch and O(n) ranking buffers (all bounded
-// by the graph, not the request) are always kept.
+// sampling template, walker masks and O(n) ranking buffers (all
+// bounded by the graph, not the request) are always kept.
 func (b *Batch) Reset() {
 	b.queries = b.queries[:0]
 	b.nrel, b.ndist, b.nknn = 0, 0, 0
@@ -327,7 +355,7 @@ func (b *Batch) add(q qmeta) int {
 }
 
 // sourceSlot interns s into the distinct-source table; all queries
-// sharing a source share one BFS per world.
+// sharing a source share one walk per group of worlds.
 func (b *Batch) sourceSlot(s int32) int {
 	if si, ok := b.srcIndex[s]; ok {
 		return si
@@ -406,10 +434,10 @@ func (b *Batch) worlds() int {
 // every Workers value, and a stopped run's accumulators are
 // bit-identical to the same-length prefix of a fixed full-budget run.
 //
-// Cancelling ctx aborts the run at world granularity: no new world is
-// scanned once ctx is done, in-flight worlds finish, every worker
-// goroutine is joined, and ctx.Err() is returned with the batch left
-// un-ran (result accessors stay unavailable, no buffers leak). A
+// Cancelling ctx aborts the run between groups of up to 64 worlds: no
+// new group is scanned once ctx is done, in-flight groups finish, every
+// worker goroutine is joined, and ctx.Err() is returned with the batch
+// left un-ran (result accessors stay unavailable, no buffers leak). A
 // subsequent Run on the same batch re-derives the world seeds and
 // resets every accumulator, so it produces results bit-identical to a
 // never-cancelled run. A nil ctx never cancels.
@@ -427,7 +455,7 @@ func (b *Batch) Run(ctx context.Context) error {
 	}
 	b.prepare(workers)
 	adaptive := b.Tolerance > 0
-	done, err := b.loop.Run(ctx, b.g, worldloop.Config{
+	done, err := b.loop.RunGroups(ctx, b.g, worldloop.Config{
 		Worlds:   r,
 		Seed:     b.Seed,
 		Workers:  b.Workers,
@@ -444,12 +472,12 @@ func (b *Batch) Run(ctx context.Context) error {
 	return nil
 }
 
-// scanner adapts a Batch to worldloop.Scanner, keeping the per-world
-// methods off the public Batch API.
+// scanner adapts a Batch to worldloop.GroupScanner, keeping the
+// per-group methods off the public Batch API.
 type scanner Batch
 
-func (s *scanner) ScanWorld(lane, _ int, world *graph.Graph, _ int64) {
-	(*Batch)(s).scanWorld(s.ws[lane], world)
+func (s *scanner) ScanGroup(lane, _ int, worlds *uncertain.PackedWorlds) {
+	(*Batch)(s).scanGroup(s.ws[lane], worlds)
 }
 
 func (s *scanner) Converged(lanes, done int) bool {
@@ -545,7 +573,7 @@ func (b *Batch) Converged() bool {
 // every buffer from previous runs.
 func (b *Batch) prepare(workers int) {
 	for len(b.ws) < workers {
-		b.ws = append(b.ws, &worker{scratch: bfs.NewScratch()})
+		b.ws = append(b.ws, &worker{})
 	}
 	for k := 0; k < workers; k++ {
 		b.ws[k].prepare(b.nrel, b.ndist, b.nknn)
@@ -601,58 +629,139 @@ func growCounts(h []int32, need int) []int32 {
 	return h[:need]
 }
 
-// scanWorld runs one BFS per distinct source over a materialized
-// world and folds every query's observation into w's integer
-// accumulators. Steady-state cost: zero heap allocations.
-func (b *Batch) scanWorld(w *worker, world *graph.Graph) {
-	n := world.NumVertices()
+// scanGroup walks each distinct source once over a packed group of
+// worlds and folds every query's observations into w's integer
+// accumulators: the counts a per-world BFS per source would add, world
+// by world. Steady-state cost: zero heap allocations.
+func (b *Batch) scanGroup(w *worker, pw *uncertain.PackedWorlds) {
+	n := b.g.NumVertices()
+	w.ensure(n)
+	all := ^uint64(0) >> (uncertain.GroupWidth - pw.Width)
+	visited := w.visited
 	for si, s := range b.sources {
-		// A source whose queries all name explicit targets stops its
-		// BFS once the last target resolves; a k-NN source needs every
-		// component distance, so it runs the full walk. Both walks
-		// agree bit-for-bit on every registered target.
-		var dist []int32
-		if b.knnSlots[si] >= 0 || b.fullBFS {
-			dist = w.scratch.FromSourceInto(world, int(s))
-		} else {
-			dist = w.scratch.FromSourceTargetsInto(world, int(s), b.srcTargets[si])
+		knn := b.knnSlots[si]
+		// A source whose queries all name explicit targets drops a world
+		// from live once all its targets are reached there; a k-NN source
+		// needs every component distance in every world.
+		full := knn >= 0 || b.fullBFS
+		targets := b.srcTargets[si]
+		visited[s] = all
+		w.front[s] = all
+		w.cur = append(w.cur[:0], s)
+		w.touched = append(w.touched[:0], s)
+		b.tally(w, si, 0, w.front, w.cur)
+		live := all
+		for d := 1; len(w.cur) > 0; d++ {
+			if !full {
+				live &^= reachedAll(visited, targets)
+				if live == 0 {
+					break
+				}
+			}
+			w.expand(pw, live)
+			b.tally(w, si, d, w.next, w.nxt)
+			w.front, w.next = w.next, w.front
+			w.cur, w.nxt = w.nxt, w.cur[:0]
+		}
+		for _, v := range w.cur {
+			w.front[v] = 0
 		}
 		for _, id := range b.srcQueries[si] {
 			q := &b.queries[id]
 			switch q.kind {
 			case qReliability:
-				if dist[q.t] >= 0 {
-					w.rel[q.slot]++
-				}
+				w.rel[q.slot] += int64(bits.OnesCount64(visited[q.t] & all))
 			case qDistance:
-				if d := dist[q.t]; d < 0 {
-					w.disc[q.slot]++
-				} else {
-					h := growCounts(w.distH[q.slot], int(d)+1)
-					h[d]++
-					w.distH[q.slot] = h
-				}
+				w.disc[q.slot] += int64(bits.OnesCount64(all &^ visited[q.t]))
 			}
 		}
-		// The k-NN histogram is a property of the source alone; fill it
-		// once per world, shared by every k-NN query with this source.
-		if slot := b.knnSlots[si]; slot >= 0 {
-			maxd := int32(-1)
-			for _, d := range dist {
-				if d > maxd {
-					maxd = d
-				}
-			}
-			if maxd >= 0 {
-				h := growCounts(w.knnH[slot], (int(maxd)+1)*n)
-				for v, d := range dist {
-					if d >= 0 {
-						h[int(d)*n+v]++
-					}
-				}
-				w.knnH[slot] = h
-			}
+		for _, v := range w.touched {
+			visited[v] = 0
 		}
+		w.discovered = len(w.touched)
+	}
+}
+
+// reachedAll returns the worlds in which every target is reached.
+func reachedAll(visited []uint64, targets []int32) uint64 {
+	m := ^uint64(0)
+	for _, t := range targets {
+		m &= visited[t]
+	}
+	return m
+}
+
+// expand advances the walk one level in the worlds of live: for every
+// frontier vertex v and candidate slot (v, u, pair), u joins the next
+// level in the worlds where v is on the frontier, the pair is present
+// and u is not yet reached. It clears the front masks it consumes.
+func (w *walker) expand(pw *uncertain.PackedWorlds, live uint64) {
+	visited, front, next := w.visited, w.front, w.next
+	masks, off, nbr, pair := pw.Masks, pw.Off, pw.Nbr, pw.Pair
+	nxt, touched := w.nxt[:0], w.touched
+	for _, v := range w.cur {
+		f := front[v] & live
+		front[v] = 0
+		if f == 0 {
+			continue
+		}
+		for k := off[v]; k < off[v+1]; k++ {
+			u := nbr[k]
+			m := f & masks[pair[k]] &^ visited[u]
+			if m == 0 {
+				continue
+			}
+			if next[u] == 0 {
+				nxt = append(nxt, u)
+			}
+			if visited[u] == 0 {
+				touched = append(touched, u)
+			}
+			next[u] |= m
+			visited[u] |= m
+		}
+	}
+	w.nxt, w.touched = nxt, touched
+}
+
+// tally folds level d of source slot si's walk into w's histograms:
+// level[u] holds the worlds where u is at distance d, and reached
+// lists every u with a nonzero level[u]. Histograms grow only to
+// distances that occur, exactly as a per-world scan grows them.
+func (b *Batch) tally(w *worker, si, d int, level []uint64, reached []int32) {
+	for _, id := range b.srcQueries[si] {
+		q := &b.queries[id]
+		if q.kind != qDistance {
+			continue
+		}
+		if c := bits.OnesCount64(level[q.t]); c > 0 {
+			h := growCounts(w.distH[q.slot], d+1)
+			h[d] += int32(c)
+			w.distH[q.slot] = h
+		}
+	}
+	// The k-NN histogram is a property of the source alone; fill it
+	// once per level, shared by every k-NN query with this source.
+	if slot := b.knnSlots[si]; slot >= 0 && len(reached) > 0 {
+		n := len(level)
+		h := growCounts(w.knnH[slot], (d+1)*n)
+		row := h[d*n : (d+1)*n]
+		for _, u := range reached {
+			row[u] += int32(bits.OnesCount64(level[u]))
+		}
+		w.knnH[slot] = h
+	}
+}
+
+// ensure sizes the walker for n vertices; its masks start all zero.
+func (w *walker) ensure(n int) {
+	if len(w.visited) != n {
+		w.visited = make([]uint64, n)
+		w.front = make([]uint64, n)
+		w.next = make([]uint64, n)
+		w.cur = make([]int32, 0, n)
+		w.nxt = make([]int32, 0, n)
+		w.touched = make([]int32, 0, n)
 	}
 }
 

@@ -98,18 +98,24 @@ func BenchmarkBatchReliabilityOnlyFullBFS(b *testing.B) {
 }
 
 // serveRequest is one request of the serve-shaped benchmark: its
-// queries (kind, source, target) and its world seed.
+// queries (kind, source, target), its world seed and its tolerance (0
+// for a fixed run).
 type serveRequest struct {
-	queries []qmeta
-	seed    int64
+	queries   []qmeta
+	seed      int64
+	tolerance float64
 }
 
 // serveShapedFixture builds the serving shape queryd runs in
 // production: a dblp-tiny release obfuscated the way the end-to-end
 // harness releases its tenants (one Algorithm 2 probe at σ 0.3,
-// k 10, ε 0.1), and a fixed, seeded cycle of 1–4-query requests, each
-// query a reliability, distance or 10-NN query with probability 1/3
-// over uniform vertices, with t ≠ s as the harness draws them.
+// k 10, ε 0.1), and a fixed, seeded cycle of requests drawn as the
+// harness's serve-novel mix draws them. A request is 1–4 queries, each
+// a reliability, distance or 10-NN query with probability 1/3 over
+// uniform vertices, with t ≠ s. With probability 1/4, unless its
+// predecessor was itself one, a request instead re-asks its
+// predecessor's queries, on the same worlds, with tolerance 0.05: an
+// adaptive run in 32-world blocks that may stop short of the budget.
 func serveShapedFixture(b *testing.B) (*uncertain.Graph, []serveRequest) {
 	d, err := datasets.Generate(datasets.Specs[0], datasets.ScaleTiny)
 	if err != nil {
@@ -123,6 +129,11 @@ func serveShapedFixture(b *testing.B) (*uncertain.Graph, []serveRequest) {
 	rng := randx.New(17)
 	reqs := make([]serveRequest, 16)
 	for i := range reqs {
+		if i > 0 && reqs[i-1].tolerance == 0 && rng.Float64() < 0.25 {
+			reqs[i] = reqs[i-1]
+			reqs[i].tolerance = 0.05
+			continue
+		}
 		qs := make([]qmeta, 1+rng.Intn(4))
 		for j := range qs {
 			q := qmeta{kind: qkind(rng.Intn(3)), s: int32(rng.Intn(n)), k: 10}
@@ -138,12 +149,10 @@ func serveShapedFixture(b *testing.B) (*uncertain.Graph, []serveRequest) {
 
 // BenchmarkBatchServeShaped measures one queryd cache miss at its
 // shipped shape: DefaultWorlds (738) worlds on one worker over the
-// release above, each op one request of the cycle, run through one
-// reused batch with Reset between requests as a pooled batch is. Run
-// it with -benchtime 16x to cover the cycle once per measurement. The
-// end-to-end serve-novel mix also re-asks a quarter of its requests
-// with a tolerance, which runs adaptive blocks; those re-asks are not
-// modelled here.
+// release above, each op one request of the cycle — tolerance re-asks
+// included — run through one reused batch with Reset between requests
+// as a pooled batch is. Run it with -benchtime 16x to cover the cycle
+// once per measurement.
 func BenchmarkBatchServeShaped(b *testing.B) {
 	g, reqs := serveShapedFixture(b)
 	batch := NewBatch(g, Config{Worlds: DefaultWorlds(), Workers: 1})
@@ -160,9 +169,10 @@ func BenchmarkBatchServeShaped(b *testing.B) {
 			}
 		}
 		batch.Seed = r.seed
+		batch.Tolerance = r.tolerance
 		mustRun(b, batch)
 	}
-	run(reqs[0]) // builds the sampling template and the BFS scratch
+	run(reqs[0]) // builds the sampling template and the walker
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

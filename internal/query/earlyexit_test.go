@@ -160,9 +160,9 @@ func TestBatchEarlyExitPropertyBitIdentity(t *testing.T) {
 }
 
 // TestBatchEarlyExitSkipsComponentScan asserts the fast path is real
-// at the engine level, not just in bfs: a reliability-only batch on a
-// long certain path with an adjacent target must prune its per-world
-// walks, observable as the enqueue count of the worker's last BFS.
+// at the engine level: a reliability-only batch on a long certain path
+// with an adjacent target must prune its walks, observable as the
+// number of vertices the lane's last packed walk discovered.
 func TestBatchEarlyExitSkipsComponentScan(t *testing.T) {
 	n := 500
 	pairs := make([]uncertain.Pair, n-1)
@@ -181,14 +181,14 @@ func TestBatchEarlyExitSkipsComponentScan(t *testing.T) {
 	}
 	// Every world of a certain path is the full path: the last walk
 	// must have stopped after discovering the adjacent target (2
-	// enqueues), where a full walk enqueues all n vertices.
-	if got := b.ws[0].scratch.Visited(); got != 2 {
-		t.Errorf("early-exit walk enqueued %d vertices, want 2", got)
+	// vertices), where a full walk discovers all n vertices.
+	if got := b.ws[0].discovered; got != 2 {
+		t.Errorf("early-exit walk discovered %d vertices, want 2", got)
 	}
 	b.fullBFS = true
 	mustRun(t, b)
-	if got := b.ws[0].scratch.Visited(); got != n {
-		t.Errorf("fullBFS reference enqueued %d vertices, want %d; test observable is broken", got, n)
+	if got := b.ws[0].discovered; got != n {
+		t.Errorf("fullBFS reference discovered %d vertices, want %d; test observable is broken", got, n)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 // BatchPool is a concurrency-safe pool of Batches bound to one graph —
 // the serving-layer reuse hook. A long-lived server keeps one BatchPool
 // per published graph so steady-state requests reuse world samplers,
-// BFS scratch and integer accumulators instead of reallocating them,
+// packed walkers and integer accumulators instead of reallocating them,
 // while the pool's Config template keeps every acquired batch inside
 // the graph's memory budget (Get stamps MemoryBudget before Reset, so
 // a pooled batch sheds high-water accumulators from a previous request

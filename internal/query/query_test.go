@@ -75,22 +75,30 @@ func exactLaws(tb testing.TB, g *uncertain.Graph, s int) (law [][]float64, disc 
 }
 
 // oracleStats records how close the estimates came to the Hoeffding
-// radius: the largest |estimate − exact| / ε over every assertion.
+// radius: the largest |estimate − exact| / ε over every assertion, for
+// the reliability and distance queries and, separately, for the cells
+// of the k-NN histograms.
 type oracleStats struct {
-	checks   int
-	maxRatio float64
+	checks, knnChecks     int
+	maxRatio, knnMaxRatio float64
 }
 
 // checkOracle runs one batch of r worlds carrying a reliability and a
-// distance query from each source to every other vertex, and asserts
-// every estimated probability against the exact law.
+// distance query from each source to every other vertex, plus one k-NN
+// query per source, and asserts every estimated probability against
+// the exact law: Pr(s~t), each Pr(dist = d) and Pr(disconnected), and
+// every cell knnHist[d·n+v]/r of each source's k-NN histogram against
+// Pr(dist(s,v) = d), with the share of worlds in which no cell counts
+// v against Pr(s and v disconnected).
 func checkOracle(t *testing.T, name string, g *uncertain.Graph, sources []int, r int, seed int64, st *oracleStats) {
 	t.Helper()
 	type query struct{ s, v, rel, dist int }
 	n := g.NumVertices()
 	b := NewBatch(g, Config{Worlds: r, Seed: seed})
 	var qs []query
+	knnIDs := make(map[int]int, len(sources))
 	for _, s := range sources {
+		knnIDs[s] = b.AddKNearest(s, n)
 		for v := 0; v < n; v++ {
 			if v != s {
 				qs = append(qs, query{s: s, v: v, rel: b.AddReliability(s, v), dist: b.AddDistance(s, v)})
@@ -99,6 +107,38 @@ func checkOracle(t *testing.T, name string, g *uncertain.Graph, sources []int, r
 	}
 	mustRun(t, b)
 	eps := hoeffdingEps(r)
+	assert := func(count *int, ratio *float64, what string, s, v int, got, want float64) {
+		t.Helper()
+		dev := math.Abs(got - want)
+		if st != nil {
+			*count++
+			*ratio = max(*ratio, dev/eps)
+		}
+		if dev > eps {
+			t.Errorf("%s: %s for (%d, %d) = %v, exact %v: |error| %.4g > Hoeffding ε %.4g (r = %d, δ = %g)",
+				name, what, s, v, got, want, dev, eps, r, hoeffdingDelta)
+		}
+	}
+	var scratch oracleStats
+	if st == nil {
+		st = &scratch
+	}
+	for _, s := range sources {
+		law, disc := exactLaws(t, g, s)
+		h := b.knnHist[b.queries[knnIDs[s]].slot]
+		for v := 0; v < n; v++ {
+			reached := 0.0
+			for d, want := range law[v] {
+				got := 0.0
+				if d*n+v < len(h) {
+					got = float64(h[d*n+v]) / float64(r)
+				}
+				reached += got
+				assert(&st.knnChecks, &st.knnMaxRatio, fmt.Sprintf("k-NN cell Pr(dist = %d)", d), s, v, got, want)
+			}
+			assert(&st.knnChecks, &st.knnMaxRatio, "k-NN unreachable share", s, v, 1-reached, disc[v])
+		}
+	}
 	var law [][]float64
 	var disc []float64
 	for i, q := range qs {
@@ -107,15 +147,7 @@ func checkOracle(t *testing.T, name string, g *uncertain.Graph, sources []int, r
 		}
 		check := func(what string, got, want float64) {
 			t.Helper()
-			dev := math.Abs(got - want)
-			if st != nil {
-				st.checks++
-				st.maxRatio = max(st.maxRatio, dev/eps)
-			}
-			if dev > eps {
-				t.Errorf("%s: %s for (%d, %d) = %v, exact %v: |error| %.4g > Hoeffding ε %.4g (r = %d, δ = %g)",
-					name, what, q.s, q.v, got, want, dev, eps, r, hoeffdingDelta)
-			}
+			assert(&st.checks, &st.maxRatio, what, q.s, q.v, got, want)
 		}
 		check("Pr(s~t)", b.Reliability(q.rel), 1-disc[q.v])
 		dist, dc := b.DistanceDistribution(q.dist)
@@ -262,6 +294,8 @@ func TestBatchMatchesExactOracle(t *testing.T) {
 	}
 	t.Logf("%d probabilities checked; largest |error| = %.3g of the Hoeffding ε = %.4g (r = %d, δ = %g)",
 		st.checks, st.maxRatio, hoeffdingEps(r), r, hoeffdingDelta)
+	t.Logf("%d k-NN histogram cells and unreachable shares checked; largest |error| = %.3g of ε",
+		st.knnChecks, st.knnMaxRatio)
 }
 
 func TestMedianDistance(t *testing.T) {

@@ -26,6 +26,13 @@ import (
 // per-world sort. Sample and SampleSeed differ only in where pass (1)
 // draws its coins: any *rand.Rand, or the sampler's own randx.Source.
 //
+// One coin pass has two outputs. Sample and SampleSeed materialize the
+// world as a CSR graph; SampleGroup instead packs up to 64 consecutive
+// worlds into one presence mask per candidate pair (see PackedWorlds),
+// the form the query engine walks. Each output's buffers are allocated
+// on first use, so a sampler that only packs holds no CSR buffers and
+// one that only materializes holds no masks.
+//
 // The returned *graph.Graph is reused: it remains valid only until the
 // next Sample or SampleSeed call on the same Sampler. A Sampler is not
 // safe for concurrent use; parallel pipelines hold one Sampler per
@@ -38,12 +45,16 @@ type Sampler struct {
 	tnbr  []int32 // opposite endpoint of the slot's pair
 	tpair []int32 // index of the slot's pair
 
-	// Per-world buffers.
+	// Per-world buffers. present is padded with false entries to a
+	// whole number of 64-pair words, the unit SampleGroup packs.
 	present []bool
-	offsets []int64
+	offsets []int64 // CSR buffers, allocated by the first materialize
 	nbr     []int32
 	world   graph.Graph
 	src     randx.Source // SampleSeed's generator, reseeded per world
+
+	// SampleGroup's output, allocated by its first call.
+	packed PackedWorlds
 }
 
 // NewSampler builds the sampling template for g. Cost is one sort of
@@ -55,9 +66,7 @@ func (g *Graph) NewSampler() *Sampler {
 		toff:    g.incOff,
 		tnbr:    make([]int32, len(g.incIdx)),
 		tpair:   make([]int32, len(g.incIdx)),
-		present: make([]bool, len(g.pairP)),
-		offsets: make([]int64, g.n+1),
-		nbr:     make([]int32, len(g.incIdx)),
+		present: newPresent(len(g.pairP)),
 	}
 	for v := 0; v < g.n; v++ {
 		lo, hi := s.toff[v], s.toff[v+1]
@@ -120,6 +129,13 @@ func (s *Sampler) Sample(rng *rand.Rand) *graph.Graph {
 // pre-derived seed. The returned graph aliases the sampler and is
 // valid until the next Sample or SampleSeed call.
 func (s *Sampler) SampleSeed(seed int64) *graph.Graph {
+	return s.materialize(s.drawSeed(seed))
+}
+
+// drawSeed is SampleSeed's coin pass: it reseeds the sampler's source,
+// records every pair's presence in s.present and returns the number of
+// present pairs.
+func (s *Sampler) drawSeed(seed int64) int {
 	src := &s.src
 	src.Seed(seed)
 	present := s.present
@@ -131,7 +147,7 @@ func (s *Sampler) SampleSeed(seed int64) *graph.Graph {
 			m++
 		}
 	}
-	return s.materialize(m)
+	return m
 }
 
 // materialize walks the template and packs the present pairs' opposite
@@ -142,6 +158,10 @@ func (s *Sampler) SampleSeed(seed int64) *graph.Graph {
 // store-if-present loop leaves it, and pos <= k keeps every store
 // inside nbr.
 func (s *Sampler) materialize(m int) *graph.Graph {
+	if s.nbr == nil {
+		s.offsets = make([]int64, len(s.toff))
+		s.nbr = make([]int32, len(s.tnbr))
+	}
 	present, toff, tnbr, tpair := s.present, s.toff, s.tnbr, s.tpair
 	nbr, offsets := s.nbr, s.offsets
 	var pos int64
@@ -177,7 +197,5 @@ func (s *Sampler) Clone() *Sampler {
 		tnbr:    s.tnbr,
 		tpair:   s.tpair,
 		present: make([]bool, len(s.present)),
-		offsets: make([]int64, len(s.offsets)),
-		nbr:     make([]int32, len(s.nbr)),
 	}
 }

@@ -200,10 +200,56 @@ func TestSampleSeedMatchesSample(t *testing.T) {
 	}
 }
 
+// TestSampleGroupMatchesSampleSeed pins the packed draw: bit j of
+// every mask is exactly the presence SampleSeed(seeds[j]) draws for the
+// pair, every bit at or above the width is zero, and neither holds
+// after a wider group or a materialized world on the same sampler. The
+// pair counts straddle the 64-pair word: below, at, and well past it.
+func TestSampleGroupMatchesSampleSeed(t *testing.T) {
+	path := func(pairs int) *Graph {
+		ps := make([]Pair, pairs)
+		for i := range ps {
+			ps[i] = Pair{U: i, V: i + 1, P: []float64{0, 1, 0.3, 0.9}[i%4]}
+		}
+		g, err := New(pairs+1, ps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	seeds := make([]int64, 64)
+	randx.FillWorldSeeds(seeds, randx.New(11))
+	for name, g := range map[string]*Graph{"1 pair": path(1), "64 pairs": path(64), "mixed fixture": samplerFixture(t, 30)} {
+		s, ref := g.NewSampler(), g.NewSampler()
+		for _, width := range []int{64, 7, 1, 63, 64, 33} {
+			if width == 33 {
+				s.SampleSeed(5) // a materialized world must not leak into the masks
+			}
+			pw := s.SampleGroup(seeds[:width])
+			if pw.Width != width || len(pw.Masks) != g.NumPairs() {
+				t.Fatalf("%s: width %d, %d masks; want %d and %d", name, pw.Width, len(pw.Masks), width, g.NumPairs())
+			}
+			for j, seed := range seeds[:width] {
+				ref.SampleSeed(seed)
+				for p, m := range pw.Masks {
+					if got := m>>j&1 == 1; got != ref.present[p] {
+						t.Fatalf("%s, width %d: pair %d in world %d is %v, SampleSeed drew %v", name, width, p, j, got, ref.present[p])
+					}
+				}
+			}
+			for p, m := range pw.Masks {
+				if width < 64 && m>>width != 0 {
+					t.Fatalf("%s, width %d: pair %d has bits above the width: %#x", name, width, p, m)
+				}
+			}
+		}
+	}
+}
+
 // TestSamplerZeroAllocs pins the acceptance criterion: after the
 // sampler is constructed (the warm-up), the steady-state per-world
-// loop — reseed, sample — performs zero heap allocations, on both
-// draw paths.
+// loop — reseed, sample — performs zero heap allocations, on every
+// draw path.
 func TestSamplerZeroAllocs(t *testing.T) {
 	g := samplerFixture(t, 60)
 	s := g.NewSampler()
@@ -223,5 +269,14 @@ func TestSamplerZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state SampleSeed allocates %v times per world, want 0", allocs)
+	}
+	seeds := make([]int64, 64)
+	allocs = testing.AllocsPerRun(20, func() {
+		seeds[0] = seed
+		s.SampleGroup(seeds)
+		seed++
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state SampleGroup allocates %v times per group, want 0", allocs)
 	}
 }

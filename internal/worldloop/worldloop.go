@@ -8,14 +8,24 @@
 //
 // The loop owns everything the two engines used to duplicate: the
 // world-seed table, one sampler per worker lane (a clone of one shared
-// template, drawing each world from its seed with
-// uncertain.Sampler.SampleSeed), the worker clamp, the fixed/adaptive
-// block schedule, Progress and cancellation. Callers keep only their
-// per-world scan, their merge and their convergence test.
+// template, drawing each world from its seed), the worker clamp, the
+// fixed/adaptive block schedule, Progress and cancellation. Callers
+// keep only their scan, their merge and their convergence test.
+//
+// A scan comes in two shapes. Run hands a Scanner one materialized
+// world per dispatch (uncertain.Sampler.SampleSeed), the shape the
+// statistics pipeline needs. RunGroups hands a GroupScanner a group of
+// up to 64 consecutive worlds packed one bit per world
+// (uncertain.Sampler.SampleGroup), the shape the query engine walks.
+// A group never crosses a block barrier: each block is cut into groups
+// of min(64, ⌈block worlds / lanes⌉) worlds, so every lane gets work
+// and an adaptive run stops at exactly the worlds a per-world run
+// would. Progress is still reported once per world, after the world's
+// group finishes.
 //
 // Parallelism has one axis: the worker budget is spent across worlds,
-// one lane per worker, and every world is scanned sequentially on its
-// lane. A run never uses more lanes than worlds.
+// one lane per worker, and every world or group is scanned
+// sequentially on its lane. A run never uses more lanes than worlds.
 //
 // Determinism: world i's seed is the i-th draw of a master RNG seeded
 // with Config.Seed, so the table is prefix-stable and world i samples
@@ -55,6 +65,17 @@ type Scanner interface {
 	Converged(lanes, done int) bool
 }
 
+// GroupScanner is a caller's work over packed groups of worlds.
+type GroupScanner interface {
+	// ScanGroup folds worlds [i, i+worlds.Width) into lane-owned
+	// state: bit j of worlds.Masks[p] is candidate pair p's presence in
+	// world i+j. worlds aliases the lane's sampler and is valid only
+	// for the call. Calls for one lane never overlap.
+	ScanGroup(lane, i int, worlds *uncertain.PackedWorlds)
+	// Converged is Scanner.Converged.
+	Converged(lanes, done int) bool
+}
+
 // Config describes one run.
 type Config struct {
 	// Worlds is the world budget: the exact length of a fixed run and
@@ -68,9 +89,9 @@ type Config struct {
 	// Scanner.Converged at each barrier; otherwise the whole budget is
 	// one block with no barrier.
 	Adaptive bool
-	// Progress, when non-nil, is invoked after each world with the
-	// number of finished worlds and the budget. Lanes invoke it
-	// concurrently.
+	// Progress, when non-nil, is invoked once per world, after the
+	// world (or its group) is scanned, with the number of finished
+	// worlds and the budget. Lanes invoke it concurrently.
 	Progress func(done, total int)
 }
 
@@ -108,6 +129,19 @@ type Loop struct {
 // never cancels. With one lane the loop runs inline, free of closures
 // and channels.
 func (l *Loop) Run(ctx context.Context, g *uncertain.Graph, cfg Config, s Scanner) (int, error) {
+	return l.run(ctx, g, cfg, s, nil)
+}
+
+// RunGroups is Run for a GroupScanner: the same worlds, seeds, blocks
+// and stopping points, scanned as packed groups that never cross a
+// block barrier. Cancellation lands between groups: no new group is
+// scanned once ctx is done, and a group in flight finishes.
+func (l *Loop) RunGroups(ctx context.Context, g *uncertain.Graph, cfg Config, s GroupScanner) (int, error) {
+	return l.run(ctx, g, cfg, nil, s)
+}
+
+// run is Run when gs is nil and RunGroups otherwise.
+func (l *Loop) run(ctx context.Context, g *uncertain.Graph, cfg Config, ws Scanner, gs GroupScanner) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -121,50 +155,81 @@ func (l *Loop) Run(ctx context.Context, g *uncertain.Graph, cfg Config, s Scanne
 	done := 0
 	for done < r {
 		end := min(done+block, r)
+		width := 1
+		if gs != nil {
+			width = groupWidth(end-done, lanes)
+		}
 		if lanes == 1 {
-			for i := done; i < end; i++ {
+			for i := done; i < end; i += width {
 				if err := ctx.Err(); err != nil {
 					return done, err
 				}
-				l.scan(s, 0, i)
+				hi := min(i+width, end)
+				l.scan(ws, gs, 0, i, hi)
 				if cfg.Progress != nil {
-					cfg.Progress(i+1, r)
+					for j := i; j < hi; j++ {
+						cfg.Progress(j+1, r)
+					}
 				}
 			}
 		} else {
-			l.runParallel(ctx, s, cfg, min(lanes, end-done), done, end)
+			l.runParallel(ctx, ws, gs, cfg, lanes, done, end, width)
 		}
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
 		done = end
-		if cfg.Adaptive && done >= 2 && done < r && s.Converged(lanes, done) {
+		if cfg.Adaptive && done >= 2 && done < r && converged(ws, gs, lanes, done) {
 			break
 		}
 	}
 	return done, nil
 }
 
-// runParallel fans the worlds [base, end) out over lanes goroutines and
-// joins them all, which is what makes the block boundary a barrier. It
-// is separate from Run so the closure's captures never force the
-// one-lane path to allocate.
-func (l *Loop) runParallel(ctx context.Context, s Scanner, cfg Config, lanes, base, end int) {
+// groupWidth is the group size for a block of worlds on lanes lanes:
+// the word size, narrowed so every lane gets a group.
+func groupWidth(worlds, lanes int) int {
+	return min(uncertain.GroupWidth, (worlds+lanes-1)/lanes)
+}
+
+func converged(ws Scanner, gs GroupScanner, lanes, done int) bool {
+	if gs != nil {
+		return gs.Converged(lanes, done)
+	}
+	return ws.Converged(lanes, done)
+}
+
+// runParallel fans the worlds [base, end), in units of width worlds,
+// out over at most lanes goroutines and joins them all, which is what
+// makes the block boundary a barrier. It is separate from run so the
+// closure's captures never force the one-lane path to allocate.
+func (l *Loop) runParallel(ctx context.Context, ws Scanner, gs GroupScanner, cfg Config, lanes, base, end, width int) {
+	units := (end - base + width - 1) / width
 	var finished atomic.Int64
-	// Run reads ctx.Err() itself once every lane has joined.
-	_ = parallel.ForWorkers(ctx, end-base, lanes, func(k, j int) {
-		l.scan(s, k, base+j)
+	// run reads ctx.Err() itself once every lane has joined.
+	_ = parallel.ForWorkers(ctx, units, min(lanes, units), func(k, u int) {
+		lo := base + u*width
+		hi := min(lo+width, end)
+		l.scan(ws, gs, k, lo, hi)
 		if cfg.Progress != nil {
-			cfg.Progress(base+int(finished.Add(1)), cfg.Worlds)
+			for range hi - lo {
+				cfg.Progress(base+int(finished.Add(1)), cfg.Worlds)
+			}
 		}
 	})
 }
 
-// scan materializes world i on lane k and hands it to s. SampleSeed
-// draws exactly the world Sample(randx.New(seed)) would.
-func (l *Loop) scan(s Scanner, k, i int) {
-	seed := l.seeds[i]
-	s.ScanWorld(k, i, l.samplers[k].SampleSeed(seed), seed)
+// scan hands the worlds [lo, hi) to the scanner on lane k: packed as
+// one group for gs, or world lo materialized for ws (hi is then
+// lo+1). SampleSeed draws exactly the world Sample(randx.New(seed))
+// would, and SampleGroup packs exactly SampleSeed's worlds.
+func (l *Loop) scan(ws Scanner, gs GroupScanner, k, lo, hi int) {
+	if gs != nil {
+		gs.ScanGroup(k, lo, l.samplers[k].SampleGroup(l.seeds[lo:hi]))
+		return
+	}
+	seed := l.seeds[lo]
+	ws.ScanWorld(k, lo, l.samplers[k].SampleSeed(seed), seed)
 }
 
 // prepare derives the seed table for r worlds and readies lanes lanes,

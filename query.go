@@ -3,9 +3,10 @@ package uncertaingraph
 import "uncertaingraph/internal/query"
 
 // QueryBatch evaluates many queries against one shared set of sampled
-// worlds: each world is materialized once, one BFS runs per distinct
-// query source per world, and the steady-state world loop performs
-// zero heap allocations. This is the serving path behind cmd/queryd;
+// worlds: worlds are drawn in packed groups of up to 64, one
+// bit-parallel BFS per distinct query source walks every world of a
+// group at once, and the steady-state world loop performs zero heap
+// allocations. This is the serving path behind cmd/queryd;
 // results are bit-identical for every Workers value, and Run takes the
 // request's context so a dropped client stops the work mid-flight.
 type QueryBatch = query.Batch

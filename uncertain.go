@@ -40,8 +40,9 @@ func SampleWorld(g *UncertainGraph, rng *rand.Rand) *Graph { return g.SampleWorl
 // buffers: zero heap allocations per world, bit-identical to
 // SampleWorld for equal RNG states. Sample draws from any *rand.Rand;
 // SampleSeed(seed) draws the world Sample(NewRand(seed)) would from
-// the sampler's own generator — the faster path the world loops use
-// when every world has its own seed. The returned graph of each call
+// the sampler's own generator — the faster path the statistics loop
+// uses when every world has its own seed. (Query batches draw the same
+// worlds packed, 64 per word, and never materialize them.) The returned graph of each call
 // is reused by the next, and a sampler serves one goroutine; see the
 // README's "Graph representation & memory model" section.
 type WorldSampler = uncertain.Sampler
