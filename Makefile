@@ -72,7 +72,9 @@ bench:
 # times; benchfmt records its median with the min and max, and warns
 # (never fails) when a median is >10% above the previous record's.
 #
-# bench-sampling: the possible-world engine (the first record in
+# bench-sampling: the possible-world engine — SampleWorlds times 100
+# worlds through SampleSeed, the statistics world loop's path, and
+# SampleWorldsNaive a fresh graph per world (the first record in
 # BENCH_sampling.json is the pre-refactor baseline; see README "Graph
 # representation & memory model").
 bench-sampling: BENCH_PKG = ./internal/sampling
@@ -83,10 +85,13 @@ bench-sampling: BENCH_TIME = 3x
 # queryd cache miss at its shipped shape (738 worlds on an obfuscated
 # dblp-tiny release, 1-4 queries per request, a quarter of requests
 # re-asked with tolerance 0.05 as serve-novel does; 16x covers its
-# request cycle once per run). The BatchQueries line must report
-# 0 allocs/op: the query world loop is allocation-free once warm.
+# request cycle once per run), plus the two parts of that miss's
+# sampling on the same release: one 64-world SampleGroup and one
+# NewSampler template build, so work moved into set-up shows. The
+# BatchQueries line must report 0 allocs/op: the query world loop is
+# allocation-free once warm.
 bench-query: BENCH_PKG = ./internal/query
-bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$|BenchmarkBatchServeShaped$$
+bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$|BenchmarkBatchServeShaped$$|BenchmarkSampleGroupServeShaped$$|BenchmarkNewSamplerServeShaped$$
 bench-query: BENCH_TIME = 16x
 # bench-obfuscate: sequential vs parallel full Algorithm 1 runs on the
 # ~5k-vertex stand-in.

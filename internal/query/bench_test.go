@@ -179,3 +179,36 @@ func BenchmarkBatchServeShaped(b *testing.B) {
 		run(reqs[i%len(reqs)])
 	}
 }
+
+// BenchmarkSampleGroupServeShaped measures one 64-world SampleGroup on
+// the serve-shaped release: 64 coin passes over its candidate pairs,
+// the bit packing and the transposes, with no walk. Each op draws the
+// next of 16 pre-derived groups.
+func BenchmarkSampleGroupServeShaped(b *testing.B) {
+	g, _ := serveShapedFixture(b)
+	s := g.NewSampler()
+	seeds := make([]int64, 16*uncertain.GroupWidth)
+	randx.FillWorldSeeds(seeds, randx.New(1))
+	s.SampleGroup(seeds[:uncertain.GroupWidth])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lo := i % 16 * uncertain.GroupWidth
+		s.SampleGroup(seeds[lo : lo+uncertain.GroupWidth])
+	}
+}
+
+// BenchmarkNewSamplerServeShaped measures one sampling-template build
+// on the serve-shaped release, the set-up every new pooled batch and
+// every post-eviction reload pays before its first world.
+func BenchmarkNewSamplerServeShaped(b *testing.B) {
+	g, _ := serveShapedFixture(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		samplerSink = g.NewSampler()
+	}
+}
+
+// samplerSink keeps the compiler from eliding the template build.
+var samplerSink *uncertain.Sampler

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"uncertaingraph/internal/bfs"
@@ -81,6 +82,31 @@ func exactLaws(tb testing.TB, g *uncertain.Graph, s int) (law [][]float64, disc 
 type oracleStats struct {
 	checks, knnChecks     int
 	maxRatio, knnMaxRatio float64
+	// medians counts the (s, v) medians r worlds decide and checks;
+	// medianSkips those too close to 1/2 to assert. rankings counts the
+	// sources whose whole k-NN ranking is checked; rankingSkips those
+	// with an undecided median.
+	medians, medianSkips   int
+	rankings, rankingSkips int
+}
+
+// exactMedian returns the count-rule median of a distance law — the
+// smallest d with Pr(dist <= d) >= 1/2, or -1 when the disconnection
+// bucket, sorted last, holds it — and whether r worlds decide it: the
+// exact CDF must clear 1/2 by more than ε just below the median and by
+// more than ε + 1/(2r) at it. Then every empirical CDF within ε of the
+// exact one stays under 1/2 below the median and reaches ⌈r/2⌉ worlds
+// at it, so the count rule lands on the exact median.
+func exactMedian(law []float64, eps float64, r int) (median int, decided bool) {
+	below := 0.0
+	for d, p := range law {
+		at := below + p
+		if at >= 0.5 {
+			return d, 0.5-below > eps && at-0.5 > eps+1/(2*float64(r))
+		}
+		below = at
+	}
+	return -1, 0.5-below > eps
 }
 
 // checkOracle runs one batch of r worlds carrying a reliability and a
@@ -89,7 +115,10 @@ type oracleStats struct {
 // the exact law: Pr(s~t), each Pr(dist = d) and Pr(disconnected), and
 // every cell knnHist[d·n+v]/r of each source's k-NN histogram against
 // Pr(dist(s,v) = d), with the share of worlds in which no cell counts
-// v against Pr(s and v disconnected).
+// v against Pr(s and v disconnected). Where r worlds decide the exact
+// median of dist(s, v) (see exactMedian), MedianDistance and the median
+// the k-NN query reports for v must equal it; where they decide every
+// median of a source, its k-NN ranking must equal the exact one.
 func checkOracle(t *testing.T, name string, g *uncertain.Graph, sources []int, r int, seed int64, st *oracleStats) {
 	t.Helper()
 	type query struct{ s, v, rel, dist int }
@@ -164,6 +193,58 @@ func checkOracle(t *testing.T, name string, g *uncertain.Graph, sources []int, r
 		}
 		if math.Abs(mass-1) > 1e-9 {
 			t.Errorf("%s: law of dist(%d, %d) has mass %v, want 1", name, q.s, q.v, mass)
+		}
+	}
+	distIDs := make(map[[2]int]int, len(qs))
+	for _, q := range qs {
+		distIDs[[2]int{q.s, q.v}] = q.dist
+	}
+	for _, s := range sources {
+		law, _ := exactLaws(t, g, s)
+		knnMedian := make(map[int]int, n)
+		for _, nb := range b.KNearestWithMedians(knnIDs[s]) {
+			knnMedian[nb.V] = nb.Median
+		}
+		medians := make([]int, n)
+		undecided := 0
+		for v := 0; v < n; v++ {
+			if v == s {
+				continue
+			}
+			want, decided := exactMedian(law[v], eps, r)
+			medians[v] = want
+			if !decided {
+				undecided++
+				continue
+			}
+			if got := b.MedianDistance(distIDs[[2]int{s, v}]); got != want {
+				t.Errorf("%s: MedianDistance(%d, %d) = %d, exact median %d", name, s, v, got, want)
+			}
+			got, ranked := knnMedian[v]
+			if !ranked {
+				got = -1
+			}
+			if got != want {
+				t.Errorf("%s: k-NN median of %d from %d = %d (-1: unranked), exact median %d", name, v, s, got, want)
+			}
+		}
+		st.medians += n - 1 - undecided
+		st.medianSkips += undecided
+		if undecided > 0 {
+			st.rankingSkips++
+			continue
+		}
+		st.rankings++
+		var ranking []int // exact: by median, then vertex id
+		for d := 0; d < n; d++ {
+			for v := 0; v < n; v++ {
+				if v != s && medians[v] == d {
+					ranking = append(ranking, v)
+				}
+			}
+		}
+		if got := b.KNearest(knnIDs[s]); !slices.Equal(got, ranking) {
+			t.Errorf("%s: KNearest(%d, k = %d) = %v, exact ranking %v", name, s, n, got, ranking)
 		}
 	}
 }
@@ -296,6 +377,8 @@ func TestBatchMatchesExactOracle(t *testing.T) {
 		st.checks, st.maxRatio, hoeffdingEps(r), r, hoeffdingDelta)
 	t.Logf("%d k-NN histogram cells and unreachable shares checked; largest |error| = %.3g of ε",
 		st.knnChecks, st.knnMaxRatio)
+	t.Logf("%d exact medians checked, %d skipped as within ε + 1/(2r) of 1/2; %d k-NN rankings checked, %d skipped",
+		st.medians, st.medianSkips, st.rankings, st.rankingSkips)
 }
 
 func TestMedianDistance(t *testing.T) {

@@ -1,7 +1,9 @@
 // Package randx provides the randomness substrate: reproducible seeded
 // RNG construction, O(1) weighted sampling via Walker's alias method,
 // and Source, math/rand's generator as a concrete type for the
-// per-world samplers.
+// per-world samplers, with a block coin kernel (Source.Coins) that
+// draws a world's coins against per-pair integer thresholds
+// (CoinThreshold) exactly as per-pair Float64 calls would.
 //
 // The obfuscation algorithm (paper Alg. 2) repeatedly draws vertices from
 // the uniqueness-proportional distribution Q while growing the candidate

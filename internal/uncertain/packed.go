@@ -73,10 +73,16 @@ func (s *Sampler) SampleGroup(seeds []int64) *PackedWorlds {
 	return &s.packed
 }
 
-// newPresent returns a presence buffer for pairs pairs, padded with
-// false entries to a whole number of GroupWidth-pair words.
-func newPresent(pairs int) []bool {
-	return make([]bool, (pairs+GroupWidth-1)/GroupWidth*GroupWidth)
+// newPresent returns a presence buffer for the pairs of probabilities
+// pairP, padded with false entries to a whole number of GroupWidth-pair
+// words. Every pair that draws no coin holds its constant presence
+// (p >= 1) from here on; the coin passes write only the others.
+func newPresent(pairP []float64) []bool {
+	present := make([]bool, (len(pairP)+GroupWidth-1)/GroupWidth*GroupWidth)
+	for i, p := range pairP {
+		present[i] = p >= 1
+	}
+	return present
 }
 
 // packBools packs 64 bytes, each 0 or 1, into one word: bit i is b[i].

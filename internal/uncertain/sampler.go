@@ -2,7 +2,6 @@ package uncertain
 
 import (
 	"math/rand"
-	"sort"
 
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/randx"
@@ -23,8 +22,12 @@ import (
 // of Graph.SampleWorld, recording presence in a bitmap; (2) walk the
 // template and pack the present neighbors into the world's flat
 // adjacency array, branch-free, which lands sorted without any
-// per-world sort. Sample and SampleSeed differ only in where pass (1)
-// draws its coins: any *rand.Rand, or the sampler's own randx.Source.
+// per-world sort. Sample and SampleSeed differ only in how pass (1)
+// draws its coins. Sample calls Float64 on any *rand.Rand once per
+// pair. SampleSeed draws from the sampler's own randx.Source in
+// straight runs of the generator (randx.Source.Coins), comparing each
+// draw with the pair's integer coin threshold, which the template
+// holds: the same coins, without a call per pair.
 //
 // One coin pass has two outputs. Sample and SampleSeed materialize the
 // world as a CSR graph; SampleGroup instead packs up to 64 consecutive
@@ -45,7 +48,14 @@ type Sampler struct {
 	tnbr  []int32 // opposite endpoint of the slot's pair
 	tpair []int32 // index of the slot's pair
 
-	// Per-world buffers. present is padded with false entries to a
+	// Coin table: th[i] is pair i's randx.CoinThreshold, and runs are
+	// the maximal runs of consecutive pairs that draw a coin
+	// (0 < p < 1), in candidate-list order.
+	th   []uint64
+	runs []coinRun
+
+	// Per-world buffers. present holds every pair that draws no coin
+	// from its allocation on, and is padded with false entries to a
 	// whole number of 64-pair words, the unit SampleGroup packs.
 	present []bool
 	offsets []int64 // CSR buffers, allocated by the first materialize
@@ -57,46 +67,50 @@ type Sampler struct {
 	packed PackedWorlds
 }
 
-// NewSampler builds the sampling template for g. Cost is one sort of
-// the incident lists, O(Σ_v inc(v) log inc(v)); every subsequent
-// Sample or SampleSeed is O(|E_C|) with no allocations.
+// coinRun is the pair range [lo, hi) of one run of coin-drawing pairs.
+type coinRun struct{ lo, hi int }
+
+// NewSampler builds the sampling template for g in O(n + |E_C|): a
+// counting sort of the incident slots by opposite endpoint, and one
+// coin threshold per pair. Every subsequent Sample or SampleSeed is
+// O(|E_C|) with no allocations.
 func (g *Graph) NewSampler() *Sampler {
 	s := &Sampler{
-		g:       g,
-		toff:    g.incOff,
-		tnbr:    make([]int32, len(g.incIdx)),
-		tpair:   make([]int32, len(g.incIdx)),
-		present: newPresent(len(g.pairP)),
+		g:     g,
+		toff:  g.incOff,
+		tnbr:  make([]int32, len(g.incIdx)),
+		tpair: make([]int32, len(g.incIdx)),
+		th:    make([]uint64, len(g.pairP)),
 	}
-	for v := 0; v < g.n; v++ {
-		lo, hi := s.toff[v], s.toff[v+1]
-		for k := lo; k < hi; k++ {
-			idx := g.incIdx[k]
-			other := g.pairU[idx]
-			if int(other) == v {
-				other = g.pairV[idx]
+	// Hand every pair of u, for u in increasing order, to the slot list
+	// of its other endpoint: each list fills sorted by opposite
+	// endpoint, which is distinct within a list.
+	next := make([]int64, g.n)
+	copy(next, g.incOff)
+	for u := 0; u < g.n; u++ {
+		for _, idx := range g.incIdx[g.incOff[u]:g.incOff[u+1]] {
+			v := g.pairU[idx]
+			if int(v) == u {
+				v = g.pairV[idx]
 			}
-			s.tnbr[k] = other
-			s.tpair[k] = idx
+			k := next[v]
+			next[v]++
+			s.tnbr[k], s.tpair[k] = int32(u), idx
 		}
-		sort.Sort(templateSlots{nbr: s.tnbr[lo:hi], pair: s.tpair[lo:hi]})
 	}
+	for i, p := range g.pairP {
+		if p <= 0 || p >= 1 {
+			continue // certain or impossible: no coin, no draw
+		}
+		s.th[i] = randx.CoinThreshold(p)
+		if last := len(s.runs) - 1; last >= 0 && s.runs[last].hi == i {
+			s.runs[last].hi++
+		} else {
+			s.runs = append(s.runs, coinRun{i, i + 1})
+		}
+	}
+	s.present = newPresent(g.pairP)
 	return s
-}
-
-// templateSlots co-sorts one vertex's (neighbor, pair-index) slots by
-// neighbor id; endpoints are distinct within a vertex, so the order is
-// total.
-type templateSlots struct {
-	nbr  []int32
-	pair []int32
-}
-
-func (t templateSlots) Len() int           { return len(t.nbr) }
-func (t templateSlots) Less(i, j int) bool { return t.nbr[i] < t.nbr[j] }
-func (t templateSlots) Swap(i, j int) {
-	t.nbr[i], t.nbr[j] = t.nbr[j], t.nbr[i]
-	t.pair[i], t.pair[j] = t.pair[j], t.pair[i]
 }
 
 // Sample draws one possible world W ~ Pr(W) into the sampler's
@@ -107,47 +121,48 @@ func (t templateSlots) Swap(i, j int) {
 // sampler and is valid until the next Sample or SampleSeed call.
 //
 // Sample is the reference path for any *rand.Rand; the world loop
-// samples through SampleSeed, which draws the same coins without
-// dispatching through rand.Source.
+// samples through SampleSeed, which draws the same coins in runs.
 func (s *Sampler) Sample(rng *rand.Rand) *graph.Graph {
 	present := s.present
-	m := 0
 	for i, p := range s.g.pairP {
-		on := p > 0 && (p >= 1 || rng.Float64() < p)
-		present[i] = on
-		if on {
-			m++
-		}
+		present[i] = p > 0 && (p >= 1 || rng.Float64() < p)
 	}
-	return s.materialize(m)
+	return s.materialize()
 }
 
 // SampleSeed draws the world Sample(randx.New(seed)) draws, from the
-// sampler's own randx.Source: the same coins in the same order, each a
-// static call instead of an interface dispatch, after a table-driven
-// reseed. The world loop calls it once per world with that world's
-// pre-derived seed. The returned graph aliases the sampler and is
-// valid until the next Sample or SampleSeed call.
+// sampler's own randx.Source: the same coins in the same order, after
+// a table-driven reseed. The world loop calls it once per world with
+// that world's pre-derived seed. The returned graph aliases the
+// sampler and is valid until the next Sample or SampleSeed call.
 func (s *Sampler) SampleSeed(seed int64) *graph.Graph {
-	return s.materialize(s.drawSeed(seed))
+	s.drawSeed(seed)
+	return s.materialize()
 }
 
-// drawSeed is SampleSeed's coin pass: it reseeds the sampler's source,
-// records every pair's presence in s.present and returns the number of
-// present pairs.
-func (s *Sampler) drawSeed(seed int64) int {
+// drawSeed is SampleSeed's coin pass: it reseeds the sampler's source
+// and records every coin-drawing pair's presence in s.present, one
+// randx.Source.Coins call per run of such pairs; the stream continues
+// across runs as Float64's does across the pairs between them. In the
+// rare world where one draw is one Float64 discards (about 2⁻⁵⁴ per
+// coin), it reseeds and redraws the world with Float64 itself, which
+// redraws as Sample does.
+func (s *Sampler) drawSeed(seed int64) {
 	src := &s.src
 	src.Seed(seed)
 	present := s.present
-	m := 0
-	for i, p := range s.g.pairP {
-		on := p > 0 && (p >= 1 || src.Float64() < p)
-		present[i] = on
-		if on {
-			m++
+	redraw := false
+	for _, r := range s.runs {
+		if src.Coins(present[r.lo:r.hi], s.th[r.lo:r.hi]) {
+			redraw = true
 		}
 	}
-	return m
+	if redraw {
+		src.Seed(seed)
+		for i, p := range s.g.pairP {
+			present[i] = p > 0 && (p >= 1 || src.Float64() < p)
+		}
+	}
 }
 
 // materialize walks the template and packs the present pairs' opposite
@@ -156,8 +171,9 @@ func (s *Sampler) drawSeed(seed int64) int {
 // slot's pair is present (a conditional move, not a jump), so the next
 // store overwrites an absent one. nbr[:pos] ends up exactly as a
 // store-if-present loop leaves it, and pos <= k keeps every store
-// inside nbr.
-func (s *Sampler) materialize(m int) *graph.Graph {
+// inside nbr. Every present pair fills two slots, one per endpoint, so
+// the world has pos/2 edges.
+func (s *Sampler) materialize() *graph.Graph {
 	if s.nbr == nil {
 		s.offsets = make([]int64, len(s.toff))
 		s.nbr = make([]int32, len(s.tnbr))
@@ -177,7 +193,7 @@ func (s *Sampler) materialize(m int) *graph.Graph {
 		offsets[v] = pos
 		lo = hi
 	}
-	s.world.ResetCSR(offsets, nbr[:pos], m)
+	s.world.ResetCSR(offsets, nbr[:pos], int(pos/2))
 	return &s.world
 }
 
@@ -188,14 +204,16 @@ func (s *Sampler) Graph() *Graph { return s.g }
 // sampling template but owns fresh per-world buffers, so it samples
 // exactly the same worlds from equal RNG states or seeds while being
 // safe to drive from another goroutine. Parallel engines build one
-// template (the O(Σ inc(v) log inc(v)) sort) and clone it per worker
-// instead of re-sorting per worker.
+// template (the slot sort and the coin thresholds) and clone it per
+// worker instead of rebuilding it per worker.
 func (s *Sampler) Clone() *Sampler {
 	return &Sampler{
 		g:       s.g,
 		toff:    s.toff,
 		tnbr:    s.tnbr,
 		tpair:   s.tpair,
-		present: make([]bool, len(s.present)),
+		th:      s.th,
+		runs:    s.runs,
+		present: newPresent(s.g.pairP),
 	}
 }

@@ -176,7 +176,13 @@ func TestSampleSeedMatchesSample(t *testing.T) {
 		t.Fatalf("a pair whose p equals its coin was drawn present")
 	}
 	seeds = append(seeds, tieSeed)
-	for name, g := range map[string]*Graph{"edge-case probabilities": edgy, "mixed fixture": samplerFixture(t, 30), "coin tie": tie} {
+	fixtures := map[string]*Graph{
+		"edge-case probabilities":    edgy,
+		"mixed fixture":              samplerFixture(t, 30),
+		"coin tie":                   tie,
+		"runs broken at cycle edges": runsFixture(t),
+	}
+	for name, g := range fixtures {
 		viaSeed, viaRand := g.NewSampler(), g.NewSampler()
 		for i, seed := range seeds {
 			var got *graph.Graph
@@ -196,6 +202,64 @@ func TestSampleSeedMatchesSample(t *testing.T) {
 			if err := got.Validate(); err != nil {
 				t.Fatalf("%s, seed %d: invalid world: %v", name, seed, err)
 			}
+		}
+	}
+}
+
+// runsFixture builds a graph whose pairs that draw no coin (p = 0 or
+// p = 1) break the runs of coin-drawing pairs at the first pair, at the
+// last pair, and where the stream reaches a half-cycle edge of the
+// generator: after 333, 334, 607, 608 and 941 coins, with a run of
+// three constant pairs at 334.
+func runsFixture(t *testing.T) *Graph {
+	t.Helper()
+	breaks := map[int]int{333: 1, 334: 3, 607: 1, 608: 1, 941: 1}
+	rng := randx.New(13)
+	const n = 60
+	pairs := []Pair{{U: 0, V: 1, P: 0}}
+	coins := 0
+	for u := 0; u < n && coins < 1300; u++ {
+		for v := u + 1; v < n && coins < 1300; v++ {
+			if u == 0 && v == 1 {
+				continue
+			}
+			p := rng.Float64()
+			if k := breaks[coins]; k > 0 {
+				breaks[coins]--
+				p = float64(k % 2) // alternate 1 and 0
+			} else {
+				coins++
+			}
+			pairs = append(pairs, Pair{U: u, V: v, P: p})
+		}
+	}
+	pairs[len(pairs)-1].P = 1
+	g, err := New(n, pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Runs of 333, 1, 273, 1, 333 and 358 coins.
+	if runs := g.NewSampler().runs; len(runs) != 6 {
+		t.Fatalf("fixture has %d runs of coin-drawing pairs, want 6: %v", len(runs), runs)
+	}
+	return g
+}
+
+// TestNewSamplerAllocs pins the template build's allocation count to a
+// constant: the sampler, its slot, threshold and presence arrays, the
+// run list and one cursor array, however many vertices there are.
+func TestNewSamplerAllocs(t *testing.T) {
+	for _, n := range []int{30, 600} {
+		pairs := make([]Pair, 0, 2*n)
+		for v := 0; v < n; v++ {
+			pairs = append(pairs, Pair{U: v, V: (v + 1) % n, P: 0.5}, Pair{U: v, V: (v + 7) % n, P: 0.25})
+		}
+		g, err := New(n, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { g.NewSampler() }); allocs != 7 {
+			t.Errorf("%d vertices: NewSampler allocates %v times, want 7", n, allocs)
 		}
 	}
 }

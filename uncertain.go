@@ -41,10 +41,13 @@ func SampleWorld(g *UncertainGraph, rng *rand.Rand) *Graph { return g.SampleWorl
 // SampleWorld for equal RNG states. Sample draws from any *rand.Rand;
 // SampleSeed(seed) draws the world Sample(NewRand(seed)) would from
 // the sampler's own generator — the faster path the statistics loop
-// uses when every world has its own seed. (Query batches draw the same
-// worlds packed, 64 per word, and never materialize them.) The returned graph of each call
-// is reused by the next, and a sampler serves one goroutine; see the
-// README's "Graph representation & memory model" section.
+// uses when every world has its own seed: it draws the coins in
+// straight runs of the generator against per-pair integer thresholds
+// instead of one Float64 call per pair. (Query batches draw the same
+// worlds packed, 64 per word, and never materialize them.) The
+// returned graph of each call is reused by the next, and a sampler
+// serves one goroutine; see the README's "Graph representation &
+// memory model" section.
 type WorldSampler = uncertain.Sampler
 
 // NewWorldSampler builds the reusable sampling state for g.
