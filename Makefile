@@ -8,7 +8,7 @@ BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 
 BENCH_TARGETS = bench-sampling bench-query bench-obfuscate bench-qserve bench-io
 
-.PHONY: build test race vet fmt-check seed-check lint cover bench $(BENCH_TARGETS) e2ebench-check ci
+.PHONY: build test race vet fmt-check seed-check lint cover $(BENCH_TARGETS) e2ebench-check ci
 
 # Total-coverage floor enforced by `make cover`. 75.9% measured when
 # the target was introduced (PR 5), raised to 78 with the result-cache
@@ -59,18 +59,12 @@ cover:
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 >= m+0) ? 0 : 1 }' || { \
 		echo "coverage $$total% fell below the $(COVER_MIN)% floor"; exit 1; }
 
-# The headline comparison: sequential vs parallel full Algorithm 1 runs
-# on the ~5k-vertex stand-in (plus the rest of the benchmark suite via
-# `go test -bench=. .`).
-bench:
-	$(GO) test -run TestObfuscateBenchConfigEquivalence \
-		-bench 'BenchmarkObfuscate(Sequential|Parallel)' -benchtime 5x .
-
 # Package benchmarks, each appended as a JSON record to BENCH_<name>.json
 # by one shared recipe (below): bench-<name> sets the package, the
 # benchmark regexp and the iteration count. Every benchmark runs five
 # times; benchfmt records its median with the min and max, and warns
-# (never fails) when a median is >10% above the previous record's.
+# (never fails) when a median is >10% above the previous record's and
+# the fastest run is slower than that record's slowest.
 #
 # bench-sampling: the possible-world engine — SampleWorlds times 100
 # worlds through SampleSeed, the statistics world loop's path, and
@@ -94,7 +88,8 @@ bench-query: BENCH_PKG = ./internal/query
 bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|BenchmarkBatchReliabilityOnlyFullBFS$$|BenchmarkBatchServeShaped$$|BenchmarkSampleGroupServeShaped$$|BenchmarkNewSamplerServeShaped$$
 bench-query: BENCH_TIME = 16x
 # bench-obfuscate: sequential vs parallel full Algorithm 1 runs on the
-# ~5k-vertex stand-in.
+# ~5k-vertex stand-in (TestObfuscateBenchConfigEquivalence, in the
+# plain test suite, pins that both compute the same release).
 bench-obfuscate: BENCH_PKG = .
 bench-obfuscate: BENCH_RE = BenchmarkObfuscate(Sequential|Parallel)$$
 bench-obfuscate: BENCH_TIME = 3x

@@ -51,7 +51,7 @@ func TestCancellationPropagates(t *testing.T) {
 		defer cancel()
 		// The progress observer fires after the first consumed σ probe:
 		// cancelling there guarantees the search is genuinely mid-flight
-		// (speculative probes in the air) rather than racing startup.
+		// (the next probe is about to start) rather than racing startup.
 		start := time.Now()
 		res, err := ug.Obfuscate(ctx, g,
 			ug.WithK(5), ug.WithEps(0.05), ug.WithSeed(1), ug.WithWorkers(4),

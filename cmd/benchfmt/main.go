@@ -16,7 +16,9 @@
 // number of runs, so every recorded number carries its spread.
 // benchfmt also warns on stderr about every benchmark whose median is
 // more than 10% above the same benchmark's in the file's previous
-// record; the warning never changes the exit status.
+// record and whose fastest run is slower than that record's slowest,
+// so a spread that overlaps the previous one (host noise) never warns;
+// the warning never changes the exit status.
 package main
 
 import (
@@ -203,23 +205,39 @@ func median(xs []float64) float64 {
 // regressionRatio is the median slowdown benchfmt warns about.
 const regressionRatio = 1.10
 
+// spread returns the fastest and slowest of b's runs. A record written
+// before runs were folded holds one run and no spread: its median is
+// both.
+func spread(b Benchmark) (lo, hi float64) {
+	if b.MaxNsPerOp == 0 {
+		return b.NsPerOp, b.NsPerOp
+	}
+	return b.MinNsPerOp, b.MaxNsPerOp
+}
+
 // compareRuns writes one warning to w for every benchmark of run whose
-// median ns/op exceeds the same benchmark's in prev by more than 10%,
-// and returns how many it wrote. Benchmarks absent from prev are new
-// and never warned about.
+// median ns/op exceeds the same benchmark's in prev by more than 10%
+// and whose fastest run is slower than prev's slowest, and returns how
+// many it wrote. Benchmarks absent from prev are new and never warned
+// about.
 func compareRuns(prev, run Run, w io.Writer) int {
-	before := make(map[string]float64, len(prev.Benchmarks))
+	before := make(map[string]Benchmark, len(prev.Benchmarks))
 	for _, b := range prev.Benchmarks {
-		before[b.Name] = b.NsPerOp
+		before[b.Name] = b
 	}
 	warned := 0
 	for _, b := range run.Benchmarks {
 		old, ok := before[b.Name]
-		if !ok || old <= 0 || b.NsPerOp <= old*regressionRatio {
+		if !ok || old.NsPerOp <= 0 || b.NsPerOp <= old.NsPerOp*regressionRatio {
 			continue
 		}
-		fmt.Fprintf(w, "benchfmt: warning: %s median %.0f ns/op is %.1f%% above %.0f ns/op in the previous record (%s)\n",
-			b.Name, b.NsPerOp, 100*(b.NsPerOp/old-1), old, prev.Label)
+		fastest, _ := spread(b)
+		_, oldSlowest := spread(old)
+		if fastest <= oldSlowest {
+			continue
+		}
+		fmt.Fprintf(w, "benchfmt: warning: %s median %.0f ns/op is %.1f%% above %.0f ns/op in the previous record (%s), and its fastest run (%.0f ns/op) is slower than that record's slowest (%.0f ns/op)\n",
+			b.Name, b.NsPerOp, 100*(b.NsPerOp/old.NsPerOp-1), old.NsPerOp, prev.Label, fastest, oldSlowest)
 		warned++
 	}
 	return warned

@@ -159,33 +159,48 @@ func TestParseRunFoldsRepeatedRuns(t *testing.T) {
 	}
 }
 
+// TestCompareRunsWarnsOnMedianRegression pins when compareRuns warns:
+// the median must rise more than 10% and the new runs must all be
+// slower than the previous record's slowest. A record without a spread
+// (written before runs were folded) counts its median as its only run.
 func TestCompareRunsWarnsOnMedianRegression(t *testing.T) {
 	prev := Run{Label: "parent", Benchmarks: []Benchmark{
 		{Name: "BenchmarkSlower", NsPerOp: 100},
 		{Name: "BenchmarkAtBound", NsPerOp: 100},
 		{Name: "BenchmarkFaster", NsPerOp: 100},
 		{Name: "BenchmarkGone", NsPerOp: 100},
+		// Host noise: the median rose 20.9%, but the runs overlap.
+		{Name: "BenchmarkEstimateStatistics", NsPerOp: 108.1e6, MinNsPerOp: 99.9e6, MaxNsPerOp: 115.1e6, Runs: 5},
+		{Name: "BenchmarkDisjoint", NsPerOp: 100, MinNsPerOp: 95, MaxNsPerOp: 105, Runs: 5},
 	}}
 	run := Run{Label: "change", Benchmarks: []Benchmark{
 		{Name: "BenchmarkSlower", NsPerOp: 111},
 		{Name: "BenchmarkAtBound", NsPerOp: 110},
 		{Name: "BenchmarkFaster", NsPerOp: 50},
 		{Name: "BenchmarkNew", NsPerOp: 1e9},
+		{Name: "BenchmarkEstimateStatistics", NsPerOp: 130.7e6, MinNsPerOp: 109.0e6, MaxNsPerOp: 179.6e6, Runs: 5},
+		{Name: "BenchmarkDisjoint", NsPerOp: 120, MinNsPerOp: 106, MaxNsPerOp: 130, Runs: 5},
 	}}
 	var w strings.Builder
-	if n := compareRuns(prev, run, &w); n != 1 {
-		t.Fatalf("compareRuns warned %d times, want 1:\n%s", n, w.String())
+	if n := compareRuns(prev, run, &w); n != 2 {
+		t.Fatalf("compareRuns warned %d times, want 2:\n%s", n, w.String())
 	}
 	msg := w.String()
 	if !strings.Contains(msg, "BenchmarkSlower") || !strings.Contains(msg, "11.0%") || !strings.Contains(msg, "parent") {
 		t.Errorf("warning does not name the benchmark, the slowdown and the previous record: %q", msg)
 	}
+	if !strings.Contains(msg, "BenchmarkDisjoint median 120 ns/op is 20.0% above") || !strings.Contains(msg, "fastest run (106 ns/op)") {
+		t.Errorf("no warning for the disjoint spread, or it lacks the runs compared: %q", msg)
+	}
+	if strings.Contains(msg, "BenchmarkEstimateStatistics") {
+		t.Errorf("warned about a median rise whose runs overlap the previous record's: %q", msg)
+	}
 }
 
 // TestRecordCompareWarnsAndAppends pins record's comparison: the first
-// record of a file warns about nothing, a regressed median produces a
-// warning, and the run is still appended without error (CI warns,
-// never fails).
+// record of a file warns about nothing, a benchmark whose every run
+// slowed produces a warning, and the run is still appended without
+// error (CI warns, never fails).
 func TestRecordCompareWarnsAndAppends(t *testing.T) {
 	file := filepath.Join(t.TempDir(), "BENCH_test.json")
 	var warn strings.Builder
@@ -195,11 +210,17 @@ func TestRecordCompareWarnsAndAppends(t *testing.T) {
 	if warn.Len() != 0 {
 		t.Errorf("first record of a file warned: %q", warn.String())
 	}
-	slower := strings.ReplaceAll(countOutput, "       300 ns/op", "       900 ns/op")
+	// Every BenchmarkA run slows by 1,000 ns/op, so its fastest new run
+	// (1,100) is slower than its slowest old one (500).
+	var slowA []string
+	for _, ns := range []string{"100", "200", "300", "400", "500"} {
+		slowA = append(slowA, "       "+ns+" ns/op", "      1"+ns+" ns/op")
+	}
+	slower := strings.NewReplacer(slowA...).Replace(countOutput)
 	if _, n, err := record("second", file, strings.NewReader(slower), &strings.Builder{}, &warn); err != nil || n != 2 {
 		t.Fatalf("second record: n=%d err=%v", n, err)
 	}
-	if !strings.Contains(warn.String(), "BenchmarkA median 400 ns/op") || strings.Contains(warn.String(), "BenchmarkB") {
-		t.Errorf("want one warning, for BenchmarkA's median rising 300 -> 400 ns/op; got %q", warn.String())
+	if !strings.Contains(warn.String(), "BenchmarkA median 1300 ns/op") || strings.Contains(warn.String(), "BenchmarkB") {
+		t.Errorf("want one warning, for BenchmarkA's median rising 300 -> 1300 ns/op; got %q", warn.String())
 	}
 }

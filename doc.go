@@ -39,8 +39,8 @@
 //	id := b.AddReliability(0, 5)
 //	err = b.Run(ctx)
 //
-// Cancelling the context aborts the operation promptly — between σ
-// probes and scan chunks in Obfuscate, between sampled worlds in
+// Cancelling the context aborts the operation promptly — between
+// trials and scan chunks in Obfuscate, between sampled worlds in
 // EstimateStatistics, between groups of up to 64 worlds in
 // QueryBatch.Run — joins every worker goroutine
 // (nothing leaks), and returns ctx.Err(). cmd/queryd wires each HTTP

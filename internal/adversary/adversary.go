@@ -66,10 +66,10 @@ type UncertainModel struct {
 	Workers int
 	// Ctx, when non-nil and cancelled, abandons the scan at the next
 	// chunk boundary; the result is then unspecified and the caller must
-	// discard it. The obfuscation engine hands each speculative σ probe
-	// a derived context and cancels it to reap the probe instead of
-	// letting its scan run to completion; request-scoped callers pass
-	// their request context so a dropped client stops the scan.
+	// discard it. The obfuscation engine hands each trial's scan the
+	// context of Obfuscate's caller, so a cancelled search stops
+	// mid-scan; request-scoped callers pass their request context so a
+	// dropped client stops the scan.
 	Ctx context.Context
 }
 

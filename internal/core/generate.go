@@ -57,9 +57,8 @@ type run struct {
 	g      *graph.Graph
 	params Params
 	// values are the property values of g, computed once per run:
-	// Property.Values may intern into its instance (P2, P3), so
-	// concurrent probes must share one result instead of calling it
-	// themselves.
+	// Property.Values may intern into its instance (P2, P3), so the
+	// probes share one result instead of calling it themselves.
 	values  []int
 	degrees []int
 	edges   *edgeTable
@@ -82,8 +81,8 @@ func newRun(g *graph.Graph, params Params) *run {
 
 // generateObfuscation runs Algorithm 2 for one σ probe of r, whose
 // params carry a resolved Seed. Cancelling ctx abandons the whole probe
-// (used by Obfuscate to discard speculative σ candidates and to
-// propagate caller cancellation); a nil ctx never cancels. The second
+// (Obfuscate passes its caller's context); a nil ctx never cancels. The
+// attempt of an abandoned probe is not its pure value. The second
 // return value reports how many trials the probe examines — always t,
 // since best-of-t selection must look at every trial — the work measure
 // behind Result.Trials.
@@ -119,8 +118,7 @@ func generateObfuscation(ctx context.Context, r *run, sigma float64) (Attempt, i
 
 	// Split the worker budget between the two parallel levels: up to
 	// trialWorkers trials in flight, each scanning with scanWorkers, so
-	// one probe stays within ~params.Workers busy goroutines. (Obfuscate
-	// may hold a few speculative probes in flight on top — see Params.)
+	// a probe stays within params.Workers busy goroutines.
 	workers := params.workerCount()
 	trialWorkers := workers
 	if trialWorkers > params.Trials {
@@ -137,6 +135,9 @@ func generateObfuscation(ctx context.Context, r *run, sigma float64) (Attempt, i
 	// between stages — and per scan chunk — when the probe was
 	// cancelled.
 	runTrial := func(trial int) Attempt {
+		if hook := params.beforeTrial; hook != nil {
+			hook(sigma, trial)
+		}
 		if cancelled(ctx) {
 			return failed
 		}

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -254,26 +256,83 @@ func TestObfuscateRejectsNonFiniteParams(t *testing.T) {
 	}
 }
 
-// TestObfuscateReraisesProbePanic pins the probe goroutine's panic
-// path: a panic inside a σ probe reaches Obfuscate's caller as a
-// *parallel.WorkerPanic, with and without speculative probes, instead
-// of ending the process from the probe's bare goroutine.
-func TestObfuscateReraisesProbePanic(t *testing.T) {
+// settledGoroutines polls until the goroutine count is back at base or
+// a deadline passes, and returns the last count: a joined goroutine may
+// take a moment to leave the runtime's count.
+func settledGoroutines(base int) int {
+	deadline := time.Now().Add(3 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > base && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// TestObfuscateReraisesTrialPanic pins the panic path of a trial. At
+// Workers 2 the trials run on parallel.ForCtx's goroutines, and a
+// trial's panic reaches Obfuscate's caller as a *parallel.WorkerPanic
+// carrying its value and stack, instead of ending the process from a
+// bare goroutine. At Workers 1 every trial runs inline on the caller's
+// goroutine, so the panic arrives unchanged. Either way no goroutine
+// outlives the call.
+func TestObfuscateReraisesTrialPanic(t *testing.T) {
 	g := testGraph(14, 200)
 	for _, workers := range []int{1, 2} {
+		base := runtime.NumGoroutine()
 		params := Params{K: 5, Eps: 0.02, C: 2, Q: 0.01, Trials: 2, Delta: 1e-3, Seed: 1, Workers: workers}
-		params.beforeProbe = func(sigma float64) { panic(fmt.Sprintf("probe at sigma %v", sigma)) }
+		params.beforeTrial = func(sigma float64, trial int) {
+			panic(fmt.Sprintf("trial %d at sigma %v", trial, sigma))
+		}
 		caught := func() (v any) {
 			defer func() { v = recover() }()
 			_, _ = Obfuscate(context.Background(), g, params)
 			return nil
 		}()
-		wp, ok := caught.(*parallel.WorkerPanic)
-		if !ok {
-			t.Fatalf("workers=%d: recovered %T (%v), want *parallel.WorkerPanic", workers, caught, caught)
+		value := caught
+		if workers > 1 {
+			wp, ok := caught.(*parallel.WorkerPanic)
+			if !ok {
+				t.Fatalf("workers=%d: recovered %T (%v), want *parallel.WorkerPanic", workers, caught, caught)
+			}
+			if len(wp.Stack) == 0 {
+				t.Errorf("workers=%d: WorkerPanic carries no stack", workers)
+			}
+			value = wp.Value
 		}
-		if s, _ := wp.Value.(string); !strings.HasPrefix(s, "probe at sigma ") || len(wp.Stack) == 0 {
-			t.Errorf("workers=%d: WorkerPanic value %v, %d stack bytes; want the probe's panic and a stack", workers, wp.Value, len(wp.Stack))
+		if s, _ := value.(string); !strings.HasPrefix(s, "trial ") {
+			t.Errorf("workers=%d: recovered %T (%v), want the trial's own panic value", workers, value, value)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("workers=%d: goroutines: %d before, %d after the panic", workers, base, n)
+		}
+	}
+}
+
+// TestObfuscateConsumesEveryProbe pins that the search starts no probe
+// it does not consume: the distinct σ values the trials see are exactly
+// the Generations probes, and the trials started are exactly the Trials
+// counted, at one worker and at several.
+func TestObfuscateConsumesEveryProbe(t *testing.T) {
+	g := testGraph(14, 200)
+	for _, workers := range []int{1, 4} {
+		var mu sync.Mutex
+		sigmas := make(map[float64]bool)
+		calls := 0
+		params := Params{K: 5, Eps: 0.02, Trials: 3, Delta: 1e-3, Seed: 1, Workers: workers}
+		params.beforeTrial = func(sigma float64, _ int) {
+			mu.Lock()
+			sigmas[sigma] = true
+			calls++
+			mu.Unlock()
+		}
+		res, err := Obfuscate(context.Background(), g, params)
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(sigmas) != res.Generations || calls != res.Trials {
+			t.Errorf("workers=%d: trials saw %d σ values and started %d times; the search consumed %d probes of %d trials",
+				workers, len(sigmas), calls, res.Generations, res.Trials)
 		}
 	}
 }

@@ -146,8 +146,8 @@ func TestGenerateObfuscationBestOfT(t *testing.T) {
 	}
 }
 
-// TestProbePurity pins the property the speculative σ search relies on:
-// a probe's outcome is a pure function of (g, σ, seed), independent of
+// TestProbePurity pins what keying trial streams on the σ bits buys: a
+// probe's outcome is a pure function of (g, σ, seed), independent of
 // which probes ran before it.
 func TestProbePurity(t *testing.T) {
 	g := gen.HolmeKim(randx.New(3), 200, 3, 0.2)
@@ -179,8 +179,8 @@ func (p *countingProperty) Values(g *graph.Graph) []int {
 // and each concurrently running σ probe used to call it while other
 // probes read the dictionary through Distance (an index-out-of-range
 // panic, and a -race report). Values must run exactly once per
-// Obfuscate run, before any probe starts, and the speculative parallel
-// search must still match the sequential one.
+// Obfuscate run, before any probe starts, and the parallel search must
+// still match the sequential one.
 func TestObfuscatePropertyValuesOncePerRun(t *testing.T) {
 	g := testGraph(22, 250)
 	for name, mk := range map[string]func() Property{

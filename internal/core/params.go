@@ -48,15 +48,13 @@ type Params struct {
 	// knob showing why spending noise on hopeless hubs wastes the
 	// budget. Off (false) reproduces the paper.
 	DisableHExclusion bool
-	// Workers bounds one probe's concurrency: trials of one
-	// GenerateObfuscation call run on up to Workers goroutines, the
+	// Workers bounds the busy goroutines of a run: trials of one
+	// GenerateObfuscation call run on up to Workers goroutines, and the
 	// adversary's vertex scan inside each trial gets the remaining
-	// budget (Workers / concurrent trials), and Obfuscate additionally
-	// holds up to three speculative σ probes in flight when Workers > 1
-	// (so peak concurrency is a small multiple of Workers, not Workers
-	// exactly). Zero selects GOMAXPROCS. The result is bit-identical for
-	// every Workers value: each (σ, trial) pair owns a seed-derived RNG
-	// stream and the winner is the best-ε̃ trial (ties to the lower
+	// budget (Workers / concurrent trials). Obfuscate runs one σ probe
+	// at a time. Zero selects GOMAXPROCS. The result is bit-identical
+	// for every Workers value: each (σ, trial) pair owns a seed-derived
+	// RNG stream and the winner is the best-ε̃ trial (ties to the lower
 	// index), so Workers trades wall-clock time only.
 	Workers int
 	// Seed is the base seed from which every per-probe, per-trial RNG
@@ -69,10 +67,10 @@ type Params struct {
 	// on it. Progress observation never affects results.
 	Progress func(done, total int)
 
-	// beforeProbe, when non-nil, runs on each σ probe's goroutine just
-	// before the probe: the fault-injection point of the probe panic
-	// test.
-	beforeProbe func(sigma float64)
+	// beforeTrial, when non-nil, runs at the start of each trial, on
+	// the trial's goroutine: the fault-injection and probe-counting
+	// point of the core tests.
+	beforeTrial func(sigma float64, trial int)
 }
 
 // NonFinite returns the name and value of the first of C, Delta,
@@ -143,9 +141,9 @@ func (p Params) resolveSeed() int64 {
 
 // trialRng returns the RNG stream owned by one trial of one σ probe.
 // Keying the derivation on the σ bits (rather than on probe visit order)
-// makes every probe a pure function of (graph, σ, params): Obfuscate can
-// then evaluate probes speculatively and out of order without changing
-// any result.
+// makes every probe a pure function of (graph, σ, params), whatever ran
+// before it (TestProbePurity). Every release is drawn from these
+// streams, so a change to the key changes every release.
 func trialRng(seed int64, sigma float64, trial int) *rand.Rand {
 	return randx.New(randx.Derive(seed, sigmaBits(sigma), uint64(trial)))
 }

@@ -16,8 +16,8 @@ import (
 // For invokes fn(i) for every i in [0, n), on up to workers goroutines
 // (workers <= 1 runs inline). aborted, when non-nil, is polled before
 // each claim; once it reports true the remaining iterations may be
-// skipped — callers use this to reap cancelled speculative work. All
-// spawned goroutines have returned when For does.
+// skipped — callers use this to stop work whose context was cancelled.
+// All spawned goroutines have returned when For does.
 //
 // A panic in fn is handled as in ForWorkers: goroutines stop claiming
 // after the first panic, and once all have returned it is re-raised on

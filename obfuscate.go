@@ -12,11 +12,12 @@ import (
 // ObfuscationParams configures the (k, ε)-obfuscation algorithm; zero
 // fields select the paper's defaults (c=2, q=0.01, t=5, δ=1e-8).
 //
-// Workers bounds the engine's concurrency (0 = all CPUs): trials run in
-// parallel, the adversary scan is parallel, and the σ search probes
-// speculative candidates. Results are bit-identical for every Workers
-// value — each (σ, trial) pair derives its own RNG stream from Seed, so
-// parallelism trades wall-clock time only.
+// Workers bounds the engine's busy goroutines (0 = all CPUs): the σ
+// search runs one probe at a time, the probe's trials run in parallel,
+// and the adversary scan gets whatever share of Workers the trials
+// leave. Results are bit-identical for every Workers value — each
+// (σ, trial) pair derives its own RNG stream from Seed, so parallelism
+// trades wall-clock time only.
 //
 // New code passes the domain knobs via WithObfuscation (plus WithK,
 // WithEps) and the shared Seed/Workers/Progress knobs via their
@@ -44,7 +45,7 @@ var ErrNoObfuscation = core.ErrNoObfuscation
 // determinism contract: every RNG stream is derived from the WithSeed
 // base seed, so the result is bit-identical for every worker count.
 // Cancelling ctx aborts the search at trial/scan-chunk granularity,
-// joins every probe goroutine, and returns ctx.Err(); option validation
+// joins every trial goroutine, and returns ctx.Err(); option validation
 // failures return an error wrapping ErrBadConfig before any work
 // starts. A nil ctx never cancels.
 func Obfuscate(ctx context.Context, g *Graph, opts ...Option) (*ObfuscationResult, error) {

@@ -1,11 +1,11 @@
 // Benchmarks for the parallel trial engine: the same full Algorithm 1
 // run on a ~5k-vertex heavy-tailed graph, sequential (Workers: 1)
 // versus parallel (Workers: GOMAXPROCS). Both return bit-identical
-// results — the equivalence is asserted once per benchmark process —
-// so the two timings isolate the wall-clock effect of concurrent
-// trials, speculative σ probing, and the parallel adversary scan.
+// results — TestObfuscateBenchConfigEquivalence asserts it — so the two
+// timings isolate the wall-clock effect of concurrent trials and the
+// parallel adversary scan.
 //
-//	go test -bench 'BenchmarkObfuscate(Sequential|Parallel)' -benchtime 3x .
+//	make bench-obfuscate   # both, 5 runs each, appended to BENCH_obfuscate.json
 package uncertaingraph_test
 
 import (

@@ -1,5 +1,5 @@
 // Concurrency exercise for `go test -race`: these tests drive every
-// parallel component — the trial engine with speculative σ probing, the
+// parallel component — the trial engine with its concurrent trials, the
 // adversary's chunked entropy scan, the BFS distance sampler, and the
 // possible-world sampling pipeline — from several goroutines at once
 // over shared inputs, so the race detector sees the real interleavings.
@@ -34,8 +34,8 @@ func TestRaceConcurrentObfuscateTrials(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			// Workers > 1 turns on both concurrent trials and speculative
-			// σ probing, even when the host has a single CPU.
+			// Workers > 1 turns on concurrent trials, even when the host
+			// has a single CPU.
 			res, err := core.Obfuscate(context.Background(), g, core.Params{
 				K: 3, Eps: 0.15, Trials: 3, Delta: 1e-3, Workers: 4, Seed: 5,
 			})
