@@ -70,9 +70,11 @@ cover:
 # worlds through SampleSeed, the statistics world loop's path, and
 # SampleWorldsNaive a fresh graph per world (the first record in
 # BENCH_sampling.json is the pre-refactor baseline; see README "Graph
-# representation & memory model").
+# representation & memory model"); EstimateEvaluateShaped is one
+# estimate at e2ebench's evaluate shape (100 HyperANF worlds of the
+# dblp small release) on one worker.
 bench-sampling: BENCH_PKG = ./internal/sampling
-bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$
+bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$|BenchmarkEstimateEvaluateShaped$$
 bench-sampling: BENCH_TIME = 3x
 # bench-query: a request-shaped batch of mixed queries, the
 # reliability-only early-exit pair (bit-identical answers), and one

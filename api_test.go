@@ -116,6 +116,26 @@ func TestPublicDistancePipelines(t *testing.T) {
 	}
 }
 
+// TestApproxDistancesBitsContract pins ApproxDistances' documented
+// contract on bits: 0 (the default) and the ends of [4, 16] run, and
+// any other value panics instead of sizing counters from it.
+func TestApproxDistancesBitsContract(t *testing.T) {
+	g := ug.ErdosRenyi(ug.NewRand(7), 40, 80)
+	for _, bits := range []int{0, 4, 16, 3, 17, -1} {
+		wantPanic := bits != 0 && (bits < 4 || bits > 16)
+		func() {
+			defer func() {
+				if r := recover(); (r != nil) != wantPanic {
+					t.Errorf("bits=%d: recovered %v, want a panic: %v", bits, r, wantPanic)
+				}
+			}()
+			if d := ug.ApproxDistances(g, bits, 1); d.AvgDistance() <= 0 {
+				t.Errorf("bits=%d: average distance %v", bits, d.AvgDistance())
+			}
+		}()
+	}
+}
+
 func TestAttackAndQueryFacade(t *testing.T) {
 	g := ug.SocialGraph(ug.NewRand(8), 300, 360, []float64{0, 0, 0.6, 0.4}, 0.3)
 	snaps := ug.EvolveGraph(g, 2, 0.2, ug.NewRand(9))

@@ -15,13 +15,17 @@
 //     the counters that changed in the previous one, re-estimates only
 //     the counters it changes, and sums cached estimates in vertex
 //     order (Engine states why each step is exact);
-//   - broadword maxima: hll's Union takes the register-wise maximum of
-//     eight byte registers per uint64 step. Every register stays below
+//   - broadword maxima: every counter lives in one flat bank of words,
+//     eight 7-bit registers per uint64, and hll's Fold takes the
+//     register-wise maximum of all of a vertex's changed neighbours a
+//     word at a time, four words in flight. Every register stays below
 //     0x80, so the per-byte compare cannot borrow across bytes and
 //     picks the maximum the byte loop would.
 //
-// hll's Estimate reads 2^-r from a table; for an integer r math.Exp2
-// is exact, so the table holds exactly the values math.Exp2 returns.
+// hll's Estimate counts zero registers a word at a time, which alone
+// settles the linear-counting range, and otherwise sums 2^-r in exact
+// integer units; both return the register-order loop's float bit for
+// bit (hll.Counter.Estimate states why).
 package anf
 
 import (
@@ -61,8 +65,8 @@ func NeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
 }
 
 // Engine runs HyperANF repeatedly against reusable state: every
-// counter register of every vertex lives in one flat byte array that
-// is reset — not reallocated — between runs, and the per-vertex
+// counter register of every vertex lives in one flat bank of words
+// that is reset — not reallocated — between runs, and the per-vertex
 // estimate and change flags, the neighbourhood function and the
 // distance-count buffers are reused likewise. The possible-world
 // estimation pipeline holds one Engine per worker and reuses it across
@@ -86,16 +90,21 @@ func NeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
 //     floats added in the same order, so the run also stops at the
 //     same iteration.
 //
-// The unions themselves are hll's broadword maxima, eight registers
-// per word.
+// The unions themselves are one hll Fold per vertex over the word
+// offsets of its changed neighbours: the same register maxima as a
+// Union per neighbour, with each of v's words loaded and stored once.
 type Engine struct {
-	opt       Options
-	regs      []byte
-	cur, next []hll.Counter
-	est       []float64 // est[v] = cur[v].Estimate()
+	opt Options
+	// bank holds 2n counters, each words uint64s long; cur and next
+	// are its halves, swapped every iteration.
+	bank      []uint64
+	cur, next []uint64
+	words     int
+	est       []float64 // est[v] = the estimate of v's counter in cur
 	// changed[v] reports whether v's counter changed in the previous
 	// iteration; grew collects the current iteration's flags.
 	changed, grew []bool
+	srcs          []int // word offsets in cur of v's changed neighbours
 	nf            []float64
 	counts        []float64
 }
@@ -107,26 +116,25 @@ func NewEngine(opt Options) *Engine {
 }
 
 // ensure sizes the buffers for n vertices and zeroes the cur half of
-// the registers. The next half needs no zeroing: every counter changes
-// at t = 0, so the first iteration copies all of them across.
+// the bank. The next half needs no zeroing: every counter changes at
+// t = 0, so the first iteration copies all of them across.
 func (e *Engine) ensure(n int) {
-	m := hll.RegisterCount(e.opt.Bits)
-	if need := 2 * n * m; cap(e.regs) < need {
-		e.regs = make([]byte, need)
-		e.cur = make([]hll.Counter, 0, n)
-		e.next = make([]hll.Counter, 0, n)
+	w := hll.Words(e.opt.Bits)
+	if need := 2 * n * w; cap(e.bank) < need {
+		e.bank = make([]uint64, need)
 		e.est = make([]float64, n)
 		e.changed = make([]bool, n)
 		e.grew = make([]bool, n)
 	} else {
-		clear(e.regs[:n*m])
+		clear(e.bank[:n*w])
 	}
-	e.cur, e.next = e.cur[:0], e.next[:0]
-	for v := 0; v < n; v++ {
-		e.cur = append(e.cur, hll.FromRegisters(e.regs[v*m:(v+1)*m]))
-		e.next = append(e.next, hll.FromRegisters(e.regs[(n+v)*m:(n+v+1)*m]))
-	}
+	e.cur, e.next, e.words = e.bank[:n*w], e.bank[n*w:2*n*w], w
 	e.est, e.changed, e.grew = e.est[:n], e.changed[:n], e.grew[:n]
+}
+
+// counter returns vertex v's counter in the half c of the bank.
+func (e *Engine) counter(c []uint64, v int) hll.Counter {
+	return hll.FromWords(c[v*e.words : (v+1)*e.words])
 }
 
 // NeighbourhoodFunction is the buffer-reusing form of the package
@@ -136,30 +144,37 @@ func (e *Engine) NeighbourhoodFunction(g *graph.Graph, seed uint64) []float64 {
 	n := g.NumVertices()
 	e.ensure(n)
 	for v := 0; v < n; v++ {
-		e.cur[v].AddHash(hll.Hash64(uint64(v), seed))
-		e.est[v] = e.cur[v].Estimate()
+		c := e.counter(e.cur, v)
+		c.AddHash(hll.Hash64(uint64(v), seed))
+		e.est[v] = c.Estimate()
 		e.changed[v] = true
 	}
 	e.nf = append(e.nf[:0], e.sum())
+	w := e.words
 	for t := 1; t <= e.opt.MaxIter; t++ {
 		anyGrew := false
+		cur, changed, srcs := e.cur, e.changed, e.srcs
 		for v := 0; v < n; v++ {
-			next := e.next[v]
-			if e.changed[v] {
-				next.CopyFrom(e.cur[v])
+			if changed[v] {
+				copy(e.next[v*w:(v+1)*w], cur[v*w:(v+1)*w])
 			}
-			grew := false
+			srcs = srcs[:0]
 			for _, u := range g.Neighbors(v) {
-				if e.changed[u] && next.Union(e.cur[u]) {
-					grew = true
+				if changed[u] {
+					srcs = append(srcs, int(u)*w)
 				}
 			}
-			if grew {
-				e.est[v] = next.Estimate()
-				anyGrew = true
+			grew := false
+			if len(srcs) > 0 {
+				if c := e.counter(e.next, v); c.Fold(cur, srcs) {
+					e.est[v] = c.Estimate()
+					grew = true
+					anyGrew = true
+				}
 			}
 			e.grew[v] = grew
 		}
+		e.srcs = srcs
 		e.cur, e.next = e.next, e.cur
 		e.changed, e.grew = e.grew, e.changed
 		e.nf = append(e.nf, e.sum())

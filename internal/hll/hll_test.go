@@ -2,7 +2,9 @@ package hll
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 )
@@ -55,10 +57,8 @@ func TestUnionEqualsUnionOfSets(t *testing.T) {
 	u := a.Clone()
 	u.Union(b)
 	// Union of sketches must equal the sketch of the union, exactly.
-	for i := range u.reg {
-		if u.reg[i] != ab.reg[i] {
-			t.Fatal("union sketch differs from sketch of union")
-		}
+	if !regsEqual(u, ab) {
+		t.Fatal("union sketch differs from sketch of union")
 	}
 }
 
@@ -83,13 +83,7 @@ func TestCloneIndependence(t *testing.T) {
 	if a.Estimate() == b.Estimate() {
 		// They could coincide by hashing to the same register/rank;
 		// check registers directly.
-		same := true
-		for i := range a.reg {
-			if a.reg[i] != b.reg[i] {
-				same = false
-			}
-		}
-		if same {
+		if regsEqual(a, b) {
 			t.Skip("hash collision made registers identical; acceptable")
 		}
 	}
@@ -101,10 +95,8 @@ func TestCopyFrom(t *testing.T) {
 		a.AddHash(Hash64(uint64(i), 9))
 	}
 	b.CopyFrom(a)
-	for i := range a.reg {
-		if a.reg[i] != b.reg[i] {
-			t.Fatal("CopyFrom must copy all registers")
-		}
+	if !regsEqual(a, b) {
+		t.Fatal("CopyFrom must copy all registers")
 	}
 }
 
@@ -153,8 +145,27 @@ func TestPow2NegMatchesExp2(t *testing.T) {
 	}
 }
 
+// pack returns registers as counter words: register 8k+j is byte j of
+// word k.
+func pack(regs []byte) []uint64 {
+	w := make([]uint64, len(regs)/8)
+	for k := range w {
+		w[k] = binary.LittleEndian.Uint64(regs[8*k:])
+	}
+	return w
+}
+
+// unpack is pack's inverse.
+func unpack(w []uint64) []byte {
+	regs := make([]byte, 8*len(w))
+	for k, x := range w {
+		binary.LittleEndian.PutUint64(regs[8*k:], x)
+	}
+	return regs
+}
+
 // bytewiseUnion is the register-at-a-time maximum the broadword Union
-// must reproduce.
+// and Fold must reproduce.
 func bytewiseUnion(dst, src []byte) bool {
 	changed := false
 	for i, r := range src {
@@ -166,6 +177,35 @@ func bytewiseUnion(dst, src []byte) bool {
 	return changed
 }
 
+// bytewiseEstimate is the register-at-a-time estimator Estimate must
+// reproduce bit for bit: 2^-r summed in register order, the bias
+// correction, and linear counting in the small range.
+func bytewiseEstimate(regs []byte) float64 {
+	m := float64(len(regs))
+	var invSum float64
+	zeros := 0
+	for _, r := range regs {
+		invSum += math.Exp2(-float64(r))
+		if r == 0 {
+			zeros++
+		}
+	}
+	est := alpha(len(regs)) * m * m / invSum
+	if est <= 2.5*m && zeros > 0 {
+		return m * math.Log(m/float64(zeros))
+	}
+	return est
+}
+
+// randomRegs returns m registers, each uniform in [lo, hi].
+func randomRegs(rng *rand.Rand, m, lo, hi int) []byte {
+	regs := make([]byte, m)
+	for i := range regs {
+		regs[i] = byte(lo + rng.Intn(hi-lo+1))
+	}
+	return regs
+}
+
 // TestUnionMatchesBytewise drives the broadword Union and the bytewise
 // reference over random register pairs in [0, 0x7F] — independent
 // pairs, pairs where src never exceeds dst (no change), and pairs
@@ -174,17 +214,13 @@ func bytewiseUnion(dst, src []byte) bool {
 func TestUnionMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for _, b := range []int{4, 7, 16} {
-		m := RegisterCount(b)
+		m := 1 << b
 		for trial := 0; trial < 60; trial++ {
-			dst, src := make([]byte, m), make([]byte, m)
-			for i := range dst {
-				dst[i] = byte(rng.Intn(0x80))
-			}
+			dst := randomRegs(rng, m, 0, 0x7F)
+			src := make([]byte, m)
 			switch trial % 3 {
 			case 0:
-				for i := range src {
-					src[i] = byte(rng.Intn(0x80))
-				}
+				src = randomRegs(rng, m, 0, 0x7F)
 			case 1:
 				for i := range src {
 					src[i] = byte(rng.Intn(int(dst[i]) + 1))
@@ -196,13 +232,154 @@ func TestUnionMatchesBytewise(t *testing.T) {
 			}
 			want := append([]byte(nil), dst...)
 			wantChanged := bytewiseUnion(want, src)
-			c := FromRegisters(dst)
-			if got := c.Union(FromRegisters(src)); got != wantChanged {
+			c := FromWords(pack(dst))
+			if got := c.Union(FromWords(pack(src))); got != wantChanged {
 				t.Errorf("b=%d trial %d: Union reported %v, bytewise %v", b, trial, got, wantChanged)
 			}
-			if !bytes.Equal(dst, want) {
+			if !bytes.Equal(unpack(c.w), want) {
 				t.Fatalf("b=%d trial %d: broadword registers differ from the bytewise maximum", b, trial)
 			}
+		}
+	}
+}
+
+// TestFoldMatchesBytewise folds one source and many — with repeats,
+// drawn from a shared bank — into a counter and requires the registers
+// and change flag of bytewise Unions of the same sources in order.
+// Registers range over [0, 0x7F]; sources are independent, never above
+// dst (no change), or dst with one register raised in one source.
+// b = 4 counters are two words, so only Fold's word-at-a-time tail
+// runs; b = 5 is exactly one four-word block.
+func TestFoldMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, b := range []int{4, 5, 6, 7, 10} {
+		m, words := 1<<b, Words(b)
+		for _, sources := range []int{1, 2, 3, 9, 40} {
+			for trial := 0; trial < 30; trial++ {
+				dst := randomRegs(rng, m, 0, 0x7F)
+				bank := make([]byte, 0, sources*m)
+				for s := 0; s < sources; s++ {
+					src := make([]byte, m)
+					switch trial % 3 {
+					case 0:
+						src = randomRegs(rng, m, 0, 0x7F)
+					case 1:
+						for i := range src {
+							src[i] = byte(rng.Intn(int(dst[i]) + 1))
+						}
+					case 2:
+						copy(src, dst)
+					}
+					bank = append(bank, src...)
+				}
+				if trial%3 == 2 {
+					i := rng.Intn(sources * m) // one raised register in one source
+					bank[i] += byte(rng.Intn(0x80 - int(bank[i])))
+				}
+				// Every source once in a shuffled order, plus repeats.
+				srcs := rng.Perm(sources)
+				for r := rng.Intn(3); r > 0; r-- {
+					srcs = append(srcs, rng.Intn(sources))
+				}
+				want := append([]byte(nil), dst...)
+				wantChanged := false
+				offs := make([]int, len(srcs))
+				for i, s := range srcs {
+					if bytewiseUnion(want, bank[s*m:(s+1)*m]) {
+						wantChanged = true
+					}
+					offs[i] = s * words
+				}
+				c := FromWords(pack(dst))
+				if got := c.Fold(pack(bank), offs); got != wantChanged {
+					t.Errorf("b=%d sources=%d trial %d: Fold reported %v, bytewise %v", b, sources, trial, got, wantChanged)
+				}
+				if !bytes.Equal(unpack(c.w), want) {
+					t.Fatalf("b=%d sources=%d trial %d: folded registers differ from the bytewise maxima", b, sources, trial)
+				}
+			}
+		}
+	}
+}
+
+// TestEstimateMatchesBytewise requires Estimate to return the bytewise
+// estimator's float bit for bit, for every register exponent, on
+// counters reaching each of its paths:
+//   - exactly linearZeros-1, linearZeros and linearZeros+1 zero
+//     registers, the others all 1 (largest sum), all 65-b (smallest)
+//     or random: the threshold where the zero count alone decides;
+//   - one register at 31 (the last unit-summed value), 32 (the first
+//     bytewise fallback), 53-b and 65-b (the largest rank AddHash
+//     writes), the others random below 32 or zero;
+//   - random registers up to 65-b, and counters filled by AddHash from
+//     a few elements to many times m.
+func TestEstimateMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for b := 4; b <= 16; b++ {
+		m, top := 1<<b, 65-b
+		var cases [][]byte
+		zt := tableFor(uint(b)).linearZeros
+		for z := zt - 1; z <= zt+1; z++ {
+			if z < 0 || z > m {
+				continue
+			}
+			for _, fill := range []func() byte{
+				func() byte { return 1 },
+				func() byte { return byte(top) },
+				func() byte { return byte(1 + rng.Intn(top)) },
+			} {
+				regs := make([]byte, m)
+				for _, i := range rng.Perm(m)[z:] {
+					regs[i] = fill()
+				}
+				cases = append(cases, regs)
+			}
+		}
+		for _, r := range []int{31, 32, 53 - b, top} {
+			for _, hi := range []int{0, 31} {
+				regs := randomRegs(rng, m, 0, hi)
+				regs[rng.Intn(m)] = byte(r)
+				cases = append(cases, regs)
+			}
+		}
+		for trial := 0; trial < 8; trial++ {
+			cases = append(cases, randomRegs(rng, m, 0, top), randomRegs(rng, m, 1, 31))
+		}
+		for _, elems := range []int{1, m / 8, m / 2, m, 3 * m, 20 * m} {
+			c := New(b)
+			for i := 0; i < elems; i++ {
+				c.AddHash(rng.Uint64())
+			}
+			cases = append(cases, unpack(c.w))
+		}
+		for i, regs := range cases {
+			got, want := FromWords(pack(regs)).Estimate(), bytewiseEstimate(regs)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("b=%d case %d: Estimate = %v (%#x), bytewise %v (%#x)", b, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestAddHashMatchesBytewise requires AddHash's packed register update
+// to raise exactly the register a byte-per-register counter would, to
+// the same rank.
+func TestAddHashMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, b := range []int{4, 7, 16} {
+		c, regs := New(b), make([]byte, 1<<b)
+		for i := 0; i < 5<<b; i++ {
+			h := rng.Uint64()
+			if i%7 == 0 {
+				h >>= rng.Intn(64) // long runs of leading zeros: high ranks
+			}
+			c.AddHash(h)
+			idx := h >> (64 - b)
+			rank := byte(bits.LeadingZeros64(h<<b|1<<(b-1))) + 1
+			regs[idx] = max(regs[idx], rank)
+		}
+		if !bytes.Equal(unpack(c.w), regs) {
+			t.Errorf("b=%d: packed registers differ from the byte-per-register counter", b)
 		}
 	}
 }

@@ -15,8 +15,8 @@ func sketchOf(items []uint64, seed uint64) Counter {
 }
 
 func regsEqual(a, b Counter) bool {
-	for i := range a.reg {
-		if a.reg[i] != b.reg[i] {
+	for i := range a.w {
+		if a.w[i] != b.w[i] {
 			return false
 		}
 	}

@@ -149,11 +149,11 @@ func (p *WorkerPanic) Error() string {
 	return fmt.Sprintf("parallel: worker panicked: %v\n\n%s", p.Value, p.Stack)
 }
 
-// Recovered wraps v, a value recover returned, as a *WorkerPanic with
+// recovered wraps v, a value recover returned, as a *WorkerPanic with
 // the panicking goroutine's stack. A *WorkerPanic that a nested loop
 // already re-raised is kept as is, so its value and stack stay the
-// innermost ones. Call it from the deferred function that recovered.
-func Recovered(v any) *WorkerPanic {
+// innermost ones.
+func recovered(v any) *WorkerPanic {
 	if p, ok := v.(*WorkerPanic); ok {
 		return p
 	}
@@ -173,7 +173,7 @@ type firstPanic struct {
 func (f *firstPanic) call(fn func(worker, i int), w, i int) {
 	defer func() {
 		if v := recover(); v != nil && f.failed.CompareAndSwap(false, true) {
-			f.p = Recovered(v)
+			f.p = recovered(v)
 		}
 	}()
 	fn(w, i)

@@ -101,6 +101,35 @@ func BenchmarkEstimateStatisticsANF(b *testing.B) {
 	}
 }
 
+// BenchmarkEstimateEvaluateShaped measures one estimate at the shape
+// of e2ebench's evaluate workload, cmd/evaluate at its defaults: the
+// (k=10, ε=0.02)-obfuscation of the dblp small stand-in (obfuscation
+// seed 1), 100 worlds with HyperANF distances. It runs on one worker,
+// so ns/op is the CPU one estimate costs; the other ANF benchmark runs
+// 20 worlds of a far smaller release.
+func BenchmarkEstimateEvaluateShaped(b *testing.B) {
+	spec, err := datasets.ByName("dblp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := datasets.Generate(spec, datasets.ScaleSmall)
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := core.Obfuscate(context.Background(), d.Graph, core.Params{K: 10, Eps: 0.02, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := Config{Worlds: 100, Seed: 1, Workers: 1, Distances: DistanceANF}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Run(context.Background(), res.G, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEstimateAdaptive measures the adaptive pipeline on the
 // published dblp fixture at the acceptance tolerance 0.05 — an
 // easy-statistic mix where every relative SEM tightens fast — with a

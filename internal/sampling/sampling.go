@@ -16,9 +16,10 @@
 // loop shared with the query engine (internal/worldloop), which gives
 // each worker lane one sampler clone drawing worlds from their seeds;
 // this package adds one statistic Scratch per lane (BFS dist/queue
-// arrays, HyperANF registers), so the steady-state loop materializes
-// and measures worlds without per-world graph allocations. Results are
-// bit-identical for every worker count: world seeds are pre-derived
+// arrays, HyperANF registers, triangle-count buffers), so the
+// steady-state loop materializes and measures worlds without
+// per-world graph allocations. Results are bit-identical for every
+// worker count: world seeds are pre-derived
 // from the master seed, each world's statistics depend only on its
 // seed, and every world writes its own slot of the sample arrays.
 package sampling
@@ -175,13 +176,15 @@ func (r *Report) RelErr(name string, real float64) float64 {
 }
 
 // Scratch bundles the reusable statistic-evaluation state of one
-// worker: the BFS distance/queue/count buffers and the HyperANF
-// counter registers, both of which grow to the graph size once and are
-// reused for every subsequent world.
+// worker: the BFS distance/queue/count buffers, the HyperANF counter
+// bank and the triangle counter's rank and forward lists, all of which
+// grow to the graph size once and are reused for every subsequent
+// world.
 type Scratch struct {
 	bfs     *bfs.Scratch
 	anf     *anf.Engine
 	anfBits int
+	tri     stats.Triangles
 	// intra is the worker budget of the BFS distance scans inside one
 	// ScalarsInto call (<= 0 selects GOMAXPROCS). NewScratch sets 1, so
 	// per-world scans run sequentially — the world loop spends Workers
@@ -251,7 +254,7 @@ func ScalarsInto(g *graph.Graph, cfg Config, seed int64, sc *Scratch, vals *[10]
 	vals[6] = float64(dd.Diameter())
 	vals[7] = dd.EffectiveDiameter(cfg.EffectiveDiameterQ)
 	vals[8] = dd.ConnectivityLength()
-	vals[9] = stats.ClusteringCoefficient(g)
+	vals[9] = sc.tri.ClusteringCoefficient(g)
 }
 
 // scalarScan is Run's per-world work: the ten statistics of world i

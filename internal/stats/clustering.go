@@ -1,82 +1,120 @@
 package stats
 
-import (
-	"sort"
+import "uncertaingraph/internal/graph"
 
-	"uncertaingraph/internal/graph"
-)
+// Triangles counts triangles against reusable scratch: the
+// possible-world pipeline holds one per worker and reuses it for every
+// world, so once its buffers have grown to the graph's size a count
+// allocates nothing. The zero value is ready to use; a Triangles
+// serves one goroutine at a time.
+type Triangles struct {
+	start []int32 // counting-sort cursors, one per degree
+	rank  []int32
+	foff  []int64
+	fnbr  []int32
+	mark  []int32
+}
 
-// CountTriangles returns T3: the number of 3-cliques. It uses the
-// forward (degree-ordered) algorithm, O(m^{3/2}) time, over a flat
-// CSR scratch of forward adjacencies.
-func CountTriangles(g *graph.Graph) int64 {
+// Count returns T3: the number of 3-cliques. It uses the forward
+// (degree-ordered) algorithm, O(m^{3/2}) time, over a flat CSR of
+// forward adjacencies.
+func (t *Triangles) Count(g *graph.Graph) int64 {
 	n := g.NumVertices()
-	// Rank vertices by (degree, id); orient each edge from lower to
-	// higher rank so every triangle is counted exactly once, at its
-	// lowest-rank corner pair.
-	rank := make([]int32, n)
-	order := make([]int32, n)
-	for i := range order {
-		order[i] = int32(i)
+	// Rank vertices by (degree, id) with a counting sort on degree:
+	// visiting ids in order within each degree keeps ties by id. Each
+	// edge is oriented from its lower-rank to its higher-rank end, so
+	// every triangle is counted exactly once, at its lowest-rank
+	// corner.
+	start := resize(t.start, g.MaxDegree()+1)
+	clear(start)
+	for v := 0; v < n; v++ {
+		start[g.Degree(v)]++
 	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := g.Degree(int(order[a])), g.Degree(int(order[b]))
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	for r, v := range order {
-		rank[v] = int32(r)
+	var next int32
+	for d, c := range start {
+		start[d] = next
+		next += c
+	}
+	rank := resize(t.rank, n)
+	for v := 0; v < n; v++ {
+		d := g.Degree(v)
+		rank[v] = start[d]
+		start[d]++
 	}
 	// Forward adjacency in CSR form: foff[v]..foff[v+1] indexes v's
-	// higher-rank neighbors within fnbr. Visiting vertices in rank
-	// order while appending each to its lower-rank neighbors' lists
-	// leaves every list sorted by rank with no per-vertex sort.
-	foff := make([]int64, n+1)
+	// higher-rank neighbours within fnbr.
+	foff := resize(t.foff, n+1)
+	foff[0] = 0
 	for v := 0; v < n; v++ {
+		k := foff[v]
 		for _, u := range g.Neighbors(v) {
 			if rank[u] > rank[v] {
-				foff[v+1]++
+				k++
 			}
 		}
+		foff[v+1] = k
 	}
+	fnbr := resize(t.fnbr, int(foff[n]))
 	for v := 0; v < n; v++ {
-		foff[v+1] += foff[v]
-	}
-	fnbr := make([]int32, foff[n])
-	fill := make([]int64, n)
-	for _, v := range order {
-		for _, u := range g.Neighbors(int(v)) {
-			if rank[u] < rank[v] {
-				fnbr[foff[u]+fill[u]] = v
-				fill[u]++
+		k := foff[v]
+		for _, u := range g.Neighbors(v) {
+			if rank[u] > rank[v] {
+				fnbr[k] = u
+				k++
 			}
 		}
 	}
+	// For each v, mark its forward neighbours with a stamp unique to
+	// v; each marked forward neighbour w of a forward neighbour u
+	// closes the triangle {v, u, w}.
+	mark := resize(t.mark, n)
+	clear(mark)
+	t.start, t.rank, t.foff, t.fnbr, t.mark = start, rank, foff, fnbr, mark
 	var t3 int64
 	for v := 0; v < n; v++ {
 		a := fnbr[foff[v]:foff[v+1]]
+		if len(a) < 2 {
+			continue
+		}
+		stamp := int32(v + 1)
 		for _, u := range a {
-			// Count common forward neighbors of v and u by merge.
-			b := fnbr[foff[u]:foff[u+1]]
-			i, j := 0, 0
-			for i < len(a) && j < len(b) {
-				ra, rb := rank[a[i]], rank[b[j]]
-				switch {
-				case ra == rb:
+			mark[u] = stamp
+		}
+		for _, u := range a {
+			for _, w := range fnbr[foff[u]:foff[u+1]] {
+				if mark[w] == stamp {
 					t3++
-					i++
-					j++
-				case ra < rb:
-					i++
-				default:
-					j++
 				}
 			}
 		}
 	}
 	return t3
+}
+
+// ClusteringCoefficient returns S_CC = T3/T2 (paper §6.4), or 0 when
+// the graph has no connected triples.
+func (t *Triangles) ClusteringCoefficient(g *graph.Graph) float64 {
+	t3 := t.Count(g)
+	t2 := ConnectedTriplesGiven(g, t3)
+	if t2 == 0 {
+		return 0
+	}
+	return float64(t3) / float64(t2)
+}
+
+// resize returns s with length n, reallocated only when its capacity
+// is short; the contents are unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// CountTriangles returns T3 on fresh scratch (see Triangles.Count).
+func CountTriangles(g *graph.Graph) int64 {
+	var t Triangles
+	return t.Count(g)
 }
 
 // ConnectedTriples returns T2 under the paper's definition: the number
@@ -100,12 +138,9 @@ func ConnectedTriplesGiven(g *graph.Graph, t3 int64) int64 {
 }
 
 // ClusteringCoefficient returns S_CC = T3/T2 (paper §6.4), or 0 when
-// the graph has no connected triples.
+// the graph has no connected triples. It runs on fresh scratch (see
+// Triangles).
 func ClusteringCoefficient(g *graph.Graph) float64 {
-	t3 := CountTriangles(g)
-	t2 := ConnectedTriplesGiven(g, t3)
-	if t2 == 0 {
-		return 0
-	}
-	return float64(t3) / float64(t2)
+	var t Triangles
+	return t.ClusteringCoefficient(g)
 }
