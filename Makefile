@@ -91,9 +91,11 @@ bench-query: BENCH_RE = BenchmarkBatchQueries$$|BenchmarkBatchReliabilityOnly$$|
 bench-query: BENCH_TIME = 16x
 # bench-obfuscate: sequential vs parallel full Algorithm 1 runs on the
 # ~5k-vertex stand-in (TestObfuscateBenchConfigEquivalence, in the
-# plain test suite, pins that both compute the same release).
+# plain test suite, pins that both compute the same release), plus one
+# release at e2ebench's publish shape (y360 tiny, k=20, ε=0.01, seed
+# 2201) on one worker, with the trials its search consumed.
 bench-obfuscate: BENCH_PKG = .
-bench-obfuscate: BENCH_RE = BenchmarkObfuscate(Sequential|Parallel)$$
+bench-obfuscate: BENCH_RE = BenchmarkObfuscate(Sequential|Parallel|PublishShaped)$$
 bench-obfuscate: BENCH_TIME = 3x
 # bench-qserve: steady-state hot request vs the post-eviction cold
 # reload, plus the result-cache triplet (stored-answer hit, miss

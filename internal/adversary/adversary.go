@@ -35,7 +35,6 @@ import (
 	"uncertaingraph/internal/mathx"
 	"uncertaingraph/internal/parallel"
 	"uncertaingraph/internal/pbinom"
-	"uncertaingraph/internal/uncertain"
 )
 
 // Dist is a probability mass function over non-negative integers:
@@ -53,11 +52,23 @@ type Model interface {
 	VertexX(v int) Dist
 }
 
+// Incidence is what the degree model reads of an uncertain graph: per
+// vertex, the probabilities of its incident candidate pairs, in
+// candidate-list order. *uncertain.Graph satisfies it; the obfuscation
+// engine's trials scan lists kept in their own buffers, and build a
+// graph only for a trial that can be published.
+type Incidence interface {
+	NumVertices() int
+	// AppendIncidentProbs appends v's incident probabilities to dst
+	// and returns the extended slice.
+	AppendIncidentProbs(dst []float64, v int) []float64
+}
+
 // UncertainModel adapts an uncertain graph to the adversary interface
 // for the degree property: X_v is the Poisson-binomial law of v's degree
 // over its incident candidate pairs.
 type UncertainModel struct {
-	G *uncertain.Graph
+	G Incidence
 	// ExactThreshold bounds the exact DP size; beyond it the CLT
 	// approximation is used (<= 0 selects pbinom.DefaultExactThreshold).
 	ExactThreshold int
@@ -101,7 +112,7 @@ func (m UncertainModel) NumVertices() int { return m.G.NumVertices() }
 
 // VertexX implements Model.
 func (m UncertainModel) VertexX(v int) Dist {
-	return m.G.DegreeDist(v, m.ExactThreshold)
+	return pbinom.New(m.G.AppendIncidentProbs(nil, v), m.ExactThreshold)
 }
 
 // Preparer is an optional Model extension: models whose X columns are

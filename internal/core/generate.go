@@ -36,8 +36,9 @@ func (a Attempt) Failed() bool { return math.IsInf(a.EpsTilde, 1) }
 // stream derived from (params.Seed, σ, trial index), and the winner is
 // the success with the lowest ε̃, ties broken by the lower trial index —
 // the same attempt the sequential best-of-t loop keeps. All t trials
-// are examined (a later trial may beat an earlier success), so the
-// result is bit-identical for every Workers value (including 1).
+// run (a later trial may beat an earlier success), so the result is
+// bit-identical for every Workers value (including 1). Obfuscate runs
+// all t only for the probe it publishes; see Result.Trials.
 //
 // Params that Obfuscate rejects as non-finite (see NonFinite) yield a
 // failed attempt.
@@ -47,8 +48,9 @@ func GenerateObfuscation(g *graph.Graph, sigma float64, params Params) Attempt {
 	}
 	params = params.withDefaults()
 	params.Seed = params.resolveSeed()
-	att, _ := generateObfuscation(nil, newRun(g, params), sigma)
-	return att
+	p := newProbe(newRun(g, params), sigma)
+	p.runTrials(nil, false)
+	return p.win.att
 }
 
 // run is the state every σ probe of one Algorithm 1 run shares. All of
@@ -79,20 +81,31 @@ func newRun(g *graph.Graph, params Params) *run {
 	}
 }
 
-// generateObfuscation runs Algorithm 2 for one σ probe of r, whose
-// params carry a resolved Seed. Cancelling ctx abandons the whole probe
-// (Obfuscate passes its caller's context); a nil ctx never cancels. The
-// attempt of an abandoned probe is not its pure value. The second
-// return value reports how many trials the probe examines — always t,
-// since best-of-t selection must look at every trial — the work measure
-// behind Result.Trials.
-func generateObfuscation(ctx context.Context, r *run, sigma float64) (Attempt, int) {
-	g, params := r.g, r.params
-	n := g.NumVertices()
-	dist := params.Property.Distance
+// probe is one σ probe of Algorithm 2 on r, whose params carry a
+// resolved Seed: lines 1-3, run once, and the trials run so far,
+// folded into the best-of-t winner. Each trial is a pure function of
+// (r, σ, trial index), so a probe may run its trials over several
+// runTrials calls and still reach the winner one call over all t
+// would: Obfuscate first runs a probe's trials only until one succeeds,
+// which is all its search reads, and completes best-of-t for the one
+// probe it publishes.
+type probe struct {
+	r     *run
+	sigma float64
+	uniq  []float64
+	inH   []bool
+	// aliasQ is Q of line 3, nil when lines 1-2 leave no vertex with
+	// mass to sample (tiny graphs with large ε): every trial fails.
+	aliasQ *randx.Alias
+	win    winner
+}
+
+func newProbe(r *run, sigma float64) *probe {
+	params := r.params
+	n := r.g.NumVertices()
 
 	// Line 1: σ-uniqueness of every vertex (θ = σ, Section 5.2).
-	uniq := UniquenessScores(r.values, dist, sigma)
+	uniq := UniquenessScores(r.values, params.Property.Distance, sigma)
 
 	// Line 2: exclude the ⌈ε/2·n⌉ most unique vertices from perturbation.
 	hSize := int(math.Ceil(params.Eps / 2 * float64(n)))
@@ -108,110 +121,135 @@ func generateObfuscation(ctx context.Context, r *run, sigma float64) (Attempt, i
 			weights[v] = u
 		}
 	}
-	aliasQ := randx.NewAlias(weights)
-
-	failed := Attempt{EpsTilde: math.Inf(1)}
-	if aliasQ == nil {
-		// All mass excluded (tiny graphs with large ε) — cannot sample.
-		return failed, params.Trials
+	return &probe{
+		r: r, sigma: sigma, uniq: uniq, inH: inH,
+		aliasQ: randx.NewAlias(weights),
+		win:    winner{att: Attempt{EpsTilde: math.Inf(1)}, idx: params.Trials, first: params.Trials},
 	}
+}
 
+// runTrials runs the probe's trials from the first one not yet run,
+// claiming them in index order. With decide set, it stops claiming once
+// a trial has succeeded; trials already in flight then finish and are
+// kept. So the trials run always form a prefix of [0, t), and it holds
+// the first successful trial whenever one exists. Cancelling ctx
+// abandons the probe (a nil ctx never cancels): its outcome is then
+// not its pure value.
+func (p *probe) runTrials(ctx context.Context, decide bool) {
+	if p.aliasQ == nil {
+		return
+	}
+	params, from := p.r.params, p.win.ran
 	// Split the worker budget between the two parallel levels: up to
 	// trialWorkers trials in flight, each scanning with scanWorkers, so
 	// a probe stays within params.Workers busy goroutines.
 	workers := params.workerCount()
-	trialWorkers := workers
-	if trialWorkers > params.Trials {
-		trialWorkers = params.Trials
+	trialWorkers := min(workers, params.Trials)
+	scanWorkers := max(workers/trialWorkers, 1)
+	stop := func() bool {
+		return cancelled(ctx) || decide && p.win.succeeded()
 	}
-	scanWorkers := workers / trialWorkers
-	if scanWorkers < 1 {
-		scanWorkers = 1
-	}
-
-	// runTrial is a pure function of its trial index: all randomness
-	// comes from the (seed, σ, trial) stream, and the arena only lends
-	// buffers, so results are independent of scheduling. It bails out
-	// between stages — and per scan chunk — when the probe was
-	// cancelled.
-	runTrial := func(trial int) Attempt {
-		if hook := params.beforeTrial; hook != nil {
-			hook(sigma, trial)
-		}
-		if cancelled(ctx) {
-			return failed
-		}
-		a, _ := r.arenas.Get().(*trialArena)
-		if a == nil {
-			a = &trialArena{}
-		}
-		defer r.arenas.Put(a)
-		rng := trialRng(params.Seed, sigma, trial)
-		ec, ok := r.edges.selectCandidates(a, aliasQ, inH, rng)
-		if !ok {
-			return failed
-		}
-		pairs := assignProbabilities(a, ec, uniq, sigma, params, rng)
-		// New copies out of the arena's pairs: the graph owns its arrays.
-		ug, err := uncertain.New(n, pairs)
-		if err != nil {
-			// Candidate construction guarantees validity; a failure here
-			// is a programming error worth surfacing loudly.
-			panic(err)
-		}
-		if cancelled(ctx) {
-			return failed
-		}
-		// Line 20: fraction of vertices not k-obfuscated.
-		model := adversary.UncertainModel{
-			G:              ug,
-			ExactThreshold: params.ExactThreshold,
-			Workers:        scanWorkers,
-			Ctx:            ctx,
-		}
-		epsPrime := adversary.NotObfuscatedFraction(model, r.degrees, params.K)
-		if cancelled(ctx) {
-			// The scan aborted early; its ε' is not the pure probe value.
-			return failed
-		}
-		// Line 21: the trial succeeds when ε' stays within the budget.
-		if epsPrime <= params.Eps {
-			return Attempt{EpsTilde: epsPrime, G: ug}
-		}
-		return failed
-	}
-
-	// Deterministic winner under any completion order: the success with
-	// the lowest ε̃, ties broken by the lower trial index — the attempt
-	// the sequential best-of-t loop (strict `<` against the running
-	// best) keeps. Folding into a running best as trials finish, rather
-	// than collecting all t attempts, lets loser graphs (each ~c·|E|
-	// pairs) be reclaimed while later trials still run.
-	win := winner{att: failed, idx: params.Trials}
-	_ = parallel.ForCtx(ctx, params.Trials, trialWorkers, func(i int) {
-		win.offer(runTrial(i), i)
+	parallel.For(params.Trials-from, trialWorkers, stop, func(i int) {
+		p.win.offer(p.trial(ctx, from+i, scanWorkers), from+i)
 	})
-	return win.att, params.Trials
 }
 
-// winner folds trial outcomes into the deterministic best-of-t choice:
-// lexicographic minimum of (ε̃, trial index) over the successes.
+// decisionTrials is the number of trials a sequential search examines
+// to decide the probe: up to and including its first success, or all t
+// when none succeeds. It depends on the trials' outcomes alone, never
+// on how many ran in parallel past the first success.
+func (p *probe) decisionTrials() int {
+	return min(p.win.first+1, p.r.params.Trials)
+}
+
+// trial runs lines 4-21 as trial i of the probe. It is a pure function
+// of its index: all randomness comes from the (seed, σ, trial) stream,
+// and the arena only lends buffers, so results are independent of
+// scheduling. It bails out between stages — and per scan chunk — when
+// the probe was cancelled.
+func (p *probe) trial(ctx context.Context, i, scanWorkers int) Attempt {
+	r, params := p.r, p.r.params
+	failed := Attempt{EpsTilde: math.Inf(1)}
+	if hook := params.beforeTrial; hook != nil {
+		hook(p.sigma, i)
+	}
+	if cancelled(ctx) {
+		return failed
+	}
+	a, _ := r.arenas.Get().(*trialArena)
+	if a == nil {
+		a = &trialArena{}
+	}
+	defer r.arenas.Put(a)
+	rng := trialRng(params.Seed, p.sigma, i)
+	ec, ok := r.edges.selectCandidates(a, p.aliasQ, p.inH, rng)
+	if !ok {
+		return failed
+	}
+	pairs := assignProbabilities(a, ec, p.uniq, p.sigma, params, rng)
+	// Line 20: fraction of vertices not k-obfuscated, scanned over the
+	// arena's incidence lists rather than a graph.
+	a.inc.reset(r.g.NumVertices(), pairs)
+	model := adversary.UncertainModel{
+		G:              &a.inc,
+		ExactThreshold: params.ExactThreshold,
+		Workers:        scanWorkers,
+		Ctx:            ctx,
+	}
+	epsPrime := adversary.NotObfuscatedFraction(model, r.degrees, params.K)
+	if cancelled(ctx) {
+		// The scan aborted early; its ε' is not the pure probe value.
+		return failed
+	}
+	// Line 21: the trial succeeds when ε' stays within the budget. Only
+	// a success can be published, so only a success builds a graph; New
+	// copies out of the arena's pairs, and the graph owns its arrays.
+	if epsPrime > params.Eps {
+		return failed
+	}
+	ug, err := uncertain.New(r.g.NumVertices(), pairs)
+	if err != nil {
+		// Candidate construction guarantees validity; a failure here
+		// is a programming error worth surfacing loudly.
+		panic(err)
+	}
+	return Attempt{EpsTilde: epsPrime, G: ug}
+}
+
+// winner folds trial outcomes into the deterministic best-of-t choice,
+// under any completion order: the lexicographic minimum of (ε̃, trial
+// index) over the successes — the attempt the sequential best-of-t loop
+// (strict `<` against the running best) keeps. Folding into a running
+// best as trials finish, rather than collecting all t attempts, lets
+// loser graphs (each ~c·|E| pairs) be reclaimed while later trials
+// still run.
 type winner struct {
-	mu  sync.Mutex
-	att Attempt
-	idx int
+	mu    sync.Mutex
+	att   Attempt
+	idx   int
+	first int // lowest successful trial index, t while none succeeded
+	ran   int // trials folded
 }
 
 func (w *winner) offer(att Attempt, trial int) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.ran++
 	if att.Failed() {
 		return
 	}
-	w.mu.Lock()
+	w.first = min(w.first, trial)
 	if att.EpsTilde < w.att.EpsTilde ||
 		(att.EpsTilde == w.att.EpsTilde && trial < w.idx) {
 		w.att, w.idx = att, trial
 	}
-	w.mu.Unlock()
+}
+
+// succeeded reports whether some trial folded so far succeeded.
+func (w *winner) succeeded() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return !w.att.Failed()
 }
 
 // cancelled reports whether the probe's context has been cancelled; a
@@ -227,14 +265,57 @@ type candidate struct {
 }
 
 // trialArena holds one trial's buffers: the pair table and E_C of lines
-// 6-12, and the per-pair uniqueness and output pairs of lines 13-19. A
-// run reuses its arenas across trials and probes; nothing a trial
-// returns aliases one.
+// 6-12, the per-pair uniqueness and output pairs of lines 13-19, and
+// the incidence lists line 20 scans. A run reuses its arenas across
+// trials and probes; nothing a trial returns aliases one.
 type trialArena struct {
 	slots    []pairSlot
 	ec       []candidate
 	pairUniq []float64
 	pairs    []uncertain.Pair
+	inc      incidence
+}
+
+// incidence lists, per vertex, the probabilities of its incident
+// candidate pairs in candidate-list order: the order in which
+// uncertain.New indexes them, so every degree law, and every entropy,
+// equals the one the graph built from the same pairs gives. It
+// implements adversary.Incidence over arena buffers.
+type incidence struct {
+	off []int // v's probabilities are p[off[v]:off[v+1]]
+	p   []float64
+}
+
+// reset rebuilds the lists for pairs on n vertices.
+func (in *incidence) reset(n int, pairs []uncertain.Pair) {
+	// Counting into off[v+2] makes the prefix sum leave v's start in
+	// off[v+1]; filling v's probabilities then advances off[v+1] to
+	// v's end, which is v+1's start.
+	off := slices.Grow(in.off[:0], n+2)[:n+2]
+	clear(off)
+	for _, pr := range pairs {
+		off[pr.U+2]++
+		off[pr.V+2]++
+	}
+	for v := 2; v < len(off); v++ {
+		off[v] += off[v-1]
+	}
+	p := slices.Grow(in.p[:0], 2*len(pairs))[:2*len(pairs)]
+	for _, pr := range pairs {
+		p[off[pr.U+1]] = pr.P
+		off[pr.U+1]++
+		p[off[pr.V+1]] = pr.P
+		off[pr.V+1]++
+	}
+	in.off, in.p = off[:n+1], p
+}
+
+// NumVertices implements adversary.Incidence.
+func (in *incidence) NumVertices() int { return len(in.off) - 1 }
+
+// AppendIncidentProbs implements adversary.Incidence.
+func (in *incidence) AppendIncidentProbs(dst []float64, v int) []float64 {
+	return append(dst, in.p[in.off[v]:in.off[v+1]]...)
 }
 
 // pairSlot is one slot of a pair table: a graph.PairKey (0, which no

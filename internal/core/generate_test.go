@@ -5,9 +5,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"uncertaingraph/internal/adversary"
 	"uncertaingraph/internal/gen"
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/randx"
+	"uncertaingraph/internal/uncertain"
 )
 
 func TestSelectCandidatesExactTarget(t *testing.T) {
@@ -227,5 +229,102 @@ func TestAttemptFailed(t *testing.T) {
 	}
 	if (Attempt{EpsTilde: 0.01}).Failed() {
 		t.Error("finite EpsTilde is success")
+	}
+}
+
+// randomPairs draws a candidate set on n vertices in random order, each
+// pair with either orientation: vertex 0 is a hub of up to 45 pairs,
+// the last three vertices stay isolated, and about a quarter of the
+// probabilities are exactly 0 or 1.
+func randomPairs(rng *rand.Rand, n int) []uncertain.Pair {
+	live := n - 3
+	seen := make(map[int64]bool)
+	var pairs []uncertain.Pair
+	add := func(u, v int) {
+		key := graph.PairKey(u, v, n)
+		if u == v || seen[key] {
+			return
+		}
+		seen[key] = true
+		p := rng.Float64()
+		switch rng.Intn(8) {
+		case 0:
+			p = 0
+		case 1:
+			p = 1
+		}
+		pairs = append(pairs, uncertain.Pair{U: u, V: v, P: p})
+	}
+	for v := 1; v < live && v <= 45; v++ {
+		add(0, v)
+	}
+	for i := 0; i < 2*live; i++ {
+		add(rng.Intn(live), rng.Intn(live))
+	}
+	rng.Shuffle(len(pairs), func(i, j int) { pairs[i], pairs[j] = pairs[j], pairs[i] })
+	return pairs
+}
+
+// TestIncidenceMatchesGraph pins the trial scan's incidence lists
+// against the graph uncertain.New builds from the same pairs: every
+// column measure, ε', and every vertex's degree law through the
+// Incidence interface are bit-identical, at exact thresholds that put
+// the hub on either side of the exact DP and at one and several scan
+// workers. One incidence is reused across the pair sets, growing and
+// shrinking, as a trial arena reuses it.
+func TestIncidenceMatchesGraph(t *testing.T) {
+	rng := randx.New(61)
+	var inc incidence
+	for _, n := range []int{40, 1200, 7, 600} {
+		pairs := randomPairs(rng, n)
+		ug, err := uncertain.New(n, pairs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inc.reset(n, pairs)
+		if inc.NumVertices() != n {
+			t.Fatalf("n=%d: lists cover %d vertices", n, inc.NumVertices())
+		}
+		values := make([]int, n)
+		for v := range values {
+			values[v] = rng.Intn(50)
+		}
+		omegas := append(adversary.DistinctValues(values), 1<<20)
+		for _, threshold := range []int{0, 1, 1 << 20} {
+			for _, workers := range []int{1, 3} {
+				lists := adversary.UncertainModel{G: &inc, ExactThreshold: threshold, Workers: workers}
+				built := adversary.UncertainModel{G: ug, ExactThreshold: threshold, Workers: workers}
+				for name, measure := range map[string]func(adversary.Model, []int) map[int]float64{
+					"entropy": adversary.ColumnEntropies,
+					"belief":  adversary.ColumnBeliefLevels,
+				} {
+					got, want := measure(lists, omegas), measure(built, omegas)
+					for _, omega := range omegas {
+						if math.Float64bits(got[omega]) != math.Float64bits(want[omega]) {
+							t.Errorf("n=%d threshold=%d workers=%d ω=%d: %s %v over the lists, %v over the graph",
+								n, threshold, workers, omega, name, got[omega], want[omega])
+						}
+					}
+				}
+				for _, k := range []float64{2, 5} {
+					got := adversary.NotObfuscatedFraction(lists, values, k)
+					want := adversary.NotObfuscatedFraction(built, values, k)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("n=%d threshold=%d workers=%d k=%v: ε' %v over the lists, %v over the graph",
+							n, threshold, workers, k, got, want)
+					}
+				}
+			}
+			lists := adversary.UncertainModel{G: &inc, ExactThreshold: threshold}
+			for v := 0; v < n; v++ {
+				got, want := lists.VertexX(v), ug.DegreeDist(v, threshold)
+				for k := -1; k <= ug.IncidentCount(v)+1; k++ {
+					if math.Float64bits(got.Prob(k)) != math.Float64bits(want.Prob(k)) {
+						t.Fatalf("n=%d threshold=%d v=%d k=%d: VertexX %v, DegreeDist %v",
+							n, threshold, v, k, got.Prob(k), want.Prob(k))
+					}
+				}
+			}
+		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/uncertain"
@@ -20,10 +19,14 @@ type Result struct {
 	// EpsTilde is the achieved non-obfuscated fraction (ε̃ <= ε).
 	EpsTilde float64
 	// Generations counts the GenerateObfuscation probes the search
-	// runs, and Trials the inner attempts those probes examine (t per
-	// probe — best-of-t selection looks at every trial) — the work
-	// measure behind the paper's Table 3 throughput. Both numbers are
-	// identical for every Workers value.
+	// runs, and Trials the trials it consumes — the work measure behind
+	// the paper's Table 3 throughput. The search reads only whether a
+	// probe succeeds, so a failed probe counts its t trials and a
+	// successful one the index of its first success plus one; the
+	// published probe, whose best-of-t attempt is the release, counts
+	// all t. Both numbers are identical for every Workers value: trials
+	// a parallel probe had in flight when its first success landed run
+	// to completion but are not counted.
 	Generations int
 	Trials      int
 }
@@ -37,9 +40,13 @@ var ErrNoObfuscation = errors.New("core: no (k,eps)-obfuscation found up to MaxS
 // parameter σ, a minimal-uncertainty (k, ε)-obfuscation of g.
 //
 // The σ probes run one at a time, in the order the search visits them;
-// params.Workers parallelizes inside each probe (its t trials, and each
-// trial's entropy scan). The returned Result (σ, ε̃, published pairs,
-// and both work counters) is bit-identical for every Workers value.
+// params.Workers parallelizes inside each probe (its trials, and each
+// trial's entropy scan). A probe claims its trials in index order and
+// stops claiming at its first success, which decides it; once the
+// search ends, the published probe runs the rest of its t trials, so
+// the release is its best-of-t attempt, as GenerateObfuscation would
+// return it. The returned Result (σ, ε̃, published pairs, and both
+// work counters) is bit-identical for every Workers value.
 //
 // Cancelling ctx aborts the search: the running probe observes it at
 // trial and scan-chunk granularity, its trial goroutines are joined,
@@ -66,34 +73,40 @@ func Obfuscate(ctx context.Context, g *graph.Graph, params Params) (*Result, err
 	params.Seed = params.resolveSeed()
 	r := newRun(g, params)
 
-	res := &Result{EpsTilde: math.Inf(1)}
-	probe := func(sigma float64, total int) (Attempt, error) {
-		att, examined := generateObfuscation(ctx, r, sigma)
-		// A probe that cancellation cut short returns a failed attempt
-		// that is not its pure value: consuming it would move the search.
+	res := &Result{}
+	// published is the latest successful probe, the only one whose
+	// best-of-t attempt the search can still publish.
+	var published *probe
+	decide := func(sigma float64, total int) (bool, error) {
+		p := newProbe(r, sigma)
+		p.runTrials(ctx, true)
+		// A probe that cancellation cut short has no pure outcome:
+		// consuming it would move the search.
 		if err := ctx.Err(); err != nil {
-			return Attempt{}, err
+			return false, err
 		}
 		res.Generations++
-		res.Trials += examined
+		res.Trials += p.decisionTrials()
 		if params.Progress != nil {
 			params.Progress(res.Generations, total)
 		}
-		return att, nil
+		ok := p.win.succeeded()
+		if ok {
+			published, res.Sigma = p, sigma
+		}
+		return ok, nil
 	}
 
 	// Doubling phase (lines 1-6): find a feasible upper bound σ_u. The
 	// probe total is unknown until this phase bounds the search, so
 	// Progress reports total 0 here.
 	sigmaU := params.SigmaInit
-	var found Attempt
 	for {
-		var err error
-		found, err = probe(sigmaU, 0)
+		ok, err := decide(sigmaU, 0)
 		if err != nil {
 			return nil, err
 		}
-		if !found.Failed() {
+		if ok {
 			break
 		}
 		sigmaU *= 2
@@ -101,23 +114,30 @@ func Obfuscate(ctx context.Context, g *graph.Graph, params Params) (*Result, err
 			return nil, ErrNoObfuscation
 		}
 	}
-	res.G, res.Sigma, res.EpsTilde = found.G, sigmaU, found.EpsTilde
 
 	// Binary search (lines 8-12) on [0, σ_u], keeping the last success.
 	sigmaL := 0.0
 	for sigmaL+params.Delta < sigmaU {
 		sigma := (sigmaL + sigmaU) / 2
-		attempt, err := probe(sigma, res.Generations+binarySteps(sigmaU-sigmaL, params.Delta))
+		ok, err := decide(sigma, res.Generations+binarySteps(sigmaU-sigmaL, params.Delta))
 		if err != nil {
 			return nil, err
 		}
-		if attempt.Failed() {
-			sigmaL = sigma
-		} else {
+		if ok {
 			sigmaU = sigma
-			res.G, res.Sigma, res.EpsTilde = attempt.G, sigma, attempt.EpsTilde
+		} else {
+			sigmaL = sigma
 		}
 	}
+
+	// Best-of-t for the release: run the published probe's trials that
+	// its decision did not need.
+	published.runTrials(ctx, false)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	res.Trials += params.Trials - published.decisionTrials()
+	res.G, res.EpsTilde = published.win.att.G, published.win.att.EpsTilde
 	return res, nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -270,7 +271,7 @@ func settledGoroutines(base int) int {
 }
 
 // TestObfuscateReraisesTrialPanic pins the panic path of a trial. At
-// Workers 2 the trials run on parallel.ForCtx's goroutines, and a
+// Workers 2 the trials run on parallel.For's goroutines, and a
 // trial's panic reaches Obfuscate's caller as a *parallel.WorkerPanic
 // carrying its value and stack, instead of ending the process from a
 // bare goroutine. At Workers 1 every trial runs inline on the caller's
@@ -310,19 +311,23 @@ func TestObfuscateReraisesTrialPanic(t *testing.T) {
 }
 
 // TestObfuscateConsumesEveryProbe pins that the search starts no probe
-// it does not consume: the distinct σ values the trials see are exactly
-// the Generations probes, and the trials started are exactly the Trials
-// counted, at one worker and at several.
+// it does not consume and no trial twice: the distinct σ values the
+// trials see are exactly the Generations probes; each σ starts a prefix
+// of its t trials, each once; and the published σ starts all t. At one
+// worker the trials started are exactly the Trials counted. At several,
+// a probe may also start trials that were claimed before its first
+// success landed, up to one fewer than the trials in flight.
 func TestObfuscateConsumesEveryProbe(t *testing.T) {
 	g := testGraph(14, 200)
+	const trials = 3
 	for _, workers := range []int{1, 4} {
 		var mu sync.Mutex
-		sigmas := make(map[float64]bool)
+		started := make(map[float64][]int) // σ -> trial indices started
 		calls := 0
-		params := Params{K: 5, Eps: 0.02, Trials: 3, Delta: 1e-3, Seed: 1, Workers: workers}
-		params.beforeTrial = func(sigma float64, _ int) {
+		params := Params{K: 5, Eps: 0.02, Trials: trials, Delta: 1e-3, Seed: 1, Workers: workers}
+		params.beforeTrial = func(sigma float64, trial int) {
 			mu.Lock()
-			sigmas[sigma] = true
+			started[sigma] = append(started[sigma], trial)
 			calls++
 			mu.Unlock()
 		}
@@ -330,9 +335,109 @@ func TestObfuscateConsumesEveryProbe(t *testing.T) {
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
-		if len(sigmas) != res.Generations || calls != res.Trials {
-			t.Errorf("workers=%d: trials saw %d σ values and started %d times; the search consumed %d probes of %d trials",
-				workers, len(sigmas), calls, res.Generations, res.Trials)
+		if len(started) != res.Generations {
+			t.Errorf("workers=%d: trials saw %d σ values; the search consumed %d probes", workers, len(started), res.Generations)
+		}
+		for sigma, idx := range started {
+			sort.Ints(idx)
+			for i, trial := range idx {
+				if trial != i {
+					t.Errorf("workers=%d σ=%v: trials started %v, want each of a prefix of [0, %d) once", workers, sigma, idx, trials)
+					break
+				}
+			}
+		}
+		if n := len(started[res.Sigma]); n != trials {
+			t.Errorf("workers=%d: the published σ %v started %d trials, want all %d", workers, res.Sigma, n, trials)
+		}
+		slack := 0
+		if workers > 1 {
+			slack = (min(workers, trials) - 1) * res.Generations
+		}
+		if calls < res.Trials || calls > res.Trials+slack {
+			t.Errorf("workers=%d: started %d trials; the search consumed %d (allowed up to %d more)", workers, calls, res.Trials, slack)
+		}
+	}
+}
+
+// eagerObfuscate is the reference schedule of Algorithm 1: every probe
+// runs all t trials in order, through the engine's own per-trial
+// function, and keeps the best of t, and the search publishes the last
+// success. Its Trials is the count the per-trial outcomes give a
+// sequential search that decides each probe at its first success and
+// completes best-of-t for the published probe only.
+func eagerObfuscate(t *testing.T, g *graph.Graph, params Params) *Result {
+	t.Helper()
+	params = params.withDefaults()
+	params.Seed = params.resolveSeed()
+	r := newRun(g, params)
+	res := &Result{}
+	lastFirst := 0 // first successful trial of the published probe
+	consume := func(sigma float64) bool {
+		p := newProbe(r, sigma)
+		best, first := Attempt{EpsTilde: math.Inf(1)}, params.Trials
+		for i := 0; i < params.Trials && p.aliasQ != nil; i++ {
+			att := p.trial(nil, i, 1)
+			if att.Failed() {
+				continue
+			}
+			first = min(first, i)
+			if att.EpsTilde < best.EpsTilde {
+				best = att
+			}
+		}
+		res.Generations++
+		res.Trials += min(first+1, params.Trials)
+		if best.Failed() {
+			return false
+		}
+		res.Sigma, res.EpsTilde, res.G, lastFirst = sigma, best.EpsTilde, best.G, first
+		return true
+	}
+	sigmaU := params.SigmaInit
+	for !consume(sigmaU) {
+		if sigmaU *= 2; sigmaU > params.MaxSigma {
+			t.Fatal("reference: no obfuscation up to MaxSigma")
+		}
+	}
+	for sigmaL := 0.0; sigmaL+params.Delta < sigmaU; {
+		if sigma := (sigmaL + sigmaU) / 2; consume(sigma) {
+			sigmaU = sigma
+		} else {
+			sigmaL = sigma
+		}
+	}
+	res.Trials += params.Trials - (lastFirst + 1)
+	return res
+}
+
+// TestObfuscateMatchesEagerSearch pins that deciding each probe at its
+// first successful trial, and running best-of-t only for the published
+// probe, changes nothing but the work: against the eager reference,
+// Obfuscate returns the same σ, ε̃, Generations and published pairs,
+// and Trials equals the count the reference derives from its per-trial
+// outcomes, at every worker count.
+func TestObfuscateMatchesEagerSearch(t *testing.T) {
+	for name, g := range equivFamilies(29) {
+		for seed := int64(1); seed <= 5; seed++ {
+			params := Params{K: 4, Eps: 0.1, C: 2, Q: 0.01, Trials: 4, Delta: 1e-3, Seed: seed}
+			want := eagerObfuscate(t, g, params)
+			for _, workers := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("%s/seed=%d/workers=%d", name, seed, workers), func(t *testing.T) {
+					params.Workers = workers
+					got, err := Obfuscate(context.Background(), g, params)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got.Sigma != want.Sigma || got.EpsTilde != want.EpsTilde ||
+						got.Generations != want.Generations || got.Trials != want.Trials {
+						t.Errorf("(σ, ε̃, probes, trials) = (%v, %v, %d, %d), eager search (%v, %v, %d, %d)",
+							got.Sigma, got.EpsTilde, got.Generations, got.Trials,
+							want.Sigma, want.EpsTilde, want.Generations, want.Trials)
+					}
+					samePairs(t, got.G, want.G)
+				})
+			}
 		}
 	}
 }

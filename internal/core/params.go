@@ -48,14 +48,16 @@ type Params struct {
 	// knob showing why spending noise on hopeless hubs wastes the
 	// budget. Off (false) reproduces the paper.
 	DisableHExclusion bool
-	// Workers bounds the busy goroutines of a run: trials of one
-	// GenerateObfuscation call run on up to Workers goroutines, and the
-	// adversary's vertex scan inside each trial gets the remaining
-	// budget (Workers / concurrent trials). Obfuscate runs one σ probe
-	// at a time. Zero selects GOMAXPROCS. The result is bit-identical
-	// for every Workers value: each (σ, trial) pair owns a seed-derived
-	// RNG stream and the winner is the best-ε̃ trial (ties to the lower
-	// index), so Workers trades wall-clock time only.
+	// Workers bounds the busy goroutines of a run: the trials of one σ
+	// probe run on up to Workers goroutines, claimed in index order,
+	// and the adversary's vertex scan inside each trial gets the
+	// remaining budget (Workers / concurrent trials). Obfuscate runs
+	// one σ probe at a time and stops claiming a probe's trials at its
+	// first success; trials already in flight then finish. Zero selects
+	// GOMAXPROCS. The result is bit-identical for every Workers value:
+	// each (σ, trial) pair owns a seed-derived RNG stream and the winner
+	// is the best-ε̃ trial (ties to the lower index), so Workers trades
+	// wall-clock time, and the trials run past a first success, only.
 	Workers int
 	// Seed is the base seed from which every per-probe, per-trial RNG
 	// stream is derived (randx.Derive). Zero selects 1.

@@ -59,21 +59,6 @@ func For(n, workers int, aborted func() bool, fn func(i int)) {
 	}
 }
 
-// ForCtx is For with context-based abortion: iteration claims stop at
-// the first claim after ctx is done (in-flight iterations run to
-// completion — cancellation lands within one iteration of work), and
-// the context's error is returned. A nil ctx never aborts. All spawned
-// goroutines have returned when ForCtx does, so a cancelled loop leaks
-// nothing.
-func ForCtx(ctx context.Context, n, workers int, fn func(i int)) error {
-	if ctx == nil {
-		For(n, workers, nil, fn)
-		return nil
-	}
-	For(n, workers, func() bool { return ctx.Err() != nil }, fn)
-	return ctx.Err()
-}
-
 // ForWorkers dispatches the indices [0, n) to exactly `workers`
 // long-lived goroutines over an unbuffered channel, invoking
 // fn(worker, i) with the stable worker id — the shape the world-loop

@@ -32,6 +32,8 @@ func TestForAbortSkipsRemainingWork(t *testing.T) {
 	if got := ran.Load(); got < 5 || got == 1000 {
 		t.Errorf("abort after 5 iterations ran %d", got)
 	}
+	// The hook is polled before the first claim too.
+	For(10, 3, func() bool { return true }, func(int) { t.Error("fn ran after an abort") })
 }
 
 func TestForJoinsBeforeReturning(t *testing.T) {
@@ -42,42 +44,6 @@ func TestForJoinsBeforeReturning(t *testing.T) {
 		if v != i {
 			t.Fatalf("slot %d = %d: For returned before workers finished", i, v)
 		}
-	}
-}
-
-func TestForCtxNilContextRunsEverything(t *testing.T) {
-	var ran atomic.Int32
-	if err := ForCtx(nil, 50, 4, func(int) { ran.Add(1) }); err != nil {
-		t.Fatal(err)
-	}
-	if ran.Load() != 50 {
-		t.Errorf("ran %d of 50", ran.Load())
-	}
-}
-
-func TestForCtxCancelStopsClaimsAndReturnsErr(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var ran atomic.Int32
-	err := ForCtx(ctx, 1000, 1, func(int) {
-		if ran.Add(1) == 5 {
-			cancel()
-		}
-	})
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Claims are polled per iteration: at most the in-flight iteration
-	// completes after cancellation.
-	if got := ran.Load(); got != 5 {
-		t.Errorf("cancel after 5 iterations ran %d", got)
-	}
-}
-
-func TestForCtxPreCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := ForCtx(ctx, 10, 3, func(int) { t.Error("fn ran under a dead context") }); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

@@ -17,7 +17,8 @@ import (
 // and the adversary scan gets whatever share of Workers the trials
 // leave. Results are bit-identical for every Workers value — each
 // (σ, trial) pair derives its own RNG stream from Seed, so parallelism
-// trades wall-clock time only.
+// changes only wall-clock time and how many trials a probe has in
+// flight when its first success decides it.
 //
 // New code passes the domain knobs via WithObfuscation (plus WithK,
 // WithEps) and the shared Seed/Workers/Progress knobs via their

@@ -3,18 +3,21 @@
 // versus parallel (Workers: GOMAXPROCS). Both return bit-identical
 // results — TestObfuscateBenchConfigEquivalence asserts it — so the two
 // timings isolate the wall-clock effect of concurrent trials and the
-// parallel adversary scan.
+// parallel adversary scan. A third benchmark times one release at the
+// shape e2ebench's publish workload ships.
 //
-//	make bench-obfuscate   # both, 5 runs each, appended to BENCH_obfuscate.json
+//	make bench-obfuscate   # all three, 5 runs each, appended to BENCH_obfuscate.json
 package uncertaingraph_test
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"sync"
 	"testing"
 
 	"uncertaingraph/internal/core"
+	"uncertaingraph/internal/datasets"
 	"uncertaingraph/internal/gen"
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/randx"
@@ -59,6 +62,43 @@ func BenchmarkObfuscateParallel(b *testing.B) {
 		b.Log("GOMAXPROCS=1: parallel timing degenerates to sequential plus overhead")
 	}
 	benchObfuscate(b, runtime.GOMAXPROCS(0))
+}
+
+// BenchmarkObfuscatePublishShaped times one release at the shape of
+// e2ebench's publish workload, cmd/obfuscate at its defaults: the y360
+// tiny stand-in, read back through graph.ReadEdgeList so its vertices
+// are numbered as the CLI numbers them, with k=20, ε=0.01, c=2,
+// q=0.01, t=5, δ=1e-8 and seed 2201. It runs on one worker, so ns/op
+// is the CPU one release costs; trials/op is the search's Trials.
+func BenchmarkObfuscatePublishShaped(b *testing.B) {
+	spec, err := datasets.ByName("y360")
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := datasets.Generate(spec, datasets.ScaleTiny)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, d.Graph); err != nil {
+		b.Fatal(err)
+	}
+	g, _, err := graph.ReadEdgeList(&buf)
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := core.Params{K: 20, Eps: 0.01, C: 2, Q: 0.01, Trials: 5, Delta: 1e-8, Seed: 2201, Workers: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	trials := 0
+	for i := 0; i < b.N; i++ {
+		res, err := core.Obfuscate(context.Background(), g, params)
+		if err != nil {
+			b.Fatal(err)
+		}
+		trials = res.Trials
+	}
+	b.ReportMetric(float64(trials), "trials/op")
 }
 
 // TestObfuscateBenchConfigEquivalence pins that the two benchmark
