@@ -20,17 +20,43 @@
 // For an uncertain graph, X_v is supported on {0, ..., L_v}, where L_v
 // is the number of candidate pairs incident to v, and is exactly 0
 // outside it. The column scans therefore evaluate, per vertex, only the
-// requested ω inside that support. Skipping the others is exact, not an
+// requested ω inside that support, and skip a vertex whose L_v is below
+// every requested ω without building its law. Skipping is exact, not an
 // approximation: an exact 0 changes neither an entropy accumulator nor
 // a belief sum or maximum, so every column measure is bit-identical to
 // a fold over all requested ω.
+//
+// The (k, ε) check (Assignment.Check) classifies the columns in three
+// stages, from the highest ω down, and stops once the columns classified
+// so far prove ε' > ε. Its answer equals that of one scan over every
+// column, because:
+//
+//   - a column's entropy depends only on the adds X_v(ω) of the vertices
+//     with ω <= L_v, made in vertex order within each fixed scan chunk,
+//     with the chunks merged in chunk order; a stage's scan makes
+//     exactly those adds for its columns, and a vertex whose L_v is
+//     below the stage's least ω adds nothing to any of them;
+//   - the count of vertices not k-obfuscated only grows from stage to
+//     stage, and float64(bad)/float64(n) is monotone in it, so a partial
+//     count above ε proves the full count is above ε too; the ε' of a
+//     failed check is never needed, so the check does not finish it;
+//   - a passing check classifies every column, so it reaches the full
+//     count and returns the same ε' = float64(bad)/float64(n).
+//
+// Within one check a vertex's degree law is built at most once: a law a
+// stage builds is kept for the stages after it. An approximated law is
+// read through pbinom.Walk, which shares the erfc endpoint of adjacent
+// ω, bit-identical to Prob.
 package adversary
 
 import (
+	"cmp"
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"sync"
 
 	"uncertaingraph/internal/mathx"
 	"uncertaingraph/internal/parallel"
@@ -59,6 +85,9 @@ type Model interface {
 // graph only for a trial that can be published.
 type Incidence interface {
 	NumVertices() int
+	// IncidentCount returns the number of v's incident pairs, L_v: the
+	// length AppendIncidentProbs appends, and the top of v's support.
+	IncidentCount(v int) int
 	// AppendIncidentProbs appends v's incident probabilities to dst
 	// and returns the extended slice.
 	AppendIncidentProbs(dst []float64, v int) []float64
@@ -147,15 +176,18 @@ const scanChunk = 512
 // the vertex's incident-pair count, the top of its support. Each vertex
 // walks the ω in ascending order through one sorted index built per
 // scan, so an UncertainModel vertex stops at the first ω past its
-// support and a scan costs its in-support entries instead of |V| × |ω|.
-// Skipping is exact because both folds (entropy, belief) leave an
-// accumulator unchanged on an exact 0: every accumulator receives the
-// same non-zero adds, in the same vertex order, as a full fold.
+// support, and a vertex whose count is below the least requested ω is
+// skipped before its probabilities are read: a scan costs its
+// in-support entries instead of |V| × |ω|. Skipping is exact because
+// both folds (entropy, belief) leave an accumulator unchanged on an
+// exact 0: every accumulator receives the same non-zero adds, in the
+// same vertex order, as a full fold.
 //
-// For an UncertainModel each chunk rebuilds every vertex's degree law
-// into one reused pbinom.Dist (Dist.Reset) through one reused
-// probability buffer, so the scan allocates nothing per vertex.
-func scanChunks[A any](m Model, omegas []int, add func(acc *A, p float64)) [][]A {
+// For an UncertainModel each chunk builds a vertex's degree law in
+// reused storage: sc's chunk buffers and, for the stages of a staged
+// check, the laws sc keeps; a nil sc gives each chunk its own buffers
+// for this scan. So the scan allocates nothing per vertex.
+func scanChunks[A any](m Model, omegas []int, add func(acc *A, p float64), sc *checkScratch) [][]A {
 	if prep, ok := m.(Preparer); ok {
 		prep.Prepare(omegas)
 	}
@@ -173,30 +205,41 @@ func scanChunks[A any](m Model, omegas []int, add func(acc *A, p float64)) [][]A
 	}
 	order := ascendingOmegas(omegas)
 	um, isUncertain := m.(UncertainModel)
+	threshold := um.ExactThreshold
+	if threshold <= 0 {
+		threshold = pbinom.DefaultExactThreshold
+	}
 	chunkAccs := make([][]A, (n+scanChunk-1)/scanChunk)
 	parallel.For(len(chunkAccs), workers, aborted, func(c int) {
 		lo := c * scanChunk
 		hi := min(lo+scanChunk, n)
 		acc := make([]A, len(omegas))
-		if isUncertain {
-			var law pbinom.Dist
-			var probs []float64
-			for v := lo; v < hi; v++ {
-				probs = um.G.AppendIncidentProbs(probs[:0], v)
-				law.Reset(probs, um.ExactThreshold)
-				top := law.NumTerms()
-				for _, i := range order {
-					if omegas[i] > top {
-						break
-					}
-					add(&acc[i], law.Prob(omegas[i]))
-				}
-			}
-		} else {
+		switch {
+		case !isUncertain:
 			for v := lo; v < hi; v++ {
 				x := m.VertexX(v)
 				for _, i := range order {
 					add(&acc[i], x.Prob(omegas[i]))
+				}
+			}
+		case len(order) > 0:
+			var own chunkScratch
+			cs := &own
+			if sc != nil {
+				cs = &sc.chunks[c]
+			}
+			floor := omegas[order[0]]
+			for v := lo; v < hi; v++ {
+				top := um.G.IncidentCount(v)
+				if top < floor {
+					continue
+				}
+				walk := sc.law(cs, um.G, v, top, threshold).Walk()
+				for _, i := range order {
+					if omegas[i] > top {
+						break
+					}
+					add(&acc[i], walk.Prob(omegas[i]))
 				}
 			}
 		}
@@ -215,22 +258,89 @@ func ascendingOmegas(omegas []int) []int {
 			order = append(order, i)
 		}
 	}
-	sort.Slice(order, func(a, b int) bool { return omegas[order[a]] < omegas[order[b]] })
+	slices.SortFunc(order, func(a, b int) int { return cmp.Compare(omegas[a], omegas[b]) })
 	return order
 }
 
-// ColumnEntropies computes H(Y_ω) for every requested property value ω,
-// streaming the X columns of all vertices through entropy accumulators.
-// The vertex scan is parallelized across CPUs; its result is
-// bit-identical for every worker count.
-func ColumnEntropies(m Model, omegas []int) map[int]float64 {
-	chunks := scanChunks(m, omegas, (*mathx.EntropyAccumulator).Add)
-	out := make(map[int]float64, len(omegas))
-	if chunks == nil {
-		return out
+// chunkScratch is one scan chunk's reused storage: the probability
+// buffer, the law of a vertex that is not kept, and the buffer the
+// kept exact laws of the chunk's vertices are carved from.
+type chunkScratch struct {
+	probs  []float64
+	law    pbinom.Dist
+	tables []float64
+}
+
+// carve returns n floats of the chunk's table buffer for one kept exact
+// law. A full buffer is replaced by a larger one: the laws carved from
+// the old one keep it alive while their check runs, and later checks
+// carve from the larger one.
+func (cs *chunkScratch) carve(n int) []float64 {
+	if cap(cs.tables)-len(cs.tables) < n {
+		cs.tables = make([]float64, 0, max(2*cap(cs.tables), n, 512))
 	}
+	k := len(cs.tables)
+	cs.tables = cs.tables[:k+n]
+	return cs.tables[k : k+n : k+n]
+}
+
+// checkScratch is what a staged check reuses: per chunk storage, the
+// degree laws its stages keep for the stages after them (laws[v] is v's
+// law where built[v]), and the buffer of its column entropies. An
+// Assignment pools them, so its checks allocate nothing per vertex.
+type checkScratch struct {
+	chunks []chunkScratch
+	laws   []pbinom.Dist
+	built  []bool
+	ents   []float64
+	// keep is set while a stage with later stages scans: the laws it
+	// builds are kept for them.
+	keep bool
+}
+
+// reset readies sc for one check of a model with n vertices.
+func (sc *checkScratch) reset(n int) {
+	sc.laws = slices.Grow(sc.laws[:0], n)[:n]
+	sc.built = slices.Grow(sc.built[:0], n)[:n]
+	clear(sc.built)
+	if chunks := (n + scanChunk - 1) / scanChunk; len(sc.chunks) < chunks {
+		sc.chunks = append(sc.chunks, make([]chunkScratch, chunks-len(sc.chunks))...)
+	}
+	for c := range sc.chunks {
+		sc.chunks[c].tables = sc.chunks[c].tables[:0]
+	}
+}
+
+// law returns v's degree law, with top = L_v incident pairs and the
+// resolved exact threshold: the law an earlier stage of sc's check
+// kept, or one built now from g, kept in sc when the stage keeps laws
+// and otherwise built in the chunk's own law. sc may be nil.
+func (sc *checkScratch) law(cs *chunkScratch, g Incidence, v, top, threshold int) *pbinom.Dist {
+	if sc != nil && sc.built[v] {
+		return &sc.laws[v]
+	}
+	cs.probs = g.AppendIncidentProbs(cs.probs[:0], v)
+	if sc == nil || !sc.keep {
+		cs.law.Reset(cs.probs, threshold)
+		return &cs.law
+	}
+	var table []float64
+	if top <= threshold {
+		table = cs.carve(top + 1)
+	}
+	law := &sc.laws[v]
+	law.ResetIn(table, cs.probs, threshold)
+	sc.built[v] = true
+	return law
+}
+
+// columnEntropies computes H(Y_ω) for each ω of omegas, in their
+// order, into dst's storage (grown when too short): the chunk
+// accumulators of one scan merged in chunk order. Columns of a model
+// with no vertices read 0.
+func columnEntropies(m Model, omegas []int, sc *checkScratch, dst []float64) []float64 {
 	merged := make([]mathx.EntropyAccumulator, len(omegas))
-	for _, acc := range chunks {
+	for _, acc := range scanChunks(m, omegas, (*mathx.EntropyAccumulator).Add, sc) {
 		if acc == nil {
 			continue
 		}
@@ -238,8 +348,22 @@ func ColumnEntropies(m Model, omegas []int) map[int]float64 {
 			merged[i].Merge(acc[i])
 		}
 	}
+	dst = slices.Grow(dst[:0], len(omegas))[:len(omegas)]
+	for i := range merged {
+		dst[i] = merged[i].Entropy()
+	}
+	return dst
+}
+
+// ColumnEntropies computes H(Y_ω) for every requested property value ω,
+// streaming the X columns of all vertices through entropy accumulators.
+// The vertex scan is parallelized across CPUs; its result is
+// bit-identical for every worker count.
+func ColumnEntropies(m Model, omegas []int) map[int]float64 {
+	ents := columnEntropies(m, omegas, nil, nil)
+	out := make(map[int]float64, len(omegas))
 	for i, omega := range omegas {
-		out[omega] = merged[i].Entropy()
+		out[omega] = ents[i]
 	}
 	return out
 }
@@ -283,26 +407,137 @@ func ObfuscationLevels(m Model, values []int) []float64 {
 	return out
 }
 
-// NotObfuscatedFraction returns ε̃: the fraction of original vertices
-// that are not k-obfuscated (H(Y_{P(v)}) < log2 k) under the model.
-func NotObfuscatedFraction(m Model, values []int, k float64) float64 {
-	if len(values) == 0 {
-		return 0
+// Assignment is a property assignment prepared for repeated (k, ε)
+// checks: its distinct values, the columns the check needs, with the
+// number of vertices holding each. The obfuscation engine prepares the
+// original degrees once per run and checks every trial against them.
+// It is safe for concurrent checks.
+type Assignment struct {
+	n      int
+	cols   []int // distinct values, ascending
+	counts []int // counts[i]: vertices whose value is cols[i]
+	pool   sync.Pool
+}
+
+// NewAssignment prepares values (e.g. the original degrees) for Check.
+func NewAssignment(values []int) *Assignment {
+	cols := DistinctValues(values)
+	counts := make([]int, len(cols))
+	for _, val := range values {
+		i, _ := slices.BinarySearch(cols, val)
+		counts[i]++
 	}
-	ents := VertexEntropies(m, values)
-	logk := math.Log2(k)
-	bad := 0
-	for _, h := range ents {
-		if h < logk-1e-12 {
-			bad++
+	return &Assignment{n: len(values), cols: cols, counts: counts}
+}
+
+// Check decides whether m is a (k, ε)-obfuscation with respect to the
+// assignment, as Algorithm 2 (lines 20-21) decides a trial: ok reports
+// that ε', the fraction of vertices not k-obfuscated
+// (H(Y_{P(v)}) < log2 k), does not exceed eps. A passing check returns
+// ε' itself. A failing one may stop before it has classified every
+// column and returns a partial fraction that already exceeds eps (see
+// the package doc for why that is exact).
+//
+// The columns are classified in three stages from the highest value
+// down. With b the least count whose fraction exceeds eps, stage 1
+// takes the highest columns until they hold at least b vertices, stage
+// 2 the next ones until they hold at least 2b more, and stage 3 the
+// rest; the check fails after a stage once the count so far exceeds
+// eps. An eps no fraction exceeds (eps >= 1, +Inf, NaN) gives one
+// stage. If m's scan is aborted (Abortable) the result is unspecified.
+func (a *Assignment) Check(m Model, k, eps float64) (epsPrime float64, ok bool) {
+	if a.n == 0 {
+		return 0, !(0 > eps)
+	}
+	bad, ok := a.check(m, k, eps, nil)
+	return float64(bad) / float64(a.n), ok
+}
+
+// check runs Check's stages and returns the count of vertices not
+// k-obfuscated found so far and whether the check passed. ents[i]
+// receives H(Y_{cols[i]}) for every column classified; a nil ents
+// selects a buffer of the check's own.
+func (a *Assignment) check(m Model, k, eps float64, ents []float64) (bad int, ok bool) {
+	cuts, stages := a.stageCuts(eps)
+	var sc *checkScratch
+	if _, isUncertain := m.(UncertainModel); isUncertain && stages > 1 {
+		sc, _ = a.pool.Get().(*checkScratch)
+		if sc == nil {
+			sc = &checkScratch{}
+		}
+		defer a.pool.Put(sc)
+		sc.reset(m.NumVertices())
+		if ents == nil {
+			sc.ents = slices.Grow(sc.ents[:0], len(a.cols))[:len(a.cols)]
+			ents = sc.ents
 		}
 	}
-	return float64(bad) / float64(len(values))
+	if ents == nil {
+		ents = make([]float64, len(a.cols))
+	}
+	ab, _ := m.(Abortable)
+	limit := math.Log2(k) - 1e-12
+	hi := len(a.cols)
+	for s, lo := range cuts[:stages] {
+		if sc != nil {
+			sc.keep = s < stages-1
+		}
+		stage := columnEntropies(m, a.cols[lo:hi], sc, ents[lo:hi])
+		if ab != nil && ab.Aborted() {
+			return bad, false
+		}
+		for i, h := range stage {
+			if h < limit {
+				bad += a.counts[lo+i]
+			}
+		}
+		if float64(bad)/float64(a.n) > eps {
+			return bad, false
+		}
+		hi = lo
+	}
+	return bad, true
+}
+
+// stageCuts returns where the check's stages start in a.cols, from the
+// top stage down, and how many stages there are: stage s covers
+// cols[cuts[s]:cuts[s-1]], with cuts[-1] = len(cols), and the last
+// stage starts at 0.
+func (a *Assignment) stageCuts(eps float64) (cuts [3]int, stages int) {
+	// b is the least count of vertices whose fraction exceeds eps; the
+	// division is monotone in the count, so the search is exact.
+	if !(1 > eps) {
+		return cuts, 1
+	}
+	b := sort.Search(a.n, func(i int) bool { return float64(i+1)/float64(a.n) > eps }) + 1
+	i := len(a.cols)
+	for _, need := range []int{b, 2 * b} {
+		for held := 0; i > 0 && held < need; {
+			i--
+			held += a.counts[i]
+		}
+		cuts[stages] = i
+		stages++
+		if i == 0 {
+			return cuts, stages
+		}
+	}
+	cuts[stages] = 0
+	return cuts, stages + 1
+}
+
+// NotObfuscatedFraction returns ε̃: the fraction of original vertices
+// that are not k-obfuscated (H(Y_{P(v)}) < log2 k) under the model. It
+// is Assignment.Check with a bound that never stops early.
+func NotObfuscatedFraction(m Model, values []int, k float64) float64 {
+	epsPrime, _ := NewAssignment(values).Check(m, k, math.Inf(1))
+	return epsPrime
 }
 
 // IsKEpsObfuscation reports whether the model provides a
 // (k, ε)-obfuscation with respect to the property assignment, i.e. at
-// least (1-ε)n vertices are k-obfuscated (Definition 2).
+// least (1-ε)n vertices are k-obfuscated (Definition 2), to within
+// 1e-12. A NaN eps gives false.
 func IsKEpsObfuscation(m Model, values []int, k, eps float64) bool {
 	return NotObfuscatedFraction(m, values, k) <= eps+1e-12
 }

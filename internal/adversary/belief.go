@@ -22,7 +22,7 @@ func ColumnBeliefLevels(m Model, omegas []int) map[int]float64 {
 		if p > a.max {
 			a.max = p
 		}
-	})
+	}, nil)
 	out := make(map[int]float64, len(omegas))
 	if chunks == nil {
 		return out

@@ -90,7 +90,11 @@ type plainModel struct{ UncertainModel }
 // support-bounded, law-reusing scan: for an unsorted ω list with a
 // repeat, a negative value and a value above every term count, both
 // column measures equal the full-ω reference float for float, for
-// every worker count, on the uncertain path and the generic path.
+// every worker count, on the uncertain path and the generic path. So
+// does every scan of a subset: each split of the sorted ω into up to
+// three stages from the top, scanned as the staged check scans them
+// (skipping vertices below each stage's least ω, reading the laws an
+// earlier stage kept), and each single column.
 func TestSupportBoundedScanMatchesFullFold(t *testing.T) {
 	g := scanFixture(t)
 	if g.IncidentCount(g.NumVertices()-1) != 0 {
@@ -111,6 +115,40 @@ func TestSupportBoundedScanMatchesFullFold(t *testing.T) {
 				if math.Float64bits(gotB[omega]) != math.Float64bits(wantB[omega]) {
 					t.Errorf("%s workers=%d ω=%d: belief level %v, full fold %v", name, workers, omega, gotB[omega], wantB[omega])
 				}
+			}
+		}
+	}
+	cols := DistinctValues(omegas)
+	same := func(what string, workers int, stage []int, got []float64) {
+		t.Helper()
+		for i, omega := range stage {
+			if math.Float64bits(got[i]) != math.Float64bits(wantE[omega]) {
+				t.Errorf("%s workers=%d ω=%d: entropy %v, full fold %v", what, workers, omega, got[i], wantE[omega])
+			}
+		}
+	}
+	for _, workers := range []int{1, 2, 7} {
+		um := UncertainModel{G: g, ExactThreshold: threshold, Workers: workers}
+		var sc checkScratch
+		for i := 0; i <= len(cols); i++ {
+			for j := i; j <= len(cols); j++ {
+				var stages [][]int
+				for _, stage := range [][]int{cols[j:], cols[i:j], cols[:i]} {
+					if len(stage) > 0 {
+						stages = append(stages, stage)
+					}
+				}
+				sc.reset(g.NumVertices())
+				for s, stage := range stages {
+					sc.keep = s < len(stages)-1
+					same("staged", workers, stage, columnEntropies(um, stage, &sc, nil))
+				}
+			}
+		}
+		for _, omega := range omegas {
+			same("single", workers, []int{omega}, columnEntropies(um, []int{omega}, nil, nil))
+			if got := ColumnBeliefLevels(um, []int{omega})[omega]; math.Float64bits(got) != math.Float64bits(wantB[omega]) {
+				t.Errorf("single workers=%d ω=%d: belief level %v, full fold %v", workers, omega, got, wantB[omega])
 			}
 		}
 	}

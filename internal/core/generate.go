@@ -61,8 +61,10 @@ type run struct {
 	// values are the property values of g, computed once per run:
 	// Property.Values may intern into its instance (P2, P3), so the
 	// probes share one result instead of calling it themselves.
-	values  []int
-	degrees []int
+	values []int
+	// degrees is the (k, ε) check of line 20, prepared once per run
+	// for g's degrees.
+	degrees *adversary.Assignment
 	edges   *edgeTable
 	arenas  sync.Pool // of *trialArena, lent to the running trials
 }
@@ -76,7 +78,7 @@ func newRun(g *graph.Graph, params Params) *run {
 		g:       g,
 		params:  params,
 		values:  params.Property.Values(g),
-		degrees: g.Degrees(),
+		degrees: adversary.NewAssignment(g.Degrees()),
 		edges:   newEdgeTable(g, targetEC),
 	}
 }
@@ -187,8 +189,10 @@ func (p *probe) trial(ctx context.Context, i, scanWorkers int) Attempt {
 		return failed
 	}
 	pairs := assignProbabilities(a, ec, p.uniq, p.sigma, params, rng)
-	// Line 20: fraction of vertices not k-obfuscated, scanned over the
-	// arena's incidence lists rather than a graph.
+	// Lines 20-21: the trial succeeds when the fraction ε' of vertices
+	// not k-obfuscated stays within ε, checked over the arena's
+	// incidence lists rather than a graph. The check stops once ε' > ε
+	// is certain; a passing check returns the exact ε'.
 	a.inc.reset(r.g.NumVertices(), pairs)
 	model := adversary.UncertainModel{
 		G:              &a.inc,
@@ -196,15 +200,15 @@ func (p *probe) trial(ctx context.Context, i, scanWorkers int) Attempt {
 		Workers:        scanWorkers,
 		Ctx:            ctx,
 	}
-	epsPrime := adversary.NotObfuscatedFraction(model, r.degrees, params.K)
+	epsPrime, ok := r.degrees.Check(model, params.K, params.Eps)
 	if cancelled(ctx) {
 		// The scan aborted early; its ε' is not the pure probe value.
 		return failed
 	}
-	// Line 21: the trial succeeds when ε' stays within the budget. Only
-	// a success can be published, so only a success builds a graph; New
-	// copies out of the arena's pairs, and the graph owns its arrays.
-	if epsPrime > params.Eps {
+	// Only a success can be published, so only a success builds a
+	// graph; New copies out of the arena's pairs, and the graph owns
+	// its arrays.
+	if !ok {
 		return failed
 	}
 	ug, err := uncertain.New(r.g.NumVertices(), pairs)
@@ -312,6 +316,9 @@ func (in *incidence) reset(n int, pairs []uncertain.Pair) {
 
 // NumVertices implements adversary.Incidence.
 func (in *incidence) NumVertices() int { return len(in.off) - 1 }
+
+// IncidentCount implements adversary.Incidence.
+func (in *incidence) IncidentCount(v int) int { return in.off[v+1] - in.off[v] }
 
 // AppendIncidentProbs implements adversary.Incidence.
 func (in *incidence) AppendIncidentProbs(dst []float64, v int) []float64 {

@@ -267,11 +267,11 @@ func randomPairs(rng *rand.Rand, n int) []uncertain.Pair {
 
 // TestIncidenceMatchesGraph pins the trial scan's incidence lists
 // against the graph uncertain.New builds from the same pairs: every
-// column measure, ε', and every vertex's degree law through the
-// Incidence interface are bit-identical, at exact thresholds that put
-// the hub on either side of the exact DP and at one and several scan
-// workers. One incidence is reused across the pair sets, growing and
-// shrinking, as a trial arena reuses it.
+// column measure, ε', and every vertex's pair count and degree law
+// through the Incidence interface are bit-identical, at exact
+// thresholds that put the hub on either side of the exact DP and at
+// one and several scan workers. One incidence is reused across the
+// pair sets, growing and shrinking, as a trial arena reuses it.
 func TestIncidenceMatchesGraph(t *testing.T) {
 	rng := randx.New(61)
 	var inc incidence
@@ -284,6 +284,11 @@ func TestIncidenceMatchesGraph(t *testing.T) {
 		inc.reset(n, pairs)
 		if inc.NumVertices() != n {
 			t.Fatalf("n=%d: lists cover %d vertices", n, inc.NumVertices())
+		}
+		for v := 0; v < n; v++ {
+			if got, want := inc.IncidentCount(v), ug.IncidentCount(v); got != want {
+				t.Fatalf("n=%d v=%d: the lists count %d incident pairs, the graph %d", n, v, got, want)
+			}
 		}
 		values := make([]int, n)
 		for v := range values {

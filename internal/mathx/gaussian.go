@@ -50,7 +50,18 @@ func NormalIntervalMass(lo, hi, mu, sigma float64) float64 {
 	}
 	// Difference of complementary error functions is more stable in the
 	// tails than a difference of CDFs near 1.
-	a := (lo - mu) / (sigma * math.Sqrt2)
-	b := (hi - mu) / (sigma * math.Sqrt2)
-	return 0.5 * (math.Erfc(a) - math.Erfc(b))
+	return 0.5 * (NormalErfc(lo, mu, sigma) - NormalErfc(hi, mu, sigma))
+}
+
+// NormalErfc returns erfc((x-mu)/(sigma*sqrt2)), twice the upper tail
+// P(X > x) of X ~ N(mu, sigma^2): the endpoint term NormalIntervalMass
+// takes the difference of. It is the one place that value is computed,
+// so an endpoint shared by two intervals is the same float in both. The
+// unit intervals [w-1/2, w+1/2] around adjacent integers share one:
+// float64(w)+0.5 and float64(w+1)-0.5 are the same float for
+// |w| < 2^52, so a walk over ascending integers may reuse w's upper
+// endpoint as w+1's lower one and still equal NormalIntervalMass bit
+// for bit (pbinom.Walk).
+func NormalErfc(x, mu, sigma float64) float64 {
+	return math.Erfc((x - mu) / (sigma * math.Sqrt2))
 }

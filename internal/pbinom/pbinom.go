@@ -14,7 +14,11 @@
 // New allocates each exact law's DP table. Dist.Reset is its reusing
 // form, for scans that build one law per vertex: it recomputes the law
 // in place, in the table the Dist already holds, and yields the same
-// floats as New.
+// floats as New. Dist.ResetIn computes it in storage the caller
+// supplies instead, so a scan that keeps many laws at once can carve
+// their tables from one buffer. Dist.Walk evaluates an approximated law
+// at ascending points with one erfc per point of a run of adjacent
+// points instead of two, equal to Prob float for float.
 package pbinom
 
 import (
@@ -96,6 +100,15 @@ func (d *Dist) Reset(probs []float64, threshold int) {
 	*d = Dist{exact: table, mu: mu, sigma: sqrt(sigma2), n: len(probs)}
 }
 
+// ResetIn is Reset with table's storage in place of the table d holds:
+// an exact law is computed in table (grown when too short), and d keeps
+// table for its later Resets. Laws reset into disjoint parts of one
+// buffer therefore live side by side without an allocation each.
+func (d *Dist) ResetIn(table, probs []float64, threshold int) {
+	d.exact = table
+	d.Reset(probs, threshold)
+}
+
 // Prob returns P(X = k).
 func (d Dist) Prob(k int) float64 {
 	if k < 0 || k > d.n {
@@ -127,24 +140,39 @@ func (d Dist) NumTerms() int { return d.n }
 // IsExact reports whether the distribution holds the exact DP table.
 func (d Dist) IsExact() bool { return len(d.exact) > 0 }
 
-// SupportBounds returns a conservative [lo, hi] integer range outside of
-// which P(X = k) is below ~1e-12; useful to skip negligible matrix
-// entries. For exact distributions it is the full support.
-func (d Dist) SupportBounds() (lo, hi int) {
-	if d.IsExact() {
-		return 0, d.n
+// Walk evaluates one law at a sequence of points, each equal to
+// d.Prob(k) float for float. An approximated law with σ > 0 gives
+// P(X = k) = ½(erfc(a_k) − erfc(b_k)), where a_k and b_k are
+// mathx.NormalErfc at k−½ and k+½; b_k and a_{k+1} are the same float,
+// so a point right after its predecessor reuses that erfc and a
+// repeated point reuses both. Exact and degenerate (σ = 0) laws, and
+// points outside the support, are read through Prob. Any order of
+// points is correct; ascending runs are what save the work.
+type Walk struct {
+	d      *Dist
+	k      int     // the last approximated point, -2 before the first
+	lo, hi float64 // mathx.NormalErfc at k-1/2 and k+1/2
+}
+
+// Walk starts a walk over d, which must not change while it is used.
+func (d *Dist) Walk() Walk { return Walk{d: d, k: -2} }
+
+// Prob returns P(X = k), bit-identical to the law's Prob(k).
+func (w *Walk) Prob(k int) float64 {
+	d := w.d
+	if len(d.exact) > 0 || d.sigma == 0 || k < 0 || k > d.n {
+		return d.Prob(k)
 	}
-	// 8 standard deviations cover mass 1 - ~1e-15.
-	span := 8*d.sigma + 1
-	lo = int(d.mu - span)
-	hi = int(d.mu + span + 1)
-	if lo < 0 {
-		lo = 0
+	switch k {
+	case w.k:
+	case w.k + 1:
+		w.lo, w.hi = w.hi, mathx.NormalErfc(float64(k)+0.5, d.mu, d.sigma)
+	default:
+		w.lo = mathx.NormalErfc(float64(k)-0.5, d.mu, d.sigma)
+		w.hi = mathx.NormalErfc(float64(k)+0.5, d.mu, d.sigma)
 	}
-	if hi > d.n {
-		hi = d.n
-	}
-	return lo, hi
+	w.k = k
+	return 0.5 * (w.lo - w.hi)
 }
 
 func meanVar(probs []float64) (mu, sigma2 float64) {

@@ -197,34 +197,6 @@ func TestDegenerateCases(t *testing.T) {
 	}
 }
 
-func TestSupportBounds(t *testing.T) {
-	probs := make([]float64, 500)
-	for i := range probs {
-		probs[i] = 0.3
-	}
-	d := Approx(probs)
-	lo, hi := d.SupportBounds()
-	if lo < 0 || hi > 500 || lo >= hi {
-		t.Fatalf("bad bounds [%d, %d]", lo, hi)
-	}
-	// Mass outside the bounds must be negligible.
-	var outside float64
-	for k := 0; k < lo; k++ {
-		outside += d.Prob(k)
-	}
-	for k := hi + 1; k <= 500; k++ {
-		outside += d.Prob(k)
-	}
-	if outside > 1e-10 {
-		t.Errorf("mass outside bounds = %v", outside)
-	}
-	// Exact dist returns full support.
-	e := Exact([]float64{0.5, 0.5})
-	if lo, hi := e.SupportBounds(); lo != 0 || hi != 2 {
-		t.Errorf("exact bounds = [%d, %d]", lo, hi)
-	}
-}
-
 func BenchmarkExactDP(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	probs := make([]float64, 200)
@@ -238,17 +210,12 @@ func BenchmarkExactDP(b *testing.B) {
 }
 
 // sameDist reports whether two laws agree float for float on every
-// observable: term count, representation, moments, support bounds and
-// every point mass (including just outside the support).
+// observable: term count, representation, moments and every point mass
+// (including just outside the support).
 func sameDist(a, b Dist) bool {
 	if a.NumTerms() != b.NumTerms() || a.IsExact() != b.IsExact() ||
 		math.Float64bits(a.Mean()) != math.Float64bits(b.Mean()) ||
 		math.Float64bits(a.Sigma()) != math.Float64bits(b.Sigma()) {
-		return false
-	}
-	alo, ahi := a.SupportBounds()
-	blo, bhi := b.SupportBounds()
-	if alo != blo || ahi != bhi {
 		return false
 	}
 	for k := -2; k <= a.NumTerms()+2; k++ {
@@ -298,5 +265,71 @@ func TestResetMatchesNew(t *testing.T) {
 	// Once the table has grown, Reset allocates nothing.
 	if allocs := testing.AllocsPerRun(20, func() { d.Reset(probs[:7], threshold) }); allocs != 0 {
 		t.Errorf("warm Reset allocates %v times, want 0", allocs)
+	}
+}
+
+// TestResetInUsesCallerTable pins ResetIn: it equals New float for
+// float, computes an exact law in the caller's storage, and allocates
+// nothing when that storage is long enough.
+func TestResetInUsesCallerTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	const threshold = 8
+	buf := make([]float64, 64)
+	var d Dist
+	for _, size := range []int{0, 1, 5, 8, 9, 30} {
+		probs := make([]float64, size)
+		for i := range probs {
+			probs[i] = rng.Float64()
+		}
+		table := buf[7 : 7+size+1 : 7+size+1]
+		d.ResetIn(table, probs, threshold)
+		if !sameDist(d, New(probs, threshold)) {
+			t.Fatalf("size %d: ResetIn differs from New", size)
+		}
+		if d.IsExact() && &d.exact[0] != &buf[7] {
+			t.Fatalf("size %d: exact law not computed in the caller's table", size)
+		}
+	}
+	probs := []float64{0.2, 0.9, 0.4}
+	if allocs := testing.AllocsPerRun(20, func() { d.ResetIn(buf[:0], probs, threshold) }); allocs != 0 {
+		t.Errorf("ResetIn into a long enough table allocates %v times, want 0", allocs)
+	}
+}
+
+// TestWalkMatchesProb pins the shared-endpoint walk: along ascending
+// point lists with runs, gaps and repeats, and also out of order and
+// off the support, every point equals Prob bit for bit, for σ from
+// 1e-3 to 50 and μ at 0, at the middle of the support and at its top.
+func TestWalkMatchesProb(t *testing.T) {
+	const n = 80
+	lists := [][]int{
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10},
+		{0, 2, 4, 5, 6, 9, 10, 11, 30, 31, 32, 33, 79, 80},
+		{3, 3, 4, 4, 4, 5, 7, 7, 8, 40, 40, 41},
+		{-3, -1, 0, 1, 1, 2, 78, 79, 80, 81, 90},
+		{10, 9, 11, 12, 5, 6, 6, 7},
+	}
+	for _, sigma := range []float64{1e-3, 0.01, 0.3, 1, 2.5, 7, 20, 50} {
+		for _, mu := range []float64{0, n / 2, n, 13.37} {
+			d := Dist{mu: mu, sigma: sigma, n: n}
+			for li, list := range lists {
+				w := d.Walk()
+				for _, k := range list {
+					got, want := w.Prob(k), d.Prob(k)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("σ=%v μ=%v list %d k=%d: walk %v, Prob %v", sigma, mu, li, k, got, want)
+					}
+				}
+			}
+		}
+	}
+	// Exact and degenerate laws read through Prob.
+	for _, d := range []Dist{Exact([]float64{0.3, 0.6, 0.9}), Approx([]float64{1, 0, 1})} {
+		w := d.Walk()
+		for _, k := range []int{-1, 0, 1, 2, 2, 3, 4} {
+			if got, want := w.Prob(k), d.Prob(k); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("exact=%v k=%d: walk %v, Prob %v", d.IsExact(), k, got, want)
+			}
+		}
 	}
 }
