@@ -29,8 +29,12 @@ test:
 race:
 	$(GO) test -race -short ./...
 
+# The second pass type-checks the portable build: arm64 assembles no
+# kernel, so it compiles the pure-Go paths and the !amd64 stubs that an
+# amd64 build never sees.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 
 # Fails when any file needs gofmt; prints the offenders.
 fmt-check:

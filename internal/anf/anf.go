@@ -17,15 +17,19 @@
 //     order (Engine states why each step is exact);
 //   - broadword maxima: every counter lives in one flat bank of words,
 //     eight 7-bit registers per uint64, and hll's Fold takes the
-//     register-wise maximum of all of a vertex's changed neighbours a
-//     word at a time, four words in flight. Every register stays below
-//     0x80, so the per-byte compare cannot borrow across bytes and
-//     picks the maximum the byte loop would.
+//     register-wise maximum of all of a vertex's changed neighbours in
+//     one pass. On amd64 with AVX2 the default 16-word counter stays in
+//     four 32-byte vector registers while every neighbour folds in;
+//     elsewhere, and for smaller counters, Go code keeps four words in
+//     flight, and since every register stays below 0x80 its per-byte
+//     compare cannot borrow across bytes. Both pick the maximum the
+//     byte loop would.
 //
-// hll's Estimate counts zero registers a word at a time, which alone
-// settles the linear-counting range, and otherwise sums 2^-r in exact
-// integer units; both return the register-order loop's float bit for
-// bit (hll.Counter.Estimate states why).
+// hll's Estimate counts zero registers, which alone settles the
+// linear-counting range, and otherwise sums 2^-r in exact integer
+// units, with AVX2 where the CPU has it; both return the
+// register-order loop's float bit for bit (hll.Counter.Estimate states
+// why).
 package anf
 
 import (

@@ -12,6 +12,16 @@
 // a rank by 65-b <= 61 — and the word-at-a-time kernels (Union, Fold,
 // Estimate's zero count) rely on that clear top bit, so no per-byte
 // step can borrow or carry into the next register.
+//
+// On amd64 CPUs with AVX2 and POPCNT whose OS saves the YMM registers,
+// counters of 16 words or more (b >= 7, HyperANF's default) take
+// assembly kernels chosen once at package init: Union and Fold take
+// the register maximum 32 bytes per VPMAXUB, and Estimate counts
+// zeros, ORs the words and sums its exact integer units four registers
+// per instruction. A byte maximum and an integer sum are exact, so
+// both paths return the same registers and the same float bit for bit.
+// Every other CPU, architecture and width runs the word-at-a-time Go
+// code, which is the portable path and the kernels' test reference.
 package hll
 
 import (
@@ -126,13 +136,40 @@ func max7(a, b uint64) uint64 {
 	return b + d&(h-h>>7)
 }
 
-// fold is Union and Fold's kernel. It walks dst four words at a time,
-// holding them in registers while every source's words fold in, so a
-// word of dst is loaded and stored once however many sources there
-// are; a counter of 16 registers has two words and takes the
-// word-at-a-time tail alone. A maximum never falls, so dst grew
-// exactly when some word's final maximum differs from its first value.
+// useAVX2 selects the amd64 AVX2 kernels for counters of at least
+// vectorWords words. It is set once, from the CPU, at package init;
+// tests switch it to run both paths.
+var useAVX2 = haveAVX2
+
+// vectorWords is the fewest words a counter needs to take the AVX2
+// kernels: one 128-byte block of foldAVX2, a counter of 2^7 registers.
+const vectorWords = 16
+
+// fold is Union and Fold's kernel. Where the CPU has AVX2, counters of
+// vectorWords or more take foldAVX2, the same maxima 32 bytes per
+// instruction, once every source offset is checked against bank: the
+// assembly cannot bounds-check, so an offset the Go path would slice
+// out of range panics here, before the kernel writes any word.
+// Otherwise foldWords runs.
 func fold(dst, bank []uint64, srcs []int) bool {
+	bank = bank[:len(bank):len(bank)] // sources end within len, not cap
+	if useAVX2 && len(dst) >= vectorWords {
+		for _, o := range srcs {
+			_ = bank[o : o+len(dst)]
+		}
+		return foldAVX2(dst, bank, srcs)
+	}
+	return foldWords(dst, bank, srcs)
+}
+
+// foldWords is fold's portable path and the AVX2 kernel's reference. It
+// walks dst four words at a time, holding them in registers while
+// every source's words fold in, so a word of dst is loaded and stored
+// once however many sources there are; a counter of 16 registers has
+// two words and takes the word-at-a-time tail alone. A maximum never
+// falls, so dst grew exactly when some word's final maximum differs
+// from its first value.
+func foldWords(dst, bank []uint64, srcs []int) bool {
 	var grew uint64
 	k := 0
 	for ; k+4 <= len(dst); k += 4 {
@@ -171,24 +208,35 @@ func fold(dst, bank []uint64, srcs []int) bool {
 // invSum >= zeros; once zeros reaches the table's linearZeros, est is
 // at most 2.5·m without computing invSum, and the answer is the
 // table's m·ln(m/zeros), built with the same expression. Otherwise it
-// sums invSum word by word (sumUnits) while every register is below
-// 32, and falls back to the register-order loop when one is not.
+// sums invSum in exact integer units (sumUnits) while every register
+// is below 32, and falls back to the register-order loop when one is
+// not. Where the CPU has AVX2, counters of vectorWords or more take
+// scanAVX2, which counts the zeros, ORs the words and sums the units
+// in one pass over the registers.
 func (c Counter) Estimate() float64 {
 	t := tableFor(c.b)
-	zeros := 0
-	var or uint64
-	for _, w := range c.w {
-		// A byte below 0x80 plus 0x7F reaches the top bit exactly
-		// when it is non-zero.
-		zeros += bits.OnesCount64(^(w + lo7) & hi)
-		or |= w
+	var zeros int
+	var or, units uint64
+	vector := useAVX2 && len(c.w) >= vectorWords
+	if vector {
+		zeros, or, units = scanAVX2(c.w)
+	} else {
+		for _, w := range c.w {
+			// A byte below 0x80 plus 0x7F reaches the top bit
+			// exactly when it is non-zero.
+			zeros += bits.OnesCount64(^(w + lo7) & hi)
+			or |= w
+		}
 	}
 	if zeros >= t.linearZeros {
 		return t.linear[zeros]
 	}
 	var invSum float64
 	if or&bit5or6 == 0 {
-		invSum = sumUnits(c.w)
+		if !vector {
+			units = sumUnits(c.w)
+		}
+		invSum = float64(units) * 0x1p-31
 	} else {
 		invSum = sumBytewise(c.w)
 	}
@@ -206,20 +254,20 @@ const (
 	bit5or6 = 0x6060606060606060 // set in a byte exactly when it is >= 32
 )
 
-// sumUnits returns Σ 2^-r over the registers of w, all below 32. Then
-// 2^-r is a whole number 2^(31-r) of units 2^-31, and a counter's sum
-// is at most 2^16 = 2^47 units: the integer sum is exact, and so is
-// every partial sum of the register-order float loop, because a
-// multiple of 2^-31 below 2^17 has at most 48 significant bits. Both
-// are the exact sum, so the conversion returns that loop's float bit
-// for bit.
-func sumUnits(w []uint64) float64 {
+// sumUnits returns Σ 2^-r over the registers of w, all below 32, in
+// units of 2^-31. Then 2^-r is a whole number 2^(31-r) of units, and a
+// counter's sum is at most 2^16 = 2^47 units: the integer sum is
+// exact, and so is every partial sum of the register-order float loop,
+// because a multiple of 2^-31 below 2^17 has at most 48 significant
+// bits. Both are the exact sum, so Estimate's conversion returns that
+// loop's float bit for bit.
+func sumUnits(w []uint64) uint64 {
 	var units uint64
 	for _, x := range w {
 		units += unit[x&31] + unit[x>>8&31] + unit[x>>16&31] + unit[x>>24&31] +
 			unit[x>>32&31] + unit[x>>40&31] + unit[x>>48&31] + unit[x>>56&31]
 	}
-	return float64(units) * 0x1p-31
+	return units
 }
 
 // unit[r] is 2^-r in units of 2^-31.

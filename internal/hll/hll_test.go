@@ -206,19 +206,57 @@ func randomRegs(rng *rand.Rand, m, lo, hi int) []byte {
 	return regs
 }
 
-// TestUnionMatchesBytewise drives the broadword Union and the bytewise
-// reference over random register pairs in [0, 0x7F] — independent
-// pairs, pairs where src never exceeds dst (no change), and pairs
-// differing in one raised register — and requires the same registers
-// and the same change flag.
+// eachKernel calls f once per path this CPU runs, with the selector
+// set: the portable Go path, then the AVX2 kernels where the CPU has
+// them. It restores the selector afterwards.
+func eachKernel(f func(kernel string)) {
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	for _, avx := range []bool{false, true} {
+		if avx && !haveAVX2 {
+			continue
+		}
+		useAVX2 = avx
+		kernel := "go"
+		if avx {
+			kernel = "avx2"
+		}
+		f(kernel)
+	}
+}
+
+// raiseOne returns a copy of regs with one register among the last
+// min(32, len) raised by at least one: growth confined to the last
+// 32-byte block.
+func raiseOne(rng *rand.Rand, regs []byte) []byte {
+	out := append([]byte(nil), regs...)
+	tail := len(out) - min(32, len(out))
+	i := tail + rng.Intn(len(out)-tail)
+	for out[i] == 0x7F {
+		i = tail + rng.Intn(len(out)-tail)
+	}
+	out[i] += byte(1 + rng.Intn(0x7F-int(out[i])))
+	return out
+}
+
+// TestUnionMatchesBytewise drives Union on every kernel and the
+// bytewise reference over random register pairs in [0, 0x7F], for
+// every register exponent — independent pairs, pairs where src never
+// exceeds dst (no change), pairs differing in one raised register, and
+// pairs differing only in the last 32-byte block — and requires the
+// same registers and the same change flag. A counter unioned with
+// itself must report no change and keep its registers. Each exponent
+// runs 60 trials, except b = 11 to 15 at 12 each.
 func TestUnionMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	for _, b := range []int{4, 7, 16} {
-		m := 1 << b
-		for trial := 0; trial < 60; trial++ {
+	for b := 4; b <= 16; b++ {
+		m, trials := 1<<b, 60
+		if b > 10 && b < 16 {
+			trials = 12
+		}
+		for trial := 0; trial < trials; trial++ {
 			dst := randomRegs(rng, m, 0, 0x7F)
 			src := make([]byte, m)
-			switch trial % 3 {
+			switch trial % 4 {
 			case 0:
 				src = randomRegs(rng, m, 0, 0x7F)
 			case 1:
@@ -229,52 +267,72 @@ func TestUnionMatchesBytewise(t *testing.T) {
 				copy(src, dst)
 				i := rng.Intn(m)
 				src[i] = dst[i] + byte(rng.Intn(0x80-int(dst[i])))
+			case 3:
+				src = raiseOne(rng, dst)
 			}
 			want := append([]byte(nil), dst...)
 			wantChanged := bytewiseUnion(want, src)
-			c := FromWords(pack(dst))
-			if got := c.Union(FromWords(pack(src))); got != wantChanged {
-				t.Errorf("b=%d trial %d: Union reported %v, bytewise %v", b, trial, got, wantChanged)
-			}
-			if !bytes.Equal(unpack(c.w), want) {
-				t.Fatalf("b=%d trial %d: broadword registers differ from the bytewise maximum", b, trial)
-			}
+			eachKernel(func(kernel string) {
+				c := FromWords(pack(dst))
+				if got := c.Union(FromWords(pack(src))); got != wantChanged {
+					t.Errorf("%s b=%d trial %d: Union reported %v, bytewise %v", kernel, b, trial, got, wantChanged)
+				}
+				if !bytes.Equal(unpack(c.w), want) {
+					t.Fatalf("%s b=%d trial %d: registers differ from the bytewise maximum", kernel, b, trial)
+				}
+				if c.Union(c) {
+					t.Errorf("%s b=%d trial %d: a counter unioned with itself reported growth", kernel, b, trial)
+				}
+				if !bytes.Equal(unpack(c.w), want) {
+					t.Fatalf("%s b=%d trial %d: a union with itself changed the registers", kernel, b, trial)
+				}
+			})
 		}
 	}
 }
 
 // TestFoldMatchesBytewise folds one source and many — with repeats,
-// drawn from a shared bank — into a counter and requires the registers
-// and change flag of bytewise Unions of the same sources in order.
-// Registers range over [0, 0x7F]; sources are independent, never above
-// dst (no change), or dst with one register raised in one source.
-// b = 4 counters are two words, so only Fold's word-at-a-time tail
-// runs; b = 5 is exactly one four-word block.
+// drawn from a shared bank — into a counter on every kernel and
+// requires the registers and change flag of bytewise Unions of the
+// same sources in order, for every register exponent. Registers range
+// over [0, 0x7F]; sources are independent, never above dst (no
+// change), dst with one register raised in one source, or dst with one
+// register of the last 32-byte block raised in one source. Below
+// b = 7 only the Go path runs (b = 4 is its word-at-a-time tail alone,
+// b = 5 one four-word block); b = 7 is exactly one 128-byte block of
+// the AVX2 kernel, and b = 8 two.
 func TestFoldMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, b := range []int{4, 5, 6, 7, 10} {
+	for b := 4; b <= 16; b++ {
 		m, words := 1<<b, Words(b)
-		for _, sources := range []int{1, 2, 3, 9, 40} {
-			for trial := 0; trial < 30; trial++ {
+		counts, trials := []int{1, 2, 3, 9, 40}, 32
+		if b > 10 {
+			counts, trials = []int{1, 3, 9}, 8
+		}
+		for _, sources := range counts {
+			for trial := 0; trial < trials; trial++ {
 				dst := randomRegs(rng, m, 0, 0x7F)
 				bank := make([]byte, 0, sources*m)
 				for s := 0; s < sources; s++ {
 					src := make([]byte, m)
-					switch trial % 3 {
+					switch trial % 4 {
 					case 0:
 						src = randomRegs(rng, m, 0, 0x7F)
 					case 1:
 						for i := range src {
 							src[i] = byte(rng.Intn(int(dst[i]) + 1))
 						}
-					case 2:
+					case 2, 3:
 						copy(src, dst)
 					}
 					bank = append(bank, src...)
 				}
-				if trial%3 == 2 {
-					i := rng.Intn(sources * m) // one raised register in one source
+				switch s := rng.Intn(sources); trial % 4 {
+				case 2: // one raised register in one source
+					i := s*m + rng.Intn(m)
 					bank[i] += byte(rng.Intn(0x80 - int(bank[i])))
+				case 3:
+					copy(bank[s*m:], raiseOne(rng, bank[s*m:(s+1)*m]))
 				}
 				// Every source once in a shuffled order, plus repeats.
 				srcs := rng.Perm(sources)
@@ -290,29 +348,52 @@ func TestFoldMatchesBytewise(t *testing.T) {
 					}
 					offs[i] = s * words
 				}
-				c := FromWords(pack(dst))
-				if got := c.Fold(pack(bank), offs); got != wantChanged {
-					t.Errorf("b=%d sources=%d trial %d: Fold reported %v, bytewise %v", b, sources, trial, got, wantChanged)
-				}
-				if !bytes.Equal(unpack(c.w), want) {
-					t.Fatalf("b=%d sources=%d trial %d: folded registers differ from the bytewise maxima", b, sources, trial)
-				}
+				eachKernel(func(kernel string) {
+					c := FromWords(pack(dst))
+					if got := c.Fold(pack(bank), offs); got != wantChanged {
+						t.Errorf("%s b=%d sources=%d trial %d: Fold reported %v, bytewise %v", kernel, b, sources, trial, got, wantChanged)
+					}
+					if !bytes.Equal(unpack(c.w), want) {
+						t.Fatalf("%s b=%d sources=%d trial %d: folded registers differ from the bytewise maxima", kernel, b, sources, trial)
+					}
+				})
 			}
 		}
 	}
 }
 
+// TestFoldOffsetPastBankPanics requires Fold to panic on every kernel
+// for a source that does not lie inside bank: one starting a word past
+// the last whole counter, one starting at bank's end, one ending in
+// bank's spare capacity, and a negative offset.
+func TestFoldOffsetPastBankPanics(t *testing.T) {
+	for _, b := range []int{4, 5, 6, 7, 9} {
+		words := Words(b)
+		bank := make([]uint64, 3*words, 5*words)
+		for _, o := range []int{2*words + 1, 3 * words, 3*words + 1, -1} {
+			eachKernel(func(kernel string) {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s b=%d: Fold at offset %d of a %d-word bank did not panic", kernel, b, o, len(bank))
+					}
+				}()
+				New(b).Fold(bank, []int{0, o})
+			})
+		}
+	}
+}
+
 // TestEstimateMatchesBytewise requires Estimate to return the bytewise
-// estimator's float bit for bit, for every register exponent, on
-// counters reaching each of its paths:
+// estimator's float bit for bit on every kernel, for every register
+// exponent, on counters reaching each of its paths:
 //   - exactly linearZeros-1, linearZeros and linearZeros+1 zero
 //     registers, the others all 1 (largest sum), all 65-b (smallest)
 //     or random: the threshold where the zero count alone decides;
 //   - one register at 31 (the last unit-summed value), 32 (the first
 //     bytewise fallback), 53-b and 65-b (the largest rank AddHash
 //     writes), the others random below 32 or zero;
-//   - random registers up to 65-b, and counters filled by AddHash from
-//     a few elements to many times m.
+//   - random registers up to 65-b and up to 0x7F, and counters filled
+//     by AddHash from a few elements to many times m.
 func TestEstimateMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for b := 4; b <= 16; b++ {
@@ -345,6 +426,7 @@ func TestEstimateMatchesBytewise(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			cases = append(cases, randomRegs(rng, m, 0, top), randomRegs(rng, m, 1, 31))
 		}
+		cases = append(cases, randomRegs(rng, m, 0, 0x7F)) // shift counts of 64 and more
 		for _, elems := range []int{1, m / 8, m / 2, m, 3 * m, 20 * m} {
 			c := New(b)
 			for i := 0; i < elems; i++ {
@@ -353,10 +435,12 @@ func TestEstimateMatchesBytewise(t *testing.T) {
 			cases = append(cases, unpack(c.w))
 		}
 		for i, regs := range cases {
-			got, want := FromWords(pack(regs)).Estimate(), bytewiseEstimate(regs)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Errorf("b=%d case %d: Estimate = %v (%#x), bytewise %v (%#x)", b, i, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
+			want := bytewiseEstimate(regs)
+			eachKernel(func(kernel string) {
+				if got := FromWords(pack(regs)).Estimate(); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s b=%d case %d: Estimate = %v (%#x), bytewise %v (%#x)", kernel, b, i, got, math.Float64bits(got), want, math.Float64bits(want))
+				}
+			})
 		}
 	}
 }
