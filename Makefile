@@ -14,8 +14,8 @@ BENCH_TARGETS = bench-sampling bench-query bench-obfuscate bench-qserve bench-io
 # Total-coverage floor enforced by `make cover`. 75.9% measured when
 # the target was introduced (PR 5), raised to 78 with the result-cache
 # test layer (PR 10); raise it as coverage grows, never lower it to
-# paper over a regression.
-COVER_MIN ?= 78.0
+# paper over a regression. Raised to 80 once the suite read 81.1%.
+COVER_MIN ?= 80.0
 
 build:
 	$(GO) build ./...

@@ -142,17 +142,11 @@ func (p *probe) runTrials(ctx context.Context, decide bool) {
 		return
 	}
 	params, from := p.r.params, p.win.ran
-	// Split the worker budget between the two parallel levels: up to
-	// trialWorkers trials in flight, each scanning with scanWorkers, so
-	// a probe stays within params.Workers busy goroutines.
-	workers := params.workerCount()
-	trialWorkers := min(workers, params.Trials)
-	scanWorkers := max(workers/trialWorkers, 1)
 	stop := func() bool {
 		return cancelled(ctx) || decide && p.win.succeeded()
 	}
-	parallel.For(params.Trials-from, trialWorkers, stop, func(i int) {
-		p.win.offer(p.trial(ctx, from+i, scanWorkers), from+i)
+	parallel.For(params.Trials-from, min(params.workerCount(), params.Trials), stop, func(i int) {
+		p.win.offer(p.trial(ctx, from+i), from+i)
 	})
 }
 
@@ -169,7 +163,7 @@ func (p *probe) decisionTrials() int {
 // and the arena only lends buffers, so results are independent of
 // scheduling. It bails out between stages — and per scan chunk — when
 // the probe was cancelled.
-func (p *probe) trial(ctx context.Context, i, scanWorkers int) Attempt {
+func (p *probe) trial(ctx context.Context, i int) Attempt {
 	r, params := p.r, p.r.params
 	failed := Attempt{EpsTilde: math.Inf(1)}
 	if hook := params.beforeTrial; hook != nil {
@@ -191,13 +185,14 @@ func (p *probe) trial(ctx context.Context, i, scanWorkers int) Attempt {
 	pairs := assignProbabilities(a, ec, p.uniq, p.sigma, params, rng)
 	// Lines 20-21: the trial succeeds when the fraction ε' of vertices
 	// not k-obfuscated stays within ε, checked over the arena's
-	// incidence lists rather than a graph. The check stops once ε' > ε
-	// is certain; a passing check returns the exact ε'.
+	// incidence lists rather than a graph, on the trial's own goroutine.
+	// The check stops once ε' > ε is certain; a passing check returns
+	// the exact ε'.
 	a.inc.reset(r.g.NumVertices(), pairs)
 	model := adversary.UncertainModel{
 		G:              &a.inc,
 		ExactThreshold: params.ExactThreshold,
-		Workers:        scanWorkers,
+		Workers:        1,
 		Ctx:            ctx,
 	}
 	epsPrime, ok := r.degrees.Check(model, params.K, params.Eps)

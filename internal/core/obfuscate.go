@@ -40,13 +40,13 @@ var ErrNoObfuscation = errors.New("core: no (k,eps)-obfuscation found up to MaxS
 // parameter σ, a minimal-uncertainty (k, ε)-obfuscation of g.
 //
 // The σ probes run one at a time, in the order the search visits them;
-// params.Workers parallelizes inside each probe (its trials, and each
-// trial's entropy scan). A probe claims its trials in index order and
-// stops claiming at its first success, which decides it; once the
-// search ends, the published probe runs the rest of its t trials, so
-// the release is its best-of-t attempt, as GenerateObfuscation would
-// return it. The returned Result (σ, ε̃, published pairs, and both
-// work counters) is bit-identical for every Workers value.
+// params.Workers parallelizes each probe's trials. A probe claims its
+// trials in index order and stops claiming at its first success, which
+// decides it; once the search ends, the published probe runs the rest
+// of its t trials, so the release is its best-of-t attempt, as
+// GenerateObfuscation would return it. The returned Result (σ, ε̃,
+// published pairs, and both work counters) is bit-identical for every
+// Workers value.
 //
 // Cancelling ctx aborts the search: the running probe observes it at
 // trial and scan-chunk granularity, its trial goroutines are joined,

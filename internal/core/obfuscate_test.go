@@ -377,7 +377,7 @@ func eagerObfuscate(t *testing.T, g *graph.Graph, params Params) *Result {
 		p := newProbe(r, sigma)
 		best, first := Attempt{EpsTilde: math.Inf(1)}, params.Trials
 		for i := 0; i < params.Trials && p.aliasQ != nil; i++ {
-			att := p.trial(nil, i, 1)
+			att := p.trial(nil, i)
 			if att.Failed() {
 				continue
 			}

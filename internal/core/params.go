@@ -49,15 +49,15 @@ type Params struct {
 	// budget. Off (false) reproduces the paper.
 	DisableHExclusion bool
 	// Workers bounds the busy goroutines of a run: the trials of one σ
-	// probe run on up to Workers goroutines, claimed in index order,
-	// and the adversary's vertex scan inside each trial gets the
-	// remaining budget (Workers / concurrent trials). Obfuscate runs
-	// one σ probe at a time and stops claiming a probe's trials at its
-	// first success; trials already in flight then finish. Zero selects
-	// GOMAXPROCS. The result is bit-identical for every Workers value:
-	// each (σ, trial) pair owns a seed-derived RNG stream and the winner
-	// is the best-ε̃ trial (ties to the lower index), so Workers trades
-	// wall-clock time, and the trials run past a first success, only.
+	// probe run on up to min(Workers, Trials) goroutines, claimed in
+	// index order, each scanning its vertices on its own goroutine.
+	// Obfuscate runs one σ probe at a time and stops claiming a probe's
+	// trials at its first success; trials already in flight then
+	// finish. Zero selects GOMAXPROCS. The result is bit-identical for
+	// every Workers value: each (σ, trial) pair owns a seed-derived RNG
+	// stream and the winner is the best-ε̃ trial (ties to the lower
+	// index), so Workers trades wall-clock time, and the trials run
+	// past a first success, only.
 	Workers int
 	// Seed is the base seed from which every per-probe, per-trial RNG
 	// stream is derived (randx.Derive). Zero selects 1.

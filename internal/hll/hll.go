@@ -28,6 +28,8 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+
+	"uncertaingraph/internal/cpu"
 )
 
 // Counter is a HyperLogLog sketch. The zero value is unusable; create
@@ -135,6 +137,10 @@ func max7(a, b uint64) uint64 {
 	h := d & hi
 	return b + d&(h-h>>7)
 }
+
+// haveAVX2 reports whether this CPU runs the AVX2 kernels, which also
+// use POPCNT.
+var haveAVX2 = cpu.AVX2 && cpu.POPCNT
 
 // useAVX2 selects the amd64 AVX2 kernels for counters of at least
 // vectorWords words. It is set once, from the CPU, at package init;

@@ -2,9 +2,7 @@
 
 package hll
 
-// haveAVX2 is false off amd64, so the stubs below are never called.
-const haveAVX2 = false
-
+// haveAVX2 is false off amd64, so these stubs are never called.
 func foldAVX2(dst, bank []uint64, srcs []int) bool {
 	panic("hll: no AVX2 kernel on this architecture")
 }

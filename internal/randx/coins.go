@@ -50,10 +50,14 @@ func CoinThreshold(p float64) uint64 {
 // half-cycles: 334 draws that update registers 333…0, each from
 // register i+273, then 273 that update registers 606…334, each from
 // register i−334. Every register a draw reads was written before its
-// half-cycle or earlier in it, so the loop runs in stream order. Each
-// coin is one compare and a SETcc store; the redraw check ORs a word
-// whose top bit is set when v >= 2⁶³−2⁹, so no branch depends on a
-// draw.
+// half-cycle or earlier in it, at least 273 draws back, so the loop
+// runs in stream order. On the Go path each coin is one compare and a
+// SETcc store. Where the CPU has AVX2, an assembly kernel draws four
+// coins per step, which reads what the scalar loop reads since no draw
+// depends on the 272 before it, and the Go loop draws each straight
+// run's last len mod 4. On both paths the redraw check ORs, over every
+// draw, a word whose top bit is set when v >= 2⁶³−2⁹, so no branch
+// depends on a draw.
 func (s *Source) Coins(present []bool, th []uint64) (redraw bool) {
 	th = th[:len(present)]
 	var high uint64
@@ -78,14 +82,21 @@ func (s *Source) Coins(present []bool, th []uint64) (redraw bool) {
 // draw j adds register tap[k−1−j] into feed[k−1−j] and compares the
 // sum's low 63 bits with th[j]. It returns the OR of 2⁶³−2⁹−1−v over
 // the draws, whose top bit is set when some v would make Float64
-// redraw. It stays out of line: inlined into Coins, its loop spills
-// three values to the stack per draw.
+// redraw. Where the CPU has AVX2, coinsAVX2 draws all but the last
+// len(out) mod 4 coins, and the loop below only those. It stays out of
+// line: inlined into Coins, its loop spills three values to the stack
+// per draw.
 //
 //go:noinline
 func coinStretch(feed, tap []int64, out []bool, th []uint64) (high uint64) {
 	feed = feed[:len(out)]
 	tap = tap[:len(out)]
 	th = th[:len(out)]
+	if n := len(out) &^ 3; useAVX2 && n > 0 {
+		k := len(out)
+		high = coinsAVX2(feed[k-n:], tap[k-n:], out[:n], th[:n])
+		feed, tap, out, th = feed[:k-n], tap[:k-n], out[n:], th[n:]
+	}
 	for j := range out {
 		i := len(out) - 1 - j
 		x := feed[i] + tap[i]

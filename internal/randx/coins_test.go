@@ -113,28 +113,32 @@ func checkWorld(t *testing.T, what string, got []bool, gotSrc Source, start Sour
 	}
 }
 
-// TestCoinsMatchFloat64 pins the kernel to the per-coin loop from a
-// fresh reseed, on draw counts that straddle every half-cycle edge of
-// the first two cycles (334 draws, then 273), and with one pass split
-// into calls at those edges and one off them.
+// TestCoinsMatchFloat64 pins Coins, on the Go path and on the AVX2
+// kernels, to the per-coin loop from a fresh reseed: on draw counts
+// 1-9, which leave every remainder mod 4 to the scalar tail or none,
+// on counts that straddle every half-cycle edge of the first two
+// cycles (334 draws, then 273) with each remainder mod 4, and with one
+// pass split into calls at those edges and one off them.
 func TestCoinsMatchFloat64(t *testing.T) {
-	counts := []int{1, 333, 334, 335, 606, 607, 608, 940, 941, 942, 1214, 1215, 5000}
+	counts := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 332, 333, 334, 335, 606, 607, 608, 940, 941, 942, 1214, 1215, 5000}
 	ps, th := coinProbs(5000, 3)
 	seeds := equivalenceSeeds()[:300]
-	for _, seed := range seeds {
-		start := *seeded(seed)
-		for _, n := range counts {
-			got, src, redraw := kernelWorld(start, ps[:n], th[:n])
-			if redraw {
-				t.Fatalf("seed %d: a redraw reported over %d draws", seed, n)
+	EachKernel(func(kernel string) {
+		for _, seed := range seeds {
+			start := *seeded(seed)
+			for _, n := range counts {
+				got, src, redraw := kernelWorld(start, ps[:n], th[:n])
+				if redraw {
+					t.Fatalf("%s: seed %d: a redraw reported over %d draws", kernel, seed, n)
+				}
+				checkWorld(t, kernel+", one call", got, src, start, ps[:n])
 			}
-			checkWorld(t, "one call", got, src, start, ps[:n])
+			for _, splits := range [][]int{{333, 1, 273}, {334, 273, 334}, {1, 332, 2, 272, 1}, {606, 2}, {100, 0, 900}} {
+				got, src, _ := kernelWorld(start, ps[:1300], th[:1300], splits...)
+				checkWorld(t, kernel+", split calls", got, src, start, ps[:1300])
+			}
 		}
-		for _, splits := range [][]int{{333, 1, 273}, {334, 273, 334}, {1, 332, 2, 272, 1}, {606, 2}, {100, 0, 900}} {
-			got, src, _ := kernelWorld(start, ps[:1300], th[:1300], splits...)
-			checkWorld(t, "split calls", got, src, start, ps[:1300])
-		}
-	}
+	})
 }
 
 // plant sets the source's state so that its draw ahead+1 from now has
@@ -161,32 +165,36 @@ func plant(t *testing.T, src *Source, ahead int, v int64) {
 
 // TestCoinsPlantedRedraw plants a draw Float64 discards (the crafted
 // state of TestSourceFloat64Redraw) at the first, a middle and the last
-// draw of each half-cycle. Coins must report it, and the world drawn as
-// the samplers draw it must be the per-coin loop's world, which
-// redraws there and shifts every later coin. Just below the redraw
-// bound, nothing is reported and the kernel's coins stand.
+// draw of each half-cycle, the first two in the AVX2 kernel's four-draw
+// steps and the last in the scalar tail. Coins must report it, on both
+// paths, and the world drawn as the samplers draw it must be the
+// per-coin loop's world, which redraws there and shifts every later
+// coin. Just below the redraw bound, nothing is reported and the
+// kernel's coins stand.
 func TestCoinsPlantedRedraw(t *testing.T) {
 	ps, th := coinProbs(1214, 5)
-	for _, half := range []struct {
-		name    string
-		skip    int // draws before the half-cycle starts
-		lastOff int // offset of its last draw
-	}{{"first half-cycle", 0, 333}, {"second half-cycle", 334, 272}} {
-		for _, off := range []int{0, half.lastOff / 2, half.lastOff} {
-			for _, high := range []int64{rngMask, 1<<63 - 1<<9, 1<<63 - 1<<9 - 1} {
-				start := *seeded(77)
-				for i := 0; i < half.skip; i++ {
-					start.Uint64()
+	EachKernel(func(kernel string) {
+		for _, half := range []struct {
+			name    string
+			skip    int // draws before the half-cycle starts
+			lastOff int // offset of its last draw
+		}{{"first half-cycle", 0, 333}, {"second half-cycle", 334, 272}} {
+			for _, off := range []int{0, half.lastOff / 2, half.lastOff} {
+				for _, high := range []int64{rngMask, 1<<63 - 1<<9, 1<<63 - 1<<9 - 1} {
+					start := *seeded(77)
+					for i := 0; i < half.skip; i++ {
+						start.Uint64()
+					}
+					plant(t, &start, off, high)
+					got, src, redraw := kernelWorld(start, ps, th)
+					if want := high >= redrawAt; redraw != want {
+						t.Fatalf("%s, %s, draw %d = %d: redraw reported %v, want %v", kernel, half.name, off, high, redraw, want)
+					}
+					checkWorld(t, kernel+", "+half.name, got, src, start, ps)
 				}
-				plant(t, &start, off, high)
-				got, src, redraw := kernelWorld(start, ps, th)
-				if want := high >= redrawAt; redraw != want {
-					t.Fatalf("%s, draw %d = %d: redraw reported %v, want %v", half.name, off, high, redraw, want)
-				}
-				checkWorld(t, half.name, got, src, start, ps)
 			}
 		}
-	}
+	})
 }
 
 // TestCoinsAtThreshold plants each probability's threshold and its
@@ -194,27 +202,30 @@ func TestCoinsPlantedRedraw(t *testing.T) {
 // Float64() < p, so a non-strict compare or a threshold one off fails.
 func TestCoinsAtThreshold(t *testing.T) {
 	ps := []float64{0.5, 0.3, 1 - 0x1p-53, 1 - 0x1p-40, math.SmallestNonzeroFloat64, 0x1p-1060, 1e-300, 0.999999}
-	for _, p := range ps {
-		c := CoinThreshold(p)
-		for _, v := range []uint64{c - 1, c, c + 1} {
-			if v >= redrawAt {
-				continue
+	EachKernel(func(kernel string) {
+		for _, p := range ps {
+			c := CoinThreshold(p)
+			for _, v := range []uint64{c - 1, c, c + 1} {
+				if v >= redrawAt {
+					continue
+				}
+				start := *seeded(int64(v))
+				plant(t, &start, 5, int64(v))
+				coins := make([]float64, 20)
+				ths := make([]uint64, len(coins))
+				for i := range coins {
+					coins[i], ths[i] = p, c
+				}
+				got, src, _ := kernelWorld(start, coins, ths)
+				checkWorld(t, kernel+", threshold", got, src, start, coins)
 			}
-			start := *seeded(int64(v))
-			plant(t, &start, 5, int64(v))
-			coins := make([]float64, 20)
-			ths := make([]uint64, len(coins))
-			for i := range coins {
-				coins[i], ths[i] = p, c
-			}
-			got, src, _ := kernelWorld(start, coins, ths)
-			checkWorld(t, "threshold", got, src, start, coins)
 		}
-	}
+	})
 }
 
-// FuzzCoins checks the kernel against the per-coin loop for any seed,
-// draw count and probability in [0, 1], with the pass split in two.
+// FuzzCoins checks Coins against the per-coin loop for any seed, draw
+// count and probability in [0, 1], with the pass split in two, on both
+// paths.
 func FuzzCoins(f *testing.F) {
 	f.Add(int64(1), uint16(1), 0.5)
 	f.Add(int64(2), uint16(333), 0.3)
@@ -234,9 +245,11 @@ func FuzzCoins(f *testing.F) {
 		for i := range ps {
 			ps[i], th[i] = p, c
 		}
-		start := *seeded(seed)
-		got, src, _ := kernelWorld(start, ps, th, int(n)/2)
-		checkWorld(t, "fuzz", got, src, start, ps)
+		EachKernel(func(kernel string) {
+			start := *seeded(seed)
+			got, src, _ := kernelWorld(start, ps, th, int(n)/2)
+			checkWorld(t, kernel+", fuzz", got, src, start, ps)
+		})
 	})
 }
 

@@ -3,7 +3,11 @@
 // and Source, math/rand's generator as a concrete type for the
 // per-world samplers, with a block coin kernel (Source.Coins) that
 // draws a world's coins against per-pair integer thresholds
-// (CoinThreshold) exactly as per-pair Float64 calls would.
+// (CoinThreshold) exactly as per-pair Float64 calls would. On amd64
+// CPUs with AVX2 (probed once at start-up; no flag selects it), Seed
+// builds four register words and Coins draws four coins per
+// instruction step in assembly; the Go code is the portable path and
+// the kernels' test reference, and both give the same values.
 //
 // The obfuscation algorithm (paper Alg. 2) repeatedly draws vertices from
 // the uniqueness-proportional distribution Q while growing the candidate

@@ -133,13 +133,13 @@ func TestSamplerCloneSamplesIdenticalWorlds(t *testing.T) {
 	}
 }
 
-// TestSampleSeedMatchesSample pins the devirtualized draw path:
-// SampleSeed(seed) must produce exactly the world Sample draws from
-// randx.New(seed), on graphs whose probabilities include the edge
-// cases of the coin test p > 0 && (p >= 1 || u < p) — impossible and
-// certain pairs, subnormal probabilities, the largest float64 below 1
-// and a probability equal to its coin — and when the two paths
-// alternate on one sampler.
+// TestSampleSeedMatchesSample pins the devirtualized draw path, on
+// randx's Go path and on its AVX2 kernels: SampleSeed(seed) must
+// produce exactly the world Sample draws from randx.New(seed), on
+// graphs whose probabilities include the edge cases of the coin test
+// p > 0 && (p >= 1 || u < p) — impossible and certain pairs, subnormal
+// probabilities, the largest float64 below 1 and a probability equal
+// to its coin — and when the two paths alternate on one sampler.
 func TestSampleSeedMatchesSample(t *testing.T) {
 	edgeCases := []float64{0, 1, math.SmallestNonzeroFloat64, 0x1p-1060, 1 - 0x1p-53, 0.5}
 	rng := randx.New(7)
@@ -161,7 +161,7 @@ func TestSampleSeedMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeds := []int64{0, 1, -1, 1<<31 - 1, -(1<<31 - 1), 89482311, math.MinInt64, math.MaxInt64}
+	seeds := []int64{0, 1, -1, 1<<31 - 1, -(1<<31 - 1), 2 * (1<<31 - 1), 89482311, math.MinInt64, math.MaxInt64}
 	for s := int64(2); s < 200; s++ {
 		seeds = append(seeds, s*2654435761)
 	}
@@ -172,9 +172,6 @@ func TestSampleSeedMatchesSample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w := tie.NewSampler().SampleSeed(tieSeed); w.NumEdges() != 0 {
-		t.Fatalf("a pair whose p equals its coin was drawn present")
-	}
 	seeds = append(seeds, tieSeed)
 	fixtures := map[string]*Graph{
 		"edge-case probabilities":    edgy,
@@ -182,28 +179,33 @@ func TestSampleSeedMatchesSample(t *testing.T) {
 		"coin tie":                   tie,
 		"runs broken at cycle edges": runsFixture(t),
 	}
-	for name, g := range fixtures {
-		viaSeed, viaRand := g.NewSampler(), g.NewSampler()
-		for i, seed := range seeds {
-			var got *graph.Graph
-			if i%2 == 0 {
-				got = viaSeed.SampleSeed(seed)
-			} else {
-				// Alternate paths on one sampler: SampleSeed must not
-				// depend on what the previous call left in the buffers.
-				viaSeed.Sample(randx.New(seed + 1))
-				got = viaSeed.SampleSeed(seed)
-			}
-			want := viaRand.Sample(randx.New(seed))
-			if got.NumEdges() != want.NumEdges() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
-				t.Fatalf("%s, seed %d: SampleSeed drew %d edges, Sample(randx.New) %d, or the edge sets differ",
-					name, seed, got.NumEdges(), want.NumEdges())
-			}
-			if err := got.Validate(); err != nil {
-				t.Fatalf("%s, seed %d: invalid world: %v", name, seed, err)
+	randx.EachKernel(func(kernel string) {
+		if w := tie.NewSampler().SampleSeed(tieSeed); w.NumEdges() != 0 {
+			t.Fatalf("%s: a pair whose p equals its coin was drawn present", kernel)
+		}
+		for name, g := range fixtures {
+			viaSeed, viaRand := g.NewSampler(), g.NewSampler()
+			for i, seed := range seeds {
+				var got *graph.Graph
+				if i%2 == 0 {
+					got = viaSeed.SampleSeed(seed)
+				} else {
+					// Alternate paths on one sampler: SampleSeed must not
+					// depend on what the previous call left in the buffers.
+					viaSeed.Sample(randx.New(seed + 1))
+					got = viaSeed.SampleSeed(seed)
+				}
+				want := viaRand.Sample(randx.New(seed))
+				if got.NumEdges() != want.NumEdges() || !reflect.DeepEqual(got.Edges(), want.Edges()) {
+					t.Fatalf("%s: %s, seed %d: SampleSeed drew %d edges, Sample(randx.New) %d, or the edge sets differ",
+						kernel, name, seed, got.NumEdges(), want.NumEdges())
+				}
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: %s, seed %d: invalid world: %v", kernel, name, seed, err)
+				}
 			}
 		}
-	}
+	})
 }
 
 // runsFixture builds a graph whose pairs that draw no coin (p = 0 or
@@ -269,6 +271,8 @@ func TestNewSamplerAllocs(t *testing.T) {
 // pair, every bit at or above the width is zero, and neither holds
 // after a wider group or a materialized world on the same sampler. The
 // pair counts straddle the 64-pair word: below, at, and well past it.
+// Both run on randx's Go path and on its AVX2 kernels, which
+// TestSampleSeedMatchesSample pins to Sample.
 func TestSampleGroupMatchesSampleSeed(t *testing.T) {
 	path := func(pairs int) *Graph {
 		ps := make([]Pair, pairs)
@@ -283,31 +287,34 @@ func TestSampleGroupMatchesSampleSeed(t *testing.T) {
 	}
 	seeds := make([]int64, 64)
 	randx.FillWorldSeeds(seeds, randx.New(11))
-	for name, g := range map[string]*Graph{"1 pair": path(1), "64 pairs": path(64), "mixed fixture": samplerFixture(t, 30)} {
-		s, ref := g.NewSampler(), g.NewSampler()
-		for _, width := range []int{64, 7, 1, 63, 64, 33} {
-			if width == 33 {
-				s.SampleSeed(5) // a materialized world must not leak into the masks
-			}
-			pw := s.SampleGroup(seeds[:width])
-			if pw.Width != width || len(pw.Masks) != g.NumPairs() {
-				t.Fatalf("%s: width %d, %d masks; want %d and %d", name, pw.Width, len(pw.Masks), width, g.NumPairs())
-			}
-			for j, seed := range seeds[:width] {
-				ref.SampleSeed(seed)
+	graphs := map[string]*Graph{"1 pair": path(1), "64 pairs": path(64), "mixed fixture": samplerFixture(t, 30), "runs broken at cycle edges": runsFixture(t)}
+	randx.EachKernel(func(kernel string) {
+		for name, g := range graphs {
+			s, ref := g.NewSampler(), g.NewSampler()
+			for _, width := range []int{64, 7, 1, 63, 64, 33} {
+				if width == 33 {
+					s.SampleSeed(5) // a materialized world must not leak into the masks
+				}
+				pw := s.SampleGroup(seeds[:width])
+				if pw.Width != width || len(pw.Masks) != g.NumPairs() {
+					t.Fatalf("%s: %s: width %d, %d masks; want %d and %d", kernel, name, pw.Width, len(pw.Masks), width, g.NumPairs())
+				}
+				for j, seed := range seeds[:width] {
+					ref.SampleSeed(seed)
+					for p, m := range pw.Masks {
+						if got := m>>j&1 == 1; got != ref.present[p] {
+							t.Fatalf("%s: %s, width %d: pair %d in world %d is %v, SampleSeed drew %v", kernel, name, width, p, j, got, ref.present[p])
+						}
+					}
+				}
 				for p, m := range pw.Masks {
-					if got := m>>j&1 == 1; got != ref.present[p] {
-						t.Fatalf("%s, width %d: pair %d in world %d is %v, SampleSeed drew %v", name, width, p, j, got, ref.present[p])
+					if width < 64 && m>>width != 0 {
+						t.Fatalf("%s: %s, width %d: pair %d has bits above the width: %#x", kernel, name, width, p, m)
 					}
 				}
 			}
-			for p, m := range pw.Masks {
-				if width < 64 && m>>width != 0 {
-					t.Fatalf("%s, width %d: pair %d has bits above the width: %#x", name, width, p, m)
-				}
-			}
 		}
-	}
+	})
 }
 
 // TestSamplerZeroAllocs pins the acceptance criterion: after the
