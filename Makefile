@@ -77,9 +77,11 @@ cover:
 # BENCH_sampling.json is the pre-refactor baseline; see README "Graph
 # representation & memory model"); EstimateEvaluateShaped is one
 # estimate at e2ebench's evaluate shape (100 HyperANF worlds of the
-# dblp small release) on one worker.
+# dblp small release) on one worker, and ANFEvaluateShaped HyperANF
+# alone on 100 pre-sampled worlds of that release through one reused
+# engine, reported as ms/world.
 bench-sampling: BENCH_PKG = ./internal/sampling
-bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$|BenchmarkEstimateEvaluateShaped$$
+bench-sampling: BENCH_RE = BenchmarkSampleWorlds$$|BenchmarkSampleWorldsNaive$$|BenchmarkEstimateStatistics$$|BenchmarkEstimateStatisticsANF$$|BenchmarkEstimateAdaptive$$|BenchmarkEstimateEvaluateShaped$$|BenchmarkANFEvaluateShaped$$
 bench-sampling: BENCH_TIME = 3x
 # bench-query: a request-shaped batch of mixed queries, the
 # reliability-only early-exit pair (bit-identical answers), and one

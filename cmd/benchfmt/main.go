@@ -70,7 +70,8 @@ type Run struct {
 }
 
 // benchLine splits a result line into name, iteration count and the
-// metric list; metricPair then walks every "<value> <unit>/op" in it.
+// metric list; metricPair then walks every "<value> <unit>" in it, the
+// unit a ratio such as ns/op or a custom ms/world.
 // The testing package prints custom ReportMetric units between ns/op
 // and the -benchmem pair, so position-based parsing would drop B/op
 // and allocs/op the moment a benchmark reports one. Sub-benchmark
@@ -78,7 +79,7 @@ type Run struct {
 // trailing -GOMAXPROCS suffix is stripped.
 var (
 	benchLine  = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
-	metricPair = regexp.MustCompile(`([\d.]+)\s+(\S+)/op`)
+	metricPair = regexp.MustCompile(`([\d.]+)\s+(\S+/\S+)`)
 )
 
 // parseRun scans `go test -bench` output from in, echoing every raw
@@ -121,18 +122,18 @@ func parseRun(label string, in io.Reader, echo io.Writer) (Run, error) {
 				continue
 			}
 			switch p[2] {
-			case "ns":
+			case "ns/op":
 				b.NsPerOp = v
 				sawNs = true
-			case "B":
+			case "B/op":
 				b.BytesPerOp = int64(v)
-			case "allocs":
+			case "allocs/op":
 				b.AllocsPerOp = int64(v)
 			default:
 				if b.Metrics == nil {
 					b.Metrics = make(map[string]float64)
 				}
-				b.Metrics[p[2]+"/op"] = v
+				b.Metrics[p[2]] = v
 			}
 		}
 		if !sawNs {

@@ -2,16 +2,17 @@ package main
 
 import (
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// sampleOutput is a realistic -benchmem session: a cpu line, a custom
-// ReportMetric between ns/op and the benchmem pair, and sub-benchmark
-// names with slash paths (the shape `make bench-qserve` records for
-// BenchmarkRegistryCachedRequest).
+// sampleOutput is realistic -benchmem output: a cpu line, custom
+// ReportMetric units per op and per world between ns/op and the
+// benchmem pair, and sub-benchmark names with slash paths (the shape
+// `make bench-qserve` records for BenchmarkRegistryCachedRequest).
 const sampleOutput = `goos: linux
 goarch: amd64
 pkg: uncertaingraph/internal/qserve
@@ -20,6 +21,7 @@ BenchmarkRegistryHotRequest-8   	    1500	    748123 ns/op	   51234 B/op	      5
 BenchmarkRegistryCachedRequest/hot-cache-8         	  100000	     10312 ns/op	    4821 B/op	      47 allocs/op
 BenchmarkRegistryCachedRequest/hot-graph-cold-cache-8	    1500	    768001 ns/op	   52000 B/op	      63 allocs/op
 BenchmarkEstimateAdaptive-8     	      20	  51234567 ns/op	       612.0 worlds/op	 1024 B/op	      12 allocs/op
+BenchmarkANFEvaluateShaped-8    	       3	 114042507 ns/op	         1.140 ms/world	       0 B/op	       0 allocs/op
 PASS
 ok  	uncertaingraph/internal/qserve	2.31s
 `
@@ -45,6 +47,8 @@ func TestParseRun(t *testing.T) {
 		{Name: "BenchmarkRegistryCachedRequest/hot-graph-cold-cache", Iterations: 1500, NsPerOp: 768001, BytesPerOp: 52000, AllocsPerOp: 63},
 		{Name: "BenchmarkEstimateAdaptive", Iterations: 20, NsPerOp: 51234567, BytesPerOp: 1024, AllocsPerOp: 12,
 			Metrics: map[string]float64{"worlds/op": 612}},
+		{Name: "BenchmarkANFEvaluateShaped", Iterations: 3, NsPerOp: 114042507,
+			Metrics: map[string]float64{"ms/world": 1.140}},
 	}
 	if len(run.Benchmarks) != len(want) {
 		t.Fatalf("parsed %d benchmarks, want %d: %+v", len(run.Benchmarks), len(want), run.Benchmarks)
@@ -55,7 +59,7 @@ func TestParseRun(t *testing.T) {
 			got.BytesPerOp != w.BytesPerOp || got.AllocsPerOp != w.AllocsPerOp {
 			t.Errorf("benchmark %d: got %+v, want %+v", i, got, w)
 		}
-		if w.Metrics != nil && got.Metrics["worlds/op"] != w.Metrics["worlds/op"] {
+		if w.Metrics != nil && !maps.Equal(got.Metrics, w.Metrics) {
 			t.Errorf("benchmark %d metrics: got %v, want %v", i, got.Metrics, w.Metrics)
 		}
 	}

@@ -8,28 +8,27 @@
 // to bound the estimation error. DistanceDistribution and Jackknifed
 // reproduce that pipeline.
 //
-// The kernel uses HyperANF's own two speed techniques, and neither
-// moves an output bit relative to the textbook iteration that unions
-// every neighbour's counter and re-estimates every counter each round:
-//   - systolic updates: an iteration unions in and copies across only
-//     the counters that changed in the previous one, re-estimates only
-//     the counters it changes, and sums cached estimates in vertex
-//     order (Engine states why each step is exact);
-//   - broadword maxima: every counter lives in one flat bank of words,
-//     eight 7-bit registers per uint64, and hll's Fold takes the
-//     register-wise maximum of all of a vertex's changed neighbours in
-//     one pass. On amd64 with AVX2 the default 16-word counter stays in
-//     four 32-byte vector registers while every neighbour folds in;
-//     elsewhere, and for smaller counters, Go code keeps four words in
-//     flight, and since every register stays below 0x80 its per-byte
-//     compare cannot borrow across bytes. Both pick the maximum the
-//     byte loop would.
-//
-// hll's Estimate counts zero registers, which alone settles the
-// linear-counting range, and otherwise sums 2^-r in exact integer
-// units, with AVX2 where the CPU has it; both return the
-// register-order loop's float bit for bit (hll.Counter.Estimate states
-// why).
+// The engine runs each iteration as one hll Batch.Step over a list of
+// vertices, and no output bit moves relative to the textbook iteration
+// that unions every neighbour's counter and re-estimates every counter
+// each round:
+//   - a dense/sparse edge map, as in GBBS: an iteration where at least
+//     7/8 of the vertices changed in the previous one lists every
+//     vertex with all its neighbours, straight from word offsets built
+//     once per world; any other lists only the vertices that changed
+//     or have a changed neighbour (Engine states why both are exact);
+//   - HyperANF's systolic estimates: only the counters that grow are
+//     re-estimated, and N(t) sums cached estimates in vertex order;
+//   - one fused pass per iteration: Step loads each listed counter,
+//     folds in its sources, stores it in the other half of the bank
+//     and, if it grew, counts its zero registers and ORs its words
+//     while the counter sits in cache, summing its exact integer units
+//     only when the zero count does not settle the estimate. On
+//     amd64 with AVX2 the default 16-word counter stays in four 32-byte
+//     vector registers while every neighbour folds in; elsewhere, and
+//     for smaller counters, Go code keeps four words in flight. Both
+//     pick the maximum the byte loop would, and hll's estimate turns
+//     the counts into the register-order loop's float bit for bit.
 package anf
 
 import (
@@ -71,32 +70,37 @@ func NeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
 // Engine runs HyperANF repeatedly against reusable state: every
 // counter register of every vertex lives in one flat bank of words
 // that is reset — not reallocated — between runs, and the per-vertex
-// estimate and change flags, the neighbourhood function and the
-// distance-count buffers are reused likewise. The possible-world
-// estimation pipeline holds one Engine per worker and reuses it across
-// all that worker's sampled worlds; the package-level functions run a
-// fresh one. An Engine runs its iterations sequentially (the worlds
-// are the parallel axis).
+// estimates, the per-world word offsets and vertex lists, the
+// neighbourhood function and the distance-count buffers are reused
+// likewise. The possible-world estimation pipeline holds one Engine per
+// worker and reuses it across all that worker's sampled worlds; the
+// package-level functions run a fresh one. An Engine runs its
+// iterations sequentially (the worlds are the parallel axis).
 //
-// The iteration is HyperANF's systolic one, and it returns the same
-// N(t), bit for bit, as recomputing next[v] = cur[v] ∪ ⋃_{u~v} cur[u]
-// for every v and summing every counter's estimate each iteration:
-//   - v unions in only the counters of neighbours that changed in the
-//     previous iteration. An unchanged neighbour u holds its value of
-//     two iterations back, which v's counter already contains, so that
-//     union is a no-op — and a v with no changed neighbour cannot
-//     change at all;
-//   - the other buffer holds every counter's value of two iterations
-//     back, so only a counter that changed in the previous iteration
-//     is copied across before the unions;
-//   - only changed counters are re-estimated. Each vertex's estimate
-//     is cached, and N(t) sums the cache in vertex order: the same
-//     floats added in the same order, so the run also stops at the
-//     same iteration.
-//
-// The unions themselves are one hll Fold per vertex over the word
-// offsets of its changed neighbours: the same register maxima as a
-// Union per neighbour, with each of v's words loaded and stored once.
+// It returns the same N(t), bit for bit, as recomputing
+// next[v] = cur[v] ∪ ⋃_{u~v} cur[u] for every v and summing every
+// counter's estimate each iteration:
+//   - an unchanged neighbour's union is a no-op. A neighbour u that did
+//     not change in the previous iteration holds its value of two
+//     iterations back, which v's counter already contains, so a vertex
+//     may fold in all its neighbours or only the changed ones, and a
+//     vertex with no changed neighbour cannot change at all;
+//   - the next half of the bank holds every counter's value of two
+//     iterations back, which equals its current value unless it
+//     changed in the previous iteration. So a sparse iteration lists
+//     only the vertices that changed or have a changed neighbour, each
+//     with all its neighbours: a listed counter is loaded from cur and
+//     stored in next, and an unlisted one is already right in next. A
+//     dense iteration lists every vertex, which is cheaper once at
+//     least 7/8 of them changed (iterations 1–6 on a sampled dblp
+//     world), since it needs no marking pass;
+//   - growth is judged against the counter loaded from cur, as a copy
+//     into next followed by the unions would judge it;
+//   - only counters that grew are re-estimated, from the same registers.
+//     Each vertex's estimate is cached, and N(t) sums the cache in
+//     vertex order: the same floats added in the same order, so the run
+//     also stops at the same iteration. Every counter starts holding
+//     one element, whose estimate is hll's Singleton.
 type Engine struct {
 	opt Options
 	// bank holds 2n counters, each words uint64s long; cur and next
@@ -105,12 +109,18 @@ type Engine struct {
 	cur, next []uint64
 	words     int
 	est       []float64 // est[v] = the estimate of v's counter in cur
-	// changed[v] reports whether v's counter changed in the previous
-	// iteration; grew collects the current iteration's flags.
-	changed, grew []bool
-	srcs          []int // word offsets in cur of v's changed neighbours
-	nf            []float64
-	counts        []float64
+	// k holds the world's adjacency as word offsets into either half,
+	// built once per world.
+	k hll.Batch
+	// all lists every vertex, the dense iterations' list; list is a
+	// sparse iteration's list and mark its membership; grown holds the
+	// counters the last iteration grew, in vertex order.
+	all    []int32
+	list   []int32
+	mark   []bool
+	grown  []hll.Growth
+	nf     []float64
+	counts []float64
 }
 
 // NewEngine returns an engine with the given options; buffers grow on
@@ -119,74 +129,81 @@ func NewEngine(opt Options) *Engine {
 	return &Engine{opt: opt.withDefaults()}
 }
 
-// ensure sizes the buffers for n vertices and zeroes the cur half of
-// the bank. The next half needs no zeroing: every counter changes at
-// t = 0, so the first iteration copies all of them across.
-func (e *Engine) ensure(n int) {
-	w := hll.Words(e.opt.Bits)
+// ensure sizes the buffers for g, zeroes the cur half of the bank and
+// records g's adjacency in the Batch. The next half needs no zeroing:
+// every counter changes at t = 0, so the first iteration is dense and
+// stores every counter.
+func (e *Engine) ensure(g *graph.Graph) {
+	n, w := g.NumVertices(), hll.Words(e.opt.Bits)
 	if need := 2 * n * w; cap(e.bank) < need {
 		e.bank = make([]uint64, need)
 		e.est = make([]float64, n)
-		e.changed = make([]bool, n)
-		e.grew = make([]bool, n)
+		e.mark = make([]bool, n)
+		e.list = make([]int32, 0, n)
 	} else {
 		clear(e.bank[:n*w])
 	}
 	e.cur, e.next, e.words = e.bank[:n*w], e.bank[n*w:2*n*w], w
-	e.est, e.changed, e.grew = e.est[:n], e.changed[:n], e.grew[:n]
-}
-
-// counter returns vertex v's counter in the half c of the bank.
-func (e *Engine) counter(c []uint64, v int) hll.Counter {
-	return hll.FromWords(c[v*e.words : (v+1)*e.words])
+	e.est, e.mark = e.est[:n], e.mark[:n]
+	for v := len(e.all); v < n; v++ {
+		e.all = append(e.all, int32(v))
+	}
+	e.k.Reset(e.opt.Bits, n, 2*g.NumEdges())
+	for v := 0; v < n; v++ {
+		e.k.Add(g.Neighbors(v))
+	}
 }
 
 // NeighbourhoodFunction is the buffer-reusing form of the package
 // function; the returned slice aliases the engine and is valid until
 // the next call. seed overrides the engine options' Seed.
 func (e *Engine) NeighbourhoodFunction(g *graph.Graph, seed uint64) []float64 {
-	n := g.NumVertices()
-	e.ensure(n)
-	for v := 0; v < n; v++ {
-		c := e.counter(e.cur, v)
-		c.AddHash(hll.Hash64(uint64(v), seed))
-		e.est[v] = c.Estimate()
-		e.changed[v] = true
+	e.ensure(g)
+	one, w := e.k.Singleton(), e.words
+	for v := range e.est {
+		hll.FromWords(e.cur[v*w : (v+1)*w]).AddHash(hll.Hash64(uint64(v), seed))
+		e.est[v] = one
 	}
 	e.nf = append(e.nf[:0], e.sum())
-	w := e.words
+	list := e.all[:len(e.est)] // every counter changed at t = 0
 	for t := 1; t <= e.opt.MaxIter; t++ {
-		anyGrew := false
-		cur, changed, srcs := e.cur, e.changed, e.srcs
-		for v := 0; v < n; v++ {
-			if changed[v] {
-				copy(e.next[v*w:(v+1)*w], cur[v*w:(v+1)*w])
-			}
-			srcs = srcs[:0]
-			for _, u := range g.Neighbors(v) {
-				if changed[u] {
-					srcs = append(srcs, int(u)*w)
-				}
-			}
-			grew := false
-			if len(srcs) > 0 {
-				if c := e.counter(e.next, v); c.Fold(cur, srcs) {
-					e.est[v] = c.Estimate()
-					grew = true
-					anyGrew = true
-				}
-			}
-			e.grew[v] = grew
+		e.grown = e.k.Step(e.next, e.cur, list, e.grown[:0])
+		for _, gr := range e.grown {
+			e.est[gr.V] = e.k.Estimate(e.next, gr)
 		}
-		e.srcs = srcs
 		e.cur, e.next = e.next, e.cur
-		e.changed, e.grew = e.grew, e.changed
 		e.nf = append(e.nf, e.sum())
-		if !anyGrew {
+		if len(e.grown) == 0 {
 			break
 		}
+		list = e.nextList(g)
 	}
 	return e.nf
+}
+
+// nextList returns the list for the iteration after one that grew the
+// counters in e.grown: every vertex if at least 7/8 of them grew, and
+// otherwise, in vertex order, each vertex that grew or has a neighbour
+// that grew.
+func (e *Engine) nextList(g *graph.Graph) []int32 {
+	n := len(e.est)
+	if 8*len(e.grown) >= 7*n {
+		return e.all[:n]
+	}
+	clear(e.mark)
+	for _, gr := range e.grown {
+		e.mark[gr.V] = true
+		for _, u := range g.Neighbors(gr.V) {
+			e.mark[u] = true
+		}
+	}
+	e.list = e.list[:0]
+	for v, marked := range e.mark {
+		if marked {
+			e.list = append(e.list, int32(v))
+		}
+	}
+	return e.list
 }
 
 // sum returns N(t): the cached estimates added in vertex order.

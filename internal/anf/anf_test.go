@@ -1,11 +1,14 @@
 package anf
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
 
 	"uncertaingraph/internal/bfs"
+	"uncertaingraph/internal/core"
+	"uncertaingraph/internal/datasets"
 	"uncertaingraph/internal/gen"
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/hll"
@@ -110,24 +113,29 @@ func TestMaxIterCapsRun(t *testing.T) {
 }
 
 // referenceNeighbourhoodFunction is HyperANF's full-recompute
-// iteration, kept as the reference for the Engine's systolic one: each
-// iteration rebuilds next[v] = cur[v] ∪ ⋃_{u~v} cur[u] for every v in
-// freshly allocated counters and re-estimates every counter.
+// iteration, kept as the reference for the Engine's: each iteration
+// rebuilds next[v] = cur[v] ∪ ⋃_{u~v} cur[u] for every v, a register
+// at a time, and re-estimates every counter.
 func referenceNeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
 	opt = opt.withDefaults()
-	n := g.NumVertices()
-	cur := make([]hll.Counter, n)
-	next := make([]hll.Counter, n)
+	n, w := g.NumVertices(), hll.Words(opt.Bits)
+	cur, next := make([]uint64, n*w), make([]uint64, n*w)
 	for v := 0; v < n; v++ {
-		cur[v] = hll.New(opt.Bits)
-		cur[v].AddHash(hll.Hash64(uint64(v), opt.Seed))
-		next[v] = hll.New(opt.Bits)
+		hll.FromWords(cur[v*w : (v+1)*w]).AddHash(hll.Hash64(uint64(v), opt.Seed))
 	}
-	nf := []float64{sumEstimates(cur)}
+	nf := []float64{sumEstimates(cur, w)}
 	for t := 1; t <= opt.MaxIter; t++ {
-		changed := iterate(g, cur, next)
+		changed := false
+		for v := 0; v < n; v++ {
+			copy(next[v*w:(v+1)*w], cur[v*w:(v+1)*w])
+			for _, u := range g.Neighbors(v) {
+				if union(next[v*w:(v+1)*w], cur[int(u)*w:(int(u)+1)*w]) {
+					changed = true
+				}
+			}
+		}
 		cur, next = next, cur
-		nf = append(nf, sumEstimates(cur))
+		nf = append(nf, sumEstimates(cur, w))
 		if !changed {
 			break
 		}
@@ -135,27 +143,98 @@ func referenceNeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
 	return nf
 }
 
-// iterate computes next[v] = cur[v] ∪ (∪_{u ~ v} cur[u]) for every v
-// and reports whether any counter changed.
-func iterate(g *graph.Graph, cur, next []hll.Counter) bool {
-	anyChanged := false
-	for v := range cur {
-		next[v].CopyFrom(cur[v])
-		for _, u := range g.Neighbors(v) {
-			if next[v].Union(cur[u]) {
-				anyChanged = true
+// union raises each register of dst to src's where src's is larger, a
+// register at a time, and reports whether any rose.
+func union(dst, src []uint64) bool {
+	changed := false
+	for k := range dst {
+		for j := 0; j < 64; j += 8 {
+			if r := src[k] >> j & 0xFF; r > dst[k]>>j&0xFF {
+				dst[k] = dst[k]&^(0xFF<<j) | r<<j
+				changed = true
 			}
 		}
 	}
-	return anyChanged
+	return changed
 }
 
-func sumEstimates(counters []hll.Counter) float64 {
+// sumEstimates returns the estimates of the w-word counters of bank,
+// added in vertex order.
+func sumEstimates(bank []uint64, w int) float64 {
 	var sum float64
-	for _, c := range counters {
-		sum += c.Estimate()
+	for o := 0; o < len(bank); o += w {
+		sum += hll.FromWords(bank[o : o+w]).Estimate()
 	}
 	return sum
+}
+
+// systolicReference is the Engine's previous iteration, kept as the
+// reference for its dense/sparse lists and fused step. Every iteration
+// walks every vertex: a counter that changed in the previous iteration
+// is copied across the bank's halves, the counters of the vertex's
+// changed neighbours are unioned in, and a counter that grew is
+// re-estimated with Counter.Estimate. N(t) sums the cached estimates
+// in vertex order.
+func systolicReference(g *graph.Graph, opt Options) []float64 {
+	opt = opt.withDefaults()
+	n, w := g.NumVertices(), hll.Words(opt.Bits)
+	cur, next := make([]uint64, n*w), make([]uint64, n*w)
+	est := make([]float64, n)
+	changed, grew := make([]bool, n), make([]bool, n)
+	sum := func() float64 {
+		var s float64
+		for _, x := range est {
+			s += x
+		}
+		return s
+	}
+	for v := 0; v < n; v++ {
+		c := hll.FromWords(cur[v*w : (v+1)*w])
+		c.AddHash(hll.Hash64(uint64(v), opt.Seed))
+		est[v] = c.Estimate()
+		changed[v] = true
+	}
+	nf := []float64{sum()}
+	for t := 1; t <= opt.MaxIter; t++ {
+		anyGrew := false
+		for v := 0; v < n; v++ {
+			c := next[v*w : (v+1)*w]
+			if changed[v] {
+				copy(c, cur[v*w:(v+1)*w])
+			}
+			grew[v] = false
+			for _, u := range g.Neighbors(v) {
+				if changed[u] && union(c, cur[int(u)*w:(int(u)+1)*w]) {
+					grew[v] = true
+				}
+			}
+			if grew[v] {
+				est[v] = hll.FromWords(c).Estimate()
+				anyGrew = true
+			}
+		}
+		cur, next = next, cur
+		changed, grew = grew, changed
+		nf = append(nf, sum())
+		if !anyGrew {
+			break
+		}
+	}
+	return nf
+}
+
+// sameBits reports whether two neighbourhood functions have the same
+// length and the same float bits at every t.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func pathGraph(n int) *graph.Graph {
@@ -234,5 +313,117 @@ func TestEngineReuseMatchesFullRecompute(t *testing.T) {
 		if got, want := e.DistanceDistribution(g, opt.Seed), DistanceDistribution(g, opt); !reflect.DeepEqual(got, want) {
 			t.Errorf("graph %d (n=%d): reused Engine's distance distribution %v, want %v", i, g.NumVertices(), got, want)
 		}
+	}
+}
+
+// sparseCorpus returns graphs whose runs end in sparse iterations:
+// random graphs with isolated vertices, a hub joined to some of them
+// and long paths hanging off, in a few sizes.
+func sparseCorpus() []*graph.Graph {
+	var out []*graph.Graph
+	for i, n := range []int{150, 40, 400} {
+		rng := randx.New(int64(60 + i))
+		b := graph.NewBuilder(n)
+		gen.ErdosRenyiGNM(rng, n/2, n/2).ForEachEdge(func(u, v int) { b.AddEdge(u, v) })
+		hub := n / 2
+		for v := 0; v < n/2; v += 3 {
+			b.AddEdge(hub, v)
+		}
+		// Two paths off the hub; the last tenth of the vertices stays
+		// isolated.
+		for v := hub + 1; v < n-n/10-1; v++ {
+			if v == hub+(n-hub)/3 {
+				b.AddEdge(hub, v)
+				continue
+			}
+			b.AddEdge(v-1, v)
+		}
+		out = append(out, b.Build())
+	}
+	return out
+}
+
+// evaluateWorlds returns worlds sampled from the release cmd/evaluate
+// runs at its defaults: the (k=10, ε=0.02)-obfuscation of the dblp
+// small stand-in, obfuscation seed 1.
+func evaluateWorlds(t *testing.T, count int) []*graph.Graph {
+	t.Helper()
+	spec, err := datasets.ByName("dblp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := datasets.Generate(spec, datasets.ScaleSmall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Obfuscate(context.Background(), d.Graph, core.Params{K: 10, Eps: 0.02, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	worlds := make([]*graph.Graph, count)
+	for i := range worlds {
+		worlds[i] = res.G.SampleWorld(randx.New(int64(i + 1)))
+	}
+	return worlds
+}
+
+// TestEngineMatchesSystolicReference requires the Engine's
+// neighbourhood function to equal the per-vertex systolic loop's by
+// math.Float64bits, on both hll paths, for b in {4, 6, 7, 8, 16}: on
+// graphs whose runs end in sparse iterations (isolated vertices, a hub,
+// long paths), a single vertex and worlds of evaluate's release. One
+// Engine per exponent and path runs every graph, so the buffers shrink
+// and regrow between sizes with stale registers in place. A graph whose
+// bank half would exceed 2^21 words (16 MiB) is left out at that
+// exponent: at b = 16 that keeps the graphs of at most 256 vertices.
+func TestEngineMatchesSystolicReference(t *testing.T) {
+	graphs := sparseCorpus()
+	graphs = append(graphs, graph.NewBuilder(1).Build())
+	worlds := 3
+	if testing.Short() {
+		worlds = 1
+	}
+	graphs = append(graphs, evaluateWorlds(t, worlds)...)
+	graphs = append(graphs, pathGraph(90))
+	for _, b := range []int{4, 6, 7, 8, 16} {
+		want := make([][]float64, len(graphs))
+		for i, g := range graphs {
+			if g.NumVertices()*hll.Words(b) <= 1<<21 {
+				want[i] = systolicReference(g, Options{Bits: b, Seed: uint64(b + i)})
+			}
+		}
+		hll.EachKernel(func(kernel string) {
+			e := NewEngine(Options{Bits: b})
+			for i, g := range graphs {
+				if want[i] == nil {
+					continue
+				}
+				if got := e.NeighbourhoodFunction(g, uint64(b+i)); !sameBits(got, want[i]) {
+					t.Errorf("%s b=%d graph %d (n=%d): neighbourhood function\n got %v\nwant %v", kernel, b, i, g.NumVertices(), got, want[i])
+				}
+			}
+		})
+	}
+}
+
+// TestFirstEstimateIsSingleton requires N(0) to be, bit for bit, the
+// vertex-order sum of Counter.Estimate over one-element counters, for
+// every register exponent: the Engine sets every t = 0 estimate to
+// hll's Singleton without scanning a counter.
+func TestFirstEstimateIsSingleton(t *testing.T) {
+	g := pathGraph(37)
+	for b := 4; b <= 16; b++ {
+		var want float64
+		for v := 0; v < g.NumVertices(); v++ {
+			c := hll.New(b)
+			c.AddHash(hll.Hash64(uint64(v), 5))
+			want += c.Estimate()
+		}
+		hll.EachKernel(func(kernel string) {
+			nf := NewEngine(Options{Bits: b, MaxIter: 1}).NeighbourhoodFunction(g, 5)
+			if math.Float64bits(nf[0]) != math.Float64bits(want) {
+				t.Errorf("%s b=%d: N(0) = %v, want %v", kernel, b, nf[0], want)
+			}
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sort"
 	"sync"
 
 	"uncertaingraph/internal/adversary"
@@ -466,26 +465,52 @@ func assignProbabilities(a *trialArena, ec []candidate, uniq []float64, sigma fl
 
 // topUniqueSet returns the membership flags of the count vertices with
 // the largest uniqueness scores (ties broken by lower index, making
-// runs reproducible).
+// runs reproducible). It keeps the best vertices seen so far in a
+// bounded min-heap whose root ranks lowest, so picking count of n costs
+// O(n log count) rather than a sort of all n.
 func topUniqueSet(uniq []float64, count int) []bool {
 	set := make([]bool, len(uniq))
+	count = min(count, len(uniq))
 	if count <= 0 {
 		return set
 	}
-	if count > len(uniq) {
-		count = len(uniq)
-	}
-	idx := make([]int, len(uniq))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		if uniq[idx[a]] != uniq[idx[b]] {
-			return uniq[idx[a]] > uniq[idx[b]]
+	// below reports whether vertex a ranks below vertex b.
+	below := func(a, b int) bool {
+		if uniq[a] != uniq[b] {
+			return uniq[a] < uniq[b]
 		}
-		return idx[a] < idx[b]
-	})
-	for _, v := range idx[:count] {
+		return a > b
+	}
+	h := make([]int, 0, count)
+	for v := range uniq {
+		i := len(h)
+		if i < count {
+			// Sift v up past every parent that ranks above it.
+			h = append(h, v)
+			for i > 0 && below(v, h[(i-1)/2]) {
+				h[i], i = h[(i-1)/2], (i-1)/2
+			}
+			h[i] = v
+			continue
+		}
+		if !below(h[0], v) {
+			continue
+		}
+		// v outranks the lowest kept vertex: it takes the root's place
+		// and sinks below every child that ranks lower.
+		i = 0
+		for c := 1; c < count; c = 2*i + 1 {
+			if c+1 < count && below(h[c+1], h[c]) {
+				c++
+			}
+			if !below(h[c], v) {
+				break
+			}
+			h[i], i = h[c], c
+		}
+		h[i] = v
+	}
+	for _, v := range h {
 		set[v] = true
 	}
 	return set

@@ -3,6 +3,8 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"uncertaingraph/internal/adversary"
@@ -328,6 +330,61 @@ func TestIncidenceMatchesGraph(t *testing.T) {
 						t.Fatalf("n=%d threshold=%d v=%d k=%d: VertexX %v, DegreeDist %v",
 							n, threshold, v, k, got.Prob(k), want.Prob(k))
 					}
+				}
+			}
+		}
+	}
+}
+
+// sortedTopUniqueSet is topUniqueSet's previous form, kept as its
+// reference: sort every vertex by descending score, ties to the lower
+// index, and take the first count.
+func sortedTopUniqueSet(uniq []float64, count int) []bool {
+	set := make([]bool, len(uniq))
+	if count <= 0 {
+		return set
+	}
+	if count > len(uniq) {
+		count = len(uniq)
+	}
+	idx := make([]int, len(uniq))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.Slice(idx, func(a, b int) bool {
+		if uniq[idx[a]] != uniq[idx[b]] {
+			return uniq[idx[a]] > uniq[idx[b]]
+		}
+		return idx[a] < idx[b]
+	})
+	for _, v := range idx[:count] {
+		set[v] = true
+	}
+	return set
+}
+
+// TestTopUniqueSetMatchesSort requires the heap-based topUniqueSet to
+// pick the sort's set on random scores with heavy ties (drawn from a
+// handful of values, or all equal), at count 0, 1, n-1, n, above n and
+// random counts in between.
+func TestTopUniqueSetMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	for _, n := range []int{1, 2, 3, 8, 17, 300, 3065} {
+		for trial := 0; trial < 6; trial++ {
+			levels := 1 + rng.Intn(5)
+			if trial == 0 {
+				levels = 1
+			}
+			uniq := make([]float64, n)
+			for v := range uniq {
+				uniq[v] = float64(rng.Intn(levels)) / 4
+				if trial == 5 {
+					uniq[v] = rng.Float64()
+				}
+			}
+			for _, count := range []int{0, 1, n - 1, n, n + 1, 2 * n, 1 + rng.Intn(n), 1 + rng.Intn(n)} {
+				if got, want := topUniqueSet(uniq, count), sortedTopUniqueSet(uniq, count); !slices.Equal(got, want) {
+					t.Errorf("n=%d trial %d count %d: heap picked %v, sort %v", n, trial, count, got, want)
 				}
 			}
 		}

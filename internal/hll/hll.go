@@ -9,24 +9,29 @@
 //
 // Registers are packed eight to a uint64 word: register 8k+j is byte j
 // of word k. Every register is below 0x80 — AddHash's guard bit bounds
-// a rank by 65-b <= 61 — and the word-at-a-time kernels (Union, Fold,
-// Estimate's zero count) rely on that clear top bit, so no per-byte
+// a rank by 65-b <= 61 — and the word-at-a-time code (Step's fold,
+// Estimate's zero count) relies on that clear top bit, so no per-byte
 // step can borrow or carry into the next register.
 //
-// On amd64 CPUs with AVX2 and POPCNT whose OS saves the YMM registers,
-// counters of 16 words or more (b >= 7, HyperANF's default) take
-// assembly kernels chosen once at package init: Union and Fold take
-// the register maximum 32 bytes per VPMAXUB, and Estimate counts
-// zeros, ORs the words and sums its exact integer units four registers
-// per instruction. A byte maximum and an integer sum are exact, so
-// both paths return the same registers and the same float bit for bit.
-// Every other CPU, architecture and width runs the word-at-a-time Go
-// code, which is the portable path and the kernels' test reference.
+// Counter is one sketch. Batch runs a HyperANF iteration over many
+// counters that live in flat banks of words: one Step call folds each
+// listed counter's sources into it, stores the result in the other
+// bank, and scans every counter that grew for its zero count, word OR
+// and, where the estimate reads it, exact unit sum. On amd64 CPUs with
+// AVX2 and POPCNT whose OS saves the YMM registers, counters of 16
+// words or more (b >= 7, HyperANF's default) take one assembly kernel
+// chosen once at package init, which keeps each 128-byte block in four
+// vector registers while every source folds in 32 bytes per VPMAXUB. A
+// byte maximum and an integer sum are exact, so both paths store the
+// same registers and report the same counts. Every other CPU,
+// architecture and width runs the word-at-a-time Go code, which is the
+// portable path and the kernel's test reference.
 package hll
 
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"uncertaingraph/internal/cpu"
@@ -56,11 +61,10 @@ func Words(b int) int {
 
 // FromWords wraps an externally allocated word slice as a counter
 // without copying: the caller owns the memory, so many counters can
-// share one flat bank (the layout HyperANF wants — one allocation for
-// all vertices, reusable across runs, and Fold's source list). The
-// slice length must be a power of two in [2, 8192], and every byte
-// must be below 0x80 — true of a zeroed slice and of anything AddHash,
-// CopyFrom, Union and Fold write into it.
+// share one flat bank (the layout Batch works on). The slice length
+// must be a power of two in [2, 8192], and every byte must be below
+// 0x80 — true of a zeroed slice and of anything AddHash and Step write
+// into it.
 func FromWords(w []uint64) Counter {
 	n := len(w)
 	if n == 0 || n&(n-1) != 0 {
@@ -93,34 +97,100 @@ func (c Counter) AddHash(h uint64) {
 	}
 }
 
-// CopyFrom overwrites c's registers with src's. Counters must have
-// equal size.
-func (c Counter) CopyFrom(src Counter) {
-	if len(c.w) != len(src.w) {
-		panic("hll: copy between differently sized counters")
-	}
-	copy(c.w, src.w)
+// Growth is what Batch.Step reports about a counter that grew: its
+// vertex, and the zero-register count, word OR and unit sum of its new
+// registers, from which Batch.Estimate computes its estimate.
+type Growth struct {
+	V     int
+	zeros int
+	or    uint64
+	units uint64 // as scanWords returns it
 }
 
-// Union folds other into c (register-wise max) and reports whether any
-// register changed. Counters must have equal size.
-func (c Counter) Union(other Counter) bool {
-	if len(c.w) != len(other.w) {
-		panic("hll: union of differently sized counters")
-	}
-	return fold(c.w, other.w, unionSource)
+// Batch runs HyperANF's fold over a bank of n counters of 2^b
+// registers, vertex v's counter at words [v·w, (v+1)·w) with
+// w = Words(b), and estimates the counters that grew. Reset readies it
+// for a bank, and Add then records every vertex's sources in vertex
+// order, checking each against the bank once, so each Step checks only
+// its list. The zero value is ready for Reset.
+type Batch struct {
+	words, n int
+	t        *estTable
+	// Vertex v's sources are the counters at the word offsets
+	// offs[start[v]:start[v+1]].
+	start, offs []int
 }
 
-// unionSource is Union's one-element source list: other's words start
-// at offset 0 of its own slice.
-var unionSource = []int{0}
+// Reset readies k for a bank of n counters of 2^b registers, with no
+// sources recorded, reusing k's buffers and reserving room for the
+// given number of sources in all. It panics unless 4 <= b <= 16.
+func (k *Batch) Reset(b, n, sources int) {
+	k.words, k.n, k.t = Words(b), n, tableFor(uint(b))
+	k.start = append(slices.Grow(k.start[:0], n+1), 0)
+	k.offs = slices.Grow(k.offs[:0], sources)
+}
 
-// Fold is Union over many sources in one pass: it folds into c every
-// counter of bank that starts at a word offset in srcs, each c's size,
-// and reports whether any register of c changed. The same sources in
-// the same order through Union leave the same registers.
-func (c Counter) Fold(bank []uint64, srcs []int) bool {
-	return fold(c.w, bank, srcs)
+// Add records the sources of the next vertex: the counters of the
+// vertices in srcs, in that order. It panics on a vertex outside the
+// bank, and when every vertex already has its sources.
+func (k *Batch) Add(srcs []int32) {
+	if len(k.start) > k.n {
+		panic("hll: Add past the bank's last counter")
+	}
+	for _, u := range srcs {
+		if uint(int(u)) >= uint(k.n) {
+			panic("hll: Add of a source outside the bank")
+		}
+		k.offs = append(k.offs, int(u)*k.words)
+	}
+	k.start = append(k.start, len(k.offs))
+}
+
+// Singleton returns the estimate of a counter holding one element.
+// AddHash into a zeroed counter raises one register, leaving m-1 zero
+// registers, which is at least linearZeros for every size, so Estimate
+// returns linear[m-1] without reading the registers.
+func (k *Batch) Singleton() float64 {
+	return k.t.linear[8*k.words-1]
+}
+
+// Step runs one fold over the listed vertices. For each vertex v of
+// list, in order, it loads v's counter from cur, takes the
+// register-wise maximum with each of v's sources in cur, stores the
+// result at v in next, and appends a Growth for v to grown if the
+// result differs from the loaded counter. It returns grown. Both banks
+// must hold exactly the n counters of the last Reset, must not overlap,
+// and every vertex must have its sources. Step checks all of that and
+// every listed vertex before it writes any word, and panics on a
+// failure.
+func (k *Batch) Step(next, cur []uint64, list []int32, grown []Growth) []Growth {
+	if len(k.start) != k.n+1 {
+		panic("hll: Step before every counter has its sources")
+	}
+	if len(next) != k.n*k.words || len(cur) != k.n*k.words {
+		panic("hll: Step bank does not hold the Reset's counters")
+	}
+	for _, v := range list {
+		if uint(int(v)) >= uint(k.n) {
+			panic("hll: Step lists a vertex outside the bank")
+		}
+	}
+	grown = slices.Grow(grown, len(list))
+	out := grown[len(grown) : len(grown)+len(list)]
+	var m int
+	if useAVX2 && k.words >= vectorWords {
+		m = stepAVX2(next, cur, k.words, k.t.linearZeros, list, k.start, k.offs, out)
+	} else {
+		m = stepWords(next, cur, k.words, k.t.linearZeros, list, k.start, k.offs, out)
+	}
+	return grown[:len(grown)+m]
+}
+
+// Estimate returns the estimate of the counter that g reports, whose
+// registers Step stored in bank.
+func (k *Batch) Estimate(bank []uint64, g Growth) float64 {
+	o := g.V * k.words
+	return k.t.estimate(bank[o:o+k.words], g.zeros, g.or, g.units)
 }
 
 // hi holds the top bit of every byte.
@@ -138,49 +208,71 @@ func max7(a, b uint64) uint64 {
 	return b + d&(h-h>>7)
 }
 
-// haveAVX2 reports whether this CPU runs the AVX2 kernels, which also
-// use POPCNT.
+// haveAVX2 reports whether this CPU runs the AVX2 kernel, which also
+// uses POPCNT.
 var haveAVX2 = cpu.AVX2 && cpu.POPCNT
 
-// useAVX2 selects the amd64 AVX2 kernels for counters of at least
+// useAVX2 selects the amd64 AVX2 kernel for counters of at least
 // vectorWords words. It is set once, from the CPU, at package init;
-// tests switch it to run both paths.
+// only tests switch it, through EachKernel.
 var useAVX2 = haveAVX2
 
 // vectorWords is the fewest words a counter needs to take the AVX2
-// kernels: one 128-byte block of foldAVX2, a counter of 2^7 registers.
+// kernel: one 128-byte block, a counter of 2^7 registers.
 const vectorWords = 16
 
-// fold is Union and Fold's kernel. Where the CPU has AVX2, counters of
-// vectorWords or more take foldAVX2, the same maxima 32 bytes per
-// instruction, once every source offset is checked against bank: the
-// assembly cannot bounds-check, so an offset the Go path would slice
-// out of range panics here, before the kernel writes any word.
-// Otherwise foldWords runs.
-func fold(dst, bank []uint64, srcs []int) bool {
-	bank = bank[:len(bank):len(bank)] // sources end within len, not cap
-	if useAVX2 && len(dst) >= vectorWords {
-		for _, o := range srcs {
-			_ = bank[o : o+len(dst)]
+// EachKernel calls f once per path this CPU runs Step on, with that
+// path selected: the portable Go path, then the AVX2 kernel where the
+// CPU has it. It restores the selection afterwards. It exists for the
+// tests that pin both paths, here and in HyperANF; nothing else calls
+// it, and nothing may run Step concurrently with it.
+func EachKernel(f func(kernel string)) {
+	defer func(saved bool) { useAVX2 = saved }(useAVX2)
+	for _, avx := range []bool{false, true} {
+		if avx && !haveAVX2 {
+			continue
 		}
-		return foldAVX2(dst, bank, srcs)
+		useAVX2 = avx
+		kernel := "go"
+		if avx {
+			kernel = "avx2"
+		}
+		f(kernel)
 	}
-	return foldWords(dst, bank, srcs)
 }
 
-// foldWords is fold's portable path and the AVX2 kernel's reference. It
-// walks dst four words at a time, holding them in registers while
-// every source's words fold in, so a word of dst is loaded and stored
-// once however many sources there are; a counter of 16 registers has
-// two words and takes the word-at-a-time tail alone. A maximum never
-// falls, so dst grew exactly when some word's final maximum differs
-// from its first value.
-func foldWords(dst, bank []uint64, srcs []int) bool {
+// stepWords is Step's portable path and the AVX2 kernel's reference,
+// for a checked list: it writes each grown counter's Growth to out and
+// returns how many it wrote.
+func stepWords(next, cur []uint64, w, linearZeros int, list []int32, start, offs []int, out []Growth) int {
+	m := 0
+	for _, v := range list {
+		o := int(v) * w
+		dst := next[o : o+w : o+w]
+		if foldWords(dst, cur[o:o+w:o+w], cur, offs[start[v]:start[v+1]]) {
+			zeros, or, units := scanWords(dst, linearZeros)
+			out[m] = Growth{V: int(v), zeros: zeros, or: or, units: units}
+			m++
+		}
+	}
+	return m
+}
+
+// foldWords stores in dst the register-wise maximum of base and every
+// counter of bank that starts at a word offset in srcs, each len(dst)
+// words long, and reports whether dst differs from base. It walks the
+// counter four words at a time, holding them in registers while every
+// source's words fold in, so each word is loaded and stored once
+// however many sources there are; a counter of 16 registers has two
+// words and takes the word-at-a-time tail alone. A maximum never
+// falls, so the counter grew exactly when some word's final maximum
+// differs from its first value.
+func foldWords(dst, base, bank []uint64, srcs []int) bool {
 	var grew uint64
 	k := 0
 	for ; k+4 <= len(dst); k += 4 {
-		d := dst[k : k+4 : k+4]
-		a0, a1, a2, a3 := d[0], d[1], d[2], d[3]
+		b := base[k : k+4 : k+4]
+		a0, a1, a2, a3 := b[0], b[1], b[2], b[3]
 		for _, o := range srcs {
 			s := bank[o+k : o+k+4 : o+k+4]
 			a0 = max7(a0, s[0])
@@ -188,15 +280,16 @@ func foldWords(dst, bank []uint64, srcs []int) bool {
 			a2 = max7(a2, s[2])
 			a3 = max7(a3, s[3])
 		}
-		grew |= (a0 ^ d[0]) | (a1 ^ d[1]) | (a2 ^ d[2]) | (a3 ^ d[3])
+		grew |= (a0 ^ b[0]) | (a1 ^ b[1]) | (a2 ^ b[2]) | (a3 ^ b[3])
+		d := dst[k : k+4 : k+4]
 		d[0], d[1], d[2], d[3] = a0, a1, a2, a3
 	}
 	for ; k < len(dst); k++ {
-		a := dst[k]
+		a := base[k]
 		for _, o := range srcs {
 			a = max7(a, bank[o+k])
 		}
-		grew |= a ^ dst[k]
+		grew |= a ^ base[k]
 		dst[k] = a
 	}
 	return grew != 0
@@ -209,50 +302,13 @@ func foldWords(dst, bank []uint64, srcs []int) bool {
 //	invSum = Σ 2^-r in register order; est = α·m·m / invSum;
 //	linear counting m·ln(m/zeros) if est <= 2.5·m and zeros > 0.
 //
-// It first counts the zero registers, eight per word. A zero register
-// adds exactly 1 to invSum and every other term is positive, so
-// invSum >= zeros; once zeros reaches the table's linearZeros, est is
-// at most 2.5·m without computing invSum, and the answer is the
-// table's m·ln(m/zeros), built with the same expression. Otherwise it
-// sums invSum in exact integer units (sumUnits) while every register
-// is below 32, and falls back to the register-order loop when one is
-// not. Where the CPU has AVX2, counters of vectorWords or more take
-// scanAVX2, which counts the zeros, ORs the words and sums the units
-// in one pass over the registers.
+// It scans the registers for their zero count, word OR and unit sum
+// (scanWords) and hands them to the estimate that Batch.Estimate also
+// runs (estTable.estimate, which states why the result is exact).
 func (c Counter) Estimate() float64 {
 	t := tableFor(c.b)
-	var zeros int
-	var or, units uint64
-	vector := useAVX2 && len(c.w) >= vectorWords
-	if vector {
-		zeros, or, units = scanAVX2(c.w)
-	} else {
-		for _, w := range c.w {
-			// A byte below 0x80 plus 0x7F reaches the top bit
-			// exactly when it is non-zero.
-			zeros += bits.OnesCount64(^(w + lo7) & hi)
-			or |= w
-		}
-	}
-	if zeros >= t.linearZeros {
-		return t.linear[zeros]
-	}
-	var invSum float64
-	if or&bit5or6 == 0 {
-		if !vector {
-			units = sumUnits(c.w)
-		}
-		invSum = float64(units) * 0x1p-31
-	} else {
-		invSum = sumBytewise(c.w)
-	}
-	m := float64(len(c.w) * 8)
-	est := t.alphaMM / invSum
-	if est <= 2.5*m && zeros > 0 {
-		// Linear counting is more accurate in the small range.
-		return t.linear[zeros]
-	}
-	return est
+	zeros, or, units := scanWords(c.w, t.linearZeros)
+	return t.estimate(c.w, zeros, or, units)
 }
 
 const (
@@ -260,20 +316,26 @@ const (
 	bit5or6 = 0x6060606060606060 // set in a byte exactly when it is >= 32
 )
 
-// sumUnits returns Σ 2^-r over the registers of w, all below 32, in
-// units of 2^-31. Then 2^-r is a whole number 2^(31-r) of units, and a
-// counter's sum is at most 2^16 = 2^47 units: the integer sum is
-// exact, and so is every partial sum of the register-order float loop,
-// because a multiple of 2^-31 below 2^17 has at most 48 significant
-// bits. Both are the exact sum, so Estimate's conversion returns that
-// loop's float bit for bit.
-func sumUnits(w []uint64) uint64 {
-	var units uint64
+// scanWords returns the zero-register count of w and the OR of its
+// words and, only where the estimate reads it — fewer than linearZeros
+// zero registers, every register below 32 — Σ 2^(31-r) over its
+// registers, in units of 2^-31; otherwise the unit sum is 0. These are
+// the values the AVX2 kernel returns for a counter that grew.
+func scanWords(w []uint64, linearZeros int) (zeros int, or, units uint64) {
+	for _, x := range w {
+		// A byte below 0x80 plus 0x7F reaches the top bit exactly
+		// when it is non-zero.
+		zeros += bits.OnesCount64(^(x + lo7) & hi)
+		or |= x
+	}
+	if zeros >= linearZeros || or&bit5or6 != 0 {
+		return zeros, or, 0
+	}
 	for _, x := range w {
 		units += unit[x&31] + unit[x>>8&31] + unit[x>>16&31] + unit[x>>24&31] +
 			unit[x>>32&31] + unit[x>>40&31] + unit[x>>48&31] + unit[x>>56&31]
 	}
-	return units
+	return zeros, or, units
 }
 
 // unit[r] is 2^-r in units of 2^-31.
@@ -285,8 +347,8 @@ var unit = func() (t [32]uint64) {
 }()
 
 // sumBytewise returns Σ 2^-r over the registers of w, added in
-// register order — the textbook loop, and Estimate's fallback for a
-// counter holding a register of 32 or more, where partial sums can
+// register order — the textbook loop, and the estimate's fallback for
+// a counter holding a register of 32 or more, where partial sums can
 // round.
 func sumBytewise(w []uint64) float64 {
 	var s float64
@@ -301,7 +363,7 @@ func sumBytewise(w []uint64) float64 {
 // pow2neg[r] is 2^-r. A power of two with an integer exponent is
 // exact: math.Exp2's argument reduction leaves a zero fraction and ends
 // in Ldexp(1, -r), so the table holds exactly the values the call
-// returns and Estimate's sum is unchanged bit for bit.
+// returns and the estimate's sum is unchanged bit for bit.
 var pow2neg = func() (t [256]float64) {
 	for r := range t {
 		t[r] = math.Exp2(-float64(r))
@@ -309,7 +371,7 @@ var pow2neg = func() (t [256]float64) {
 	return t
 }()
 
-// estTable holds Estimate's per-size constants for counters of 2^b
+// estTable holds the estimate's per-size constants for counters of 2^b
 // registers.
 type estTable struct {
 	// alphaMM is α·m·m, rounded operation by operation as Estimate's
@@ -323,6 +385,40 @@ type estTable struct {
 	// linear[z] is m·ln(m/z), the linear-counting estimate at z zero
 	// registers.
 	linear []float64
+}
+
+// estimate returns the estimate of the counter w from its zero count,
+// word OR and unit sum, bit for bit the textbook loop's (see
+// Estimate). A zero register adds exactly 1 to invSum and every other
+// term is positive, so invSum >= zeros; once zeros reaches linearZeros,
+// est is at most 2.5·m without computing invSum, and the answer is the
+// table's m·ln(m/zeros), built with the same expression. Otherwise
+// invSum is the unit sum while every register is below 32 (the OR
+// shows it), and the register-order loop when one is not.
+//
+// The unit sum is exact: with every register below 32, 2^-r is a whole
+// number 2^(31-r) of units of 2^-31, and a counter's sum is at most
+// 2^16 = 2^47 units. So is every partial sum of the register-order
+// float loop, because a multiple of 2^-31 below 2^17 has at most 48
+// significant bits. Both are the exact sum, so the conversion returns
+// that loop's float bit for bit.
+func (t *estTable) estimate(w []uint64, zeros int, or, units uint64) float64 {
+	if zeros >= t.linearZeros {
+		return t.linear[zeros]
+	}
+	var invSum float64
+	if or&bit5or6 == 0 {
+		invSum = float64(units) * 0x1p-31
+	} else {
+		invSum = sumBytewise(w)
+	}
+	m := float64(len(w) * 8)
+	est := t.alphaMM / invSum
+	if est <= 2.5*m && zeros > 0 {
+		// Linear counting is more accurate in the small range.
+		return t.linear[zeros]
+	}
+	return est
 }
 
 // tables holds one estTable per register exponent, each built on first

@@ -3,6 +3,7 @@ package hll
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
@@ -206,24 +207,6 @@ func randomRegs(rng *rand.Rand, m, lo, hi int) []byte {
 	return regs
 }
 
-// eachKernel calls f once per path this CPU runs, with the selector
-// set: the portable Go path, then the AVX2 kernels where the CPU has
-// them. It restores the selector afterwards.
-func eachKernel(f func(kernel string)) {
-	defer func(saved bool) { useAVX2 = saved }(useAVX2)
-	for _, avx := range []bool{false, true} {
-		if avx && !haveAVX2 {
-			continue
-		}
-		useAVX2 = avx
-		kernel := "go"
-		if avx {
-			kernel = "avx2"
-		}
-		f(kernel)
-	}
-}
-
 // raiseOne returns a copy of regs with one register among the last
 // min(32, len) raised by at least one: growth confined to the last
 // 32-byte block.
@@ -233,6 +216,19 @@ func raiseOne(rng *rand.Rand, regs []byte) []byte {
 	i := tail + rng.Intn(len(out)-tail)
 	for out[i] == 0x7F {
 		i = tail + rng.Intn(len(out)-tail)
+	}
+	out[i] += byte(1 + rng.Intn(0x7F-int(out[i])))
+	return out
+}
+
+// raiseFirst is raiseOne for the first min(32, len) registers: growth
+// confined to the first 32-byte block.
+func raiseFirst(rng *rand.Rand, regs []byte) []byte {
+	out := append([]byte(nil), regs...)
+	head := min(32, len(out))
+	i := rng.Intn(head)
+	for out[i] == 0x7F {
+		i = rng.Intn(head)
 	}
 	out[i] += byte(1 + rng.Intn(0x7F-int(out[i])))
 	return out
@@ -272,7 +268,7 @@ func TestUnionMatchesBytewise(t *testing.T) {
 			}
 			want := append([]byte(nil), dst...)
 			wantChanged := bytewiseUnion(want, src)
-			eachKernel(func(kernel string) {
+			EachKernel(func(kernel string) {
 				c := FromWords(pack(dst))
 				if got := c.Union(FromWords(pack(src))); got != wantChanged {
 					t.Errorf("%s b=%d trial %d: Union reported %v, bytewise %v", kernel, b, trial, got, wantChanged)
@@ -292,19 +288,20 @@ func TestUnionMatchesBytewise(t *testing.T) {
 }
 
 // TestFoldMatchesBytewise folds one source and many — with repeats,
-// drawn from a shared bank — into a counter on every kernel and
-// requires the registers and change flag of bytewise Unions of the
-// same sources in order, for every register exponent. Registers range
-// over [0, 0x7F]; sources are independent, never above dst (no
-// change), dst with one register raised in one source, or dst with one
-// register of the last 32-byte block raised in one source. Below
-// b = 7 only the Go path runs (b = 4 is its word-at-a-time tail alone,
-// b = 5 one four-word block); b = 7 is exactly one 128-byte block of
-// the AVX2 kernel, and b = 8 two.
+// drawn from a shared bank — into a counter through Step on every
+// kernel and requires the registers and change flag of bytewise unions
+// of the same sources in order, for every register exponent. The
+// counter is listed alone, first in a bank that holds it and then the
+// sources, which have none. Registers range over [0, 0x7F]; sources are independent,
+// never above dst (no change), dst with one register raised in one
+// source, or dst with one register of the last 32-byte block raised in
+// one source. Below b = 7 only the Go path runs (b = 4 is its
+// word-at-a-time tail alone, b = 5 one four-word block); b = 7 is
+// exactly one 128-byte block of the AVX2 kernel, and b = 8 two.
 func TestFoldMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for b := 4; b <= 16; b++ {
-		m, words := 1<<b, Words(b)
+		m := 1 << b
 		counts, trials := []int{1, 2, 3, 9, 40}, 32
 		if b > 10 {
 			counts, trials = []int{1, 3, 9}, 8
@@ -341,19 +338,27 @@ func TestFoldMatchesBytewise(t *testing.T) {
 				}
 				want := append([]byte(nil), dst...)
 				wantChanged := false
-				offs := make([]int, len(srcs))
+				vs := make([]int32, len(srcs))
 				for i, s := range srcs {
 					if bytewiseUnion(want, bank[s*m:(s+1)*m]) {
 						wantChanged = true
 					}
-					offs[i] = s * words
+					vs[i] = int32(1 + s)
 				}
-				eachKernel(func(kernel string) {
-					c := FromWords(pack(dst))
-					if got := c.Fold(pack(bank), offs); got != wantChanged {
-						t.Errorf("%s b=%d sources=%d trial %d: Fold reported %v, bytewise %v", kernel, b, sources, trial, got, wantChanged)
+				cur := pack(append(append([]byte(nil), dst...), bank...))
+				var k Batch
+				k.Reset(b, 1+sources, 0)
+				k.Add(vs)
+				for s := 0; s < sources; s++ {
+					k.Add(nil)
+				}
+				EachKernel(func(kernel string) {
+					next := make([]uint64, len(cur))
+					grown := k.Step(next, cur, []int32{0}, nil)
+					if got := len(grown) == 1; got != wantChanged {
+						t.Errorf("%s b=%d sources=%d trial %d: Step reported growth %v, bytewise %v", kernel, b, sources, trial, got, wantChanged)
 					}
-					if !bytes.Equal(unpack(c.w), want) {
+					if !bytes.Equal(unpack(next[:Words(b)]), want) {
 						t.Fatalf("%s b=%d sources=%d trial %d: folded registers differ from the bytewise maxima", kernel, b, sources, trial)
 					}
 				})
@@ -362,30 +367,236 @@ func TestFoldMatchesBytewise(t *testing.T) {
 	}
 }
 
-// TestFoldOffsetPastBankPanics requires Fold to panic on every kernel
-// for a source that does not lie inside bank: one starting a word past
-// the last whole counter, one starting at bank's end, one ending in
-// bank's spare capacity, and a negative offset.
-func TestFoldOffsetPastBankPanics(t *testing.T) {
-	for _, b := range []int{4, 5, 6, 7, 9} {
-		words := Words(b)
-		bank := make([]uint64, 3*words, 5*words)
-		for _, o := range []int{2*words + 1, 3 * words, 3*words + 1, -1} {
-			eachKernel(func(kernel string) {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("%s b=%d: Fold at offset %d of a %d-word bank did not panic", kernel, b, o, len(bank))
+// bytewiseScan returns a counter's zero-register count, the OR of its
+// registers as packed words and, if it has fewer than linearZeros zero
+// registers and none reaches 32, Σ 2^(31-r) over its registers, a
+// register at a time; otherwise the unit sum is 0.
+func bytewiseScan(regs []byte, linearZeros int) (zeros int, or, units uint64) {
+	high := false
+	for i, r := range regs {
+		if r == 0 {
+			zeros++
+		}
+		or |= uint64(r) << (i % 8 * 8)
+		high = high || r >= 32
+		units += 1 << (31 - min(r, 31))
+	}
+	if zeros >= linearZeros || high {
+		units = 0
+	}
+	return zeros, or, units
+}
+
+// TestStepMatchesBytewise drives Step on every kernel, for every
+// register exponent, over a bank of counters and a list that covers
+// every kind of listed vertex: random sources with repeats, a
+// self-source alone (which must report no growth), a self-source among
+// others, no sources (a plain copy, no growth), sources raising one
+// register of the first or of the last 32-byte block only, and sources
+// never above the counter. Registers range over [0, 0x7F], below 32 in
+// every third counter (the unit sum decides its estimate) and mostly
+// zero in every third (the zero count does). It requires:
+//   - every listed counter's registers in next to be the bytewise
+//     maxima, and every unlisted counter in next to be untouched;
+//   - a Growth for exactly the spans whose counter changed, in list
+//     order, whose zero count, OR and unit sum equal the bytewise
+//     values and what Estimate's scan returns for the stored counter;
+//   - Batch.Estimate of each Growth to equal the bytewise estimator's
+//     float bit for bit.
+func TestStepMatchesBytewise(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	for b := 4; b <= 16; b++ {
+		m, words := 1<<b, Words(b)
+		trials := 12
+		if b > 10 {
+			trials = 3
+		}
+		for trial := 0; trial < trials; trial++ {
+			const listed = 9
+			// Counters 0-8 are listed, 9-11 unlisted, and 12-14 are
+			// extra sources: copies of counters 5, 6 and 8 with one
+			// register of the first, last and first block raised.
+			regs := make([][]byte, 15)
+			for v := 0; v < 12; v++ {
+				hi := 0x7F
+				if v%3 == 1 {
+					hi = 31 // every register below 32: the unit sum decides
+				}
+				regs[v] = randomRegs(rng, m, 0, hi)
+				if v%3 == 2 { // mostly zero: the zero count decides
+					for i := range regs[v] {
+						if rng.Intn(10) < 7 {
+							regs[v][i] = 0
+						}
 					}
-				}()
-				New(b).Fold(bank, []int{0, o})
+				}
+			}
+			regs[12] = raiseFirst(rng, regs[5])
+			regs[13] = raiseOne(rng, regs[6])
+			regs[14] = raiseFirst(rng, regs[8])
+			var lower []byte // never above counter 7
+			for _, r := range regs[7] {
+				lower = append(lower, byte(rng.Intn(int(r)+1)))
+			}
+			regs[11] = lower
+			sources := [listed][]int32{
+				{9, 10, 9, 4},  // random, with a repeat
+				{1},            // self alone: no growth
+				{2, 0, 2, 10},  // self among others
+				{},             // no sources: a copy
+				{4, 10, 1, 10}, // self first, all below 32, a repeat
+				{12},           // first block raised
+				{13, 13},       // last block raised, repeated
+				{11, 7},        // never above the counter
+				{14, 8, 14},    // first block raised, self between
+			}
+			var cur []uint64
+			for _, r := range regs {
+				cur = append(cur, pack(r)...)
+			}
+			var k Batch
+			k.Reset(b, len(regs), 0)
+			want := make([][]byte, listed)
+			var list []int32
+			var wantGrown []int
+			for v, ss := range sources {
+				want[v] = append([]byte(nil), regs[v]...)
+				grew := false
+				for _, s := range ss {
+					if bytewiseUnion(want[v], regs[s]) {
+						grew = true
+					}
+				}
+				if grew {
+					wantGrown = append(wantGrown, v)
+				}
+				k.Add(ss)
+				list = append(list, int32(v))
+			}
+			for v := listed; v < len(regs); v++ {
+				k.Add([]int32{int32(v), 0}) // sources of unlisted counters are never read
+			}
+			stale := pack(randomRegs(rng, len(regs)*m, 0, 0x7F))
+			lz := tableFor(uint(b)).linearZeros
+			EachKernel(func(kernel string) {
+				next := append([]uint64(nil), stale...)
+				grown := k.Step(next, cur, list, nil)
+				for v := range regs {
+					got := unpack(next[v*words : (v+1)*words])
+					if v < listed && !bytes.Equal(got, want[v]) {
+						t.Errorf("%s b=%d trial %d: counter %d differs from the bytewise maxima", kernel, b, trial, v)
+					}
+					if v >= listed && !bytes.Equal(got, unpack(stale[v*words:(v+1)*words])) {
+						t.Errorf("%s b=%d trial %d: unlisted counter %d was written", kernel, b, trial, v)
+					}
+				}
+				if len(grown) != len(wantGrown) {
+					t.Fatalf("%s b=%d trial %d: %d counters grew, want %d (%v)", kernel, b, trial, len(grown), len(wantGrown), wantGrown)
+				}
+				for i, g := range grown {
+					v := wantGrown[i]
+					if g.V != v {
+						t.Fatalf("%s b=%d trial %d: growth %d reports vertex %d, want %d", kernel, b, trial, i, g.V, v)
+					}
+					zeros, or, units := bytewiseScan(want[v], lz)
+					if g.zeros != zeros || g.or != or || g.units != units {
+						t.Errorf("%s b=%d trial %d: counter %d scanned (%d, %#x, %d), bytewise (%d, %#x, %d)", kernel, b, trial, v, g.zeros, g.or, g.units, zeros, or, units)
+					}
+					if z, o, u := scanWords(next[v*words:(v+1)*words], lz); g.zeros != z || g.or != o || g.units != u {
+						t.Errorf("%s b=%d trial %d: counter %d scanned (%d, %#x, %d), Estimate's scan (%d, %#x, %d)", kernel, b, trial, v, g.zeros, g.or, g.units, z, o, u)
+					}
+					if got, want := k.Estimate(next, g), bytewiseEstimate(want[v]); math.Float64bits(got) != math.Float64bits(want) {
+						t.Errorf("%s b=%d trial %d: counter %d estimate %v, bytewise %v", kernel, b, trial, v, got, want)
+					}
+				}
 			})
 		}
 	}
 }
 
-// TestEstimateMatchesBytewise requires Estimate to return the bytewise
-// estimator's float bit for bit on every kernel, for every register
-// exponent, on counters reaching each of its paths:
+// TestFoldOffsetPastBankPanics requires every fold outside the bank to
+// panic on every kernel, before Step writes any word of next: Add of a
+// source at or past the counter count or negative, and past the last
+// counter; and a Step whose list starts with a valid vertex but then
+// names one at or past the counter count or a negative one, whose
+// banks do not hold exactly the Reset's counters, or that comes before
+// every counter has its sources.
+func TestFoldOffsetPastBankPanics(t *testing.T) {
+	panics := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	for _, b := range []int{4, 5, 6, 7, 9} {
+		words := Words(b)
+		for _, u := range []int32{3, 4, -1} {
+			var k Batch
+			k.Reset(b, 3, 0)
+			panics(fmt.Sprintf("b=%d: Add of source %d to a 3-counter bank", b, u), func() { k.Add([]int32{0, u}) })
+		}
+		var k Batch
+		k.Reset(b, 3, 0)
+		k.Add([]int32{1, 2})
+		k.Add([]int32{0})
+		panics(fmt.Sprintf("b=%d: Step before the last counter's sources", b), func() {
+			k.Step(make([]uint64, 3*words), make([]uint64, 3*words), nil, nil)
+		})
+		k.Add(nil)
+		panics(fmt.Sprintf("b=%d: Add past the last counter", b), func() { k.Add(nil) })
+		cur := make([]uint64, 3*words, 5*words)
+		cur[words] = 1 // so vertex 0 would grow
+		for _, v := range []int32{3, 4, -1} {
+			EachKernel(func(kernel string) {
+				next := make([]uint64, 3*words)
+				panics(fmt.Sprintf("%s b=%d: Step listing vertex %d", kernel, b, v), func() {
+					k.Step(next, cur, []int32{0, v}, nil)
+				})
+				for i, x := range next {
+					if x != 0 {
+						t.Errorf("%s b=%d: Step listing vertex %d wrote word %d before panicking", kernel, b, v, i)
+						break
+					}
+				}
+			})
+		}
+		for _, lens := range [][2]int{{2 * words, 3 * words}, {3 * words, 4 * words}, {3*words + 1, 3*words + 1}} {
+			panics(fmt.Sprintf("b=%d: Step over banks of %d and %d words", b, lens[0], lens[1]), func() {
+				k.Step(make([]uint64, lens[0]), make([]uint64, lens[1]), []int32{0}, nil)
+			})
+		}
+	}
+}
+
+// TestSingletonIsOneElementEstimate requires Singleton to be, bit for
+// bit, what Estimate returns for a counter after one AddHash, which
+// leaves m-1 zero registers, for every register exponent and for
+// hashes reaching the lowest and highest ranks.
+func TestSingletonIsOneElementEstimate(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for b := 4; b <= 16; b++ {
+		var k Batch
+		k.Reset(b, 0, 0)
+		if z, lz := 1<<b-1, tableFor(uint(b)).linearZeros; z < lz {
+			t.Errorf("b=%d: a one-element counter has %d zero registers, below linearZeros %d", b, z, lz)
+		}
+		for _, h := range []uint64{rng.Uint64(), 0, ^uint64(0), 1 << (63 - b)} {
+			c := New(b)
+			c.AddHash(h)
+			if got, want := k.Singleton(), c.Estimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("b=%d hash %#x: Singleton %v, Estimate after one AddHash %v", b, h, got, want)
+			}
+		}
+	}
+}
+
+// TestEstimateMatchesBytewise requires Estimate, and Batch.Estimate of
+// the Growth that Step reports for the same registers on every kernel,
+// to return the bytewise estimator's float bit for bit, for every
+// register exponent, on counters reaching each of its paths:
 //   - exactly linearZeros-1, linearZeros and linearZeros+1 zero
 //     registers, the others all 1 (largest sum), all 65-b (smallest)
 //     or random: the threshold where the zero count alone decides;
@@ -397,7 +608,7 @@ func TestFoldOffsetPastBankPanics(t *testing.T) {
 func TestEstimateMatchesBytewise(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for b := 4; b <= 16; b++ {
-		m, top := 1<<b, 65-b
+		m, top, words := 1<<b, 65-b, Words(b)
 		var cases [][]byte
 		zt := tableFor(uint(b)).linearZeros
 		for z := zt - 1; z <= zt+1; z++ {
@@ -434,11 +645,26 @@ func TestEstimateMatchesBytewise(t *testing.T) {
 			}
 			cases = append(cases, unpack(c.w))
 		}
+		var k Batch
+		k.Reset(b, 2, 0)
+		k.Add([]int32{1})
+		k.Add(nil)
 		for i, regs := range cases {
 			want := bytewiseEstimate(regs)
-			eachKernel(func(kernel string) {
-				if got := FromWords(pack(regs)).Estimate(); math.Float64bits(got) != math.Float64bits(want) {
-					t.Errorf("%s b=%d case %d: Estimate = %v (%#x), bytewise %v (%#x)", kernel, b, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			if got := FromWords(pack(regs)).Estimate(); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("b=%d case %d: Estimate = %v (%#x), bytewise %v (%#x)", b, i, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+			// An empty counter listed with the case as its source grows
+			// into the case's registers.
+			cur := append(make([]uint64, words), pack(regs)...)
+			EachKernel(func(kernel string) {
+				next := make([]uint64, len(cur))
+				grown := k.Step(next, cur, []int32{0}, nil)
+				if len(grown) != 1 {
+					t.Fatalf("%s b=%d case %d: an empty counter folding the case reported %d growths", kernel, b, i, len(grown))
+				}
+				if got := k.Estimate(next, grown[0]); math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("%s b=%d case %d: Batch.Estimate = %v (%#x), bytewise %v (%#x)", kernel, b, i, got, math.Float64bits(got), want, math.Float64bits(want))
 				}
 			})
 		}

@@ -1,14 +1,10 @@
 package hll
 
-// foldAVX2 is fold for a dst of a power of two of at least 16 words
-// whose every source lies inside bank.
+// stepAVX2 is Step's kernel for counters of words words, a power of two
+// of at least 16, over a list, banks and sources that Step and Add have
+// checked. It writes each grown counter's Growth to out, which has room
+// for one per listed vertex, and returns how many it wrote; a Growth's
+// unit sum is the one scanWords returns given linearZeros.
 //
 //go:noescape
-func foldAVX2(dst, bank []uint64, srcs []int) bool
-
-// scanAVX2 returns the zero-register count of w, the OR of its words
-// and Σ 2^(31-r) over its registers, counting 0 for r >= 32; len(w) is
-// a positive multiple of four.
-//
-//go:noescape
-func scanAVX2(w []uint64) (zeros int, or, units uint64)
+func stepAVX2(next, cur []uint64, words, linearZeros int, list []int32, start, offs []int, out []Growth) int

@@ -2,11 +2,7 @@
 
 package hll
 
-// haveAVX2 is false off amd64, so these stubs are never called.
-func foldAVX2(dst, bank []uint64, srcs []int) bool {
-	panic("hll: no AVX2 kernel on this architecture")
-}
-
-func scanAVX2(w []uint64) (zeros int, or, units uint64) {
+// haveAVX2 is false off amd64, so this stub is never called.
+func stepAVX2(next, cur []uint64, words, linearZeros int, list []int32, start, offs []int, out []Growth) int {
 	panic("hll: no AVX2 kernel on this architecture")
 }

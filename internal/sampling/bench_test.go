@@ -9,8 +9,10 @@ import (
 	"context"
 	"testing"
 
+	"uncertaingraph/internal/anf"
 	"uncertaingraph/internal/core"
 	"uncertaingraph/internal/datasets"
+	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/uncertain"
 )
@@ -104,13 +106,11 @@ func BenchmarkEstimateStatisticsANF(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateEvaluateShaped measures one estimate at the shape
-// of e2ebench's evaluate workload, cmd/evaluate at its defaults: the
-// (k=10, ε=0.02)-obfuscation of the dblp small stand-in (obfuscation
-// seed 1), 100 worlds with HyperANF distances. It runs on one worker,
-// so ns/op is the CPU one estimate costs; the other ANF benchmark runs
-// 20 worlds of a far smaller release.
-func BenchmarkEstimateEvaluateShaped(b *testing.B) {
+// evaluateRelease returns the release of e2ebench's evaluate workload,
+// cmd/evaluate's input at its defaults: the (k=10, ε=0.02)-obfuscation
+// of the dblp small stand-in, obfuscation seed 1.
+func evaluateRelease(b *testing.B) *uncertain.Graph {
+	b.Helper()
 	spec, err := datasets.ByName("dblp")
 	if err != nil {
 		b.Fatal(err)
@@ -123,14 +123,52 @@ func BenchmarkEstimateEvaluateShaped(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return res.G
+}
+
+// BenchmarkEstimateEvaluateShaped measures one estimate at the shape
+// of e2ebench's evaluate workload, cmd/evaluate at its defaults: 100
+// worlds of evaluateRelease with HyperANF distances. It runs on one
+// worker, so ns/op is the CPU one estimate costs; the other ANF
+// benchmark runs 20 worlds of a far smaller release.
+func BenchmarkEstimateEvaluateShaped(b *testing.B) {
+	rel := evaluateRelease(b)
 	cfg := Config{Worlds: 100, Seed: 1, Workers: 1, Distances: DistanceANF}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(context.Background(), res.G, cfg); err != nil {
+		if _, err := Run(context.Background(), rel, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkANFEvaluateShaped measures HyperANF alone at the evaluate
+// shape: one op runs anf.Engine.DistanceDistribution, at the default
+// 2^7 registers, over 100 worlds of evaluateRelease sampled before the
+// timer, through one Engine reused across them as a worker's is and
+// warmed by one pass before the timer, so allocs/op counts the warm
+// loop alone. It reports the mean time per world as ms/world.
+func BenchmarkANFEvaluateShaped(b *testing.B) {
+	rel := evaluateRelease(b)
+	seeds := benchSeeds()
+	worlds := make([]*graph.Graph, len(seeds))
+	for i, s := range seeds {
+		worlds[i] = rel.SampleWorld(randx.New(s))
+	}
+	e := anf.NewEngine(anf.Options{})
+	pass := func() {
+		for w, g := range worlds {
+			e.DistanceDistribution(g, uint64(w)+1)
+		}
+	}
+	pass()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pass()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N*len(worlds)), "ms/world")
 }
 
 // BenchmarkEstimateAdaptive measures the adaptive pipeline on the
