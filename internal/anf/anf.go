@@ -93,7 +93,10 @@ func NeighbourhoodFunction(g *graph.Graph, opt Options) []float64 {
 //     stored in next, and an unlisted one is already right in next. A
 //     dense iteration lists every vertex, which is cheaper once at
 //     least 7/8 of them changed (iterations 1–6 on a sampled dblp
-//     world), since it needs no marking pass;
+//     world), since it needs no marking pass: building the sparse list
+//     in every iteration measured 1.16 ms per world against 0.91 in
+//     BenchmarkANFEvaluateShaped (medians of 15 alternating runs each
+//     on a 2-vCPU Xeon with AVX2, the dense list faster in all 15);
 //   - growth is judged against the counter loaded from cur, as a copy
 //     into next followed by the unions would judge it;
 //   - only counters that grew are re-estimated, from the same registers.

@@ -168,75 +168,6 @@ func sumEstimates(bank []uint64, w int) float64 {
 	return sum
 }
 
-// systolicReference is the Engine's previous iteration, kept as the
-// reference for its dense/sparse lists and fused step. Every iteration
-// walks every vertex: a counter that changed in the previous iteration
-// is copied across the bank's halves, the counters of the vertex's
-// changed neighbours are unioned in, and a counter that grew is
-// re-estimated with Counter.Estimate. N(t) sums the cached estimates
-// in vertex order.
-func systolicReference(g *graph.Graph, opt Options) []float64 {
-	opt = opt.withDefaults()
-	n, w := g.NumVertices(), hll.Words(opt.Bits)
-	cur, next := make([]uint64, n*w), make([]uint64, n*w)
-	est := make([]float64, n)
-	changed, grew := make([]bool, n), make([]bool, n)
-	sum := func() float64 {
-		var s float64
-		for _, x := range est {
-			s += x
-		}
-		return s
-	}
-	for v := 0; v < n; v++ {
-		c := hll.FromWords(cur[v*w : (v+1)*w])
-		c.AddHash(hll.Hash64(uint64(v), opt.Seed))
-		est[v] = c.Estimate()
-		changed[v] = true
-	}
-	nf := []float64{sum()}
-	for t := 1; t <= opt.MaxIter; t++ {
-		anyGrew := false
-		for v := 0; v < n; v++ {
-			c := next[v*w : (v+1)*w]
-			if changed[v] {
-				copy(c, cur[v*w:(v+1)*w])
-			}
-			grew[v] = false
-			for _, u := range g.Neighbors(v) {
-				if changed[u] && union(c, cur[int(u)*w:(int(u)+1)*w]) {
-					grew[v] = true
-				}
-			}
-			if grew[v] {
-				est[v] = hll.FromWords(c).Estimate()
-				anyGrew = true
-			}
-		}
-		cur, next = next, cur
-		changed, grew = grew, changed
-		nf = append(nf, sum())
-		if !anyGrew {
-			break
-		}
-	}
-	return nf
-}
-
-// sameBits reports whether two neighbourhood functions have the same
-// length and the same float bits at every t.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 func pathGraph(n int) *graph.Graph {
 	b := graph.NewBuilder(n)
 	for i := 0; i+1 < n; i++ {
@@ -284,34 +215,6 @@ func TestSystolicMatchesFullRecompute(t *testing.T) {
 		want := referenceNeighbourhoodFunction(c.g, c.opt)
 		if got := NeighbourhoodFunction(c.g, c.opt); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: neighbourhood function\n got %v\nwant %v", c.name, got, want)
-		}
-	}
-}
-
-// TestEngineReuseMatchesFullRecompute drives one Engine through
-// growing, shrinking and regrowing graph sizes — so both the
-// fresh-buffer and the zero-in-place paths run, and stale registers,
-// estimates and change flags from a larger graph sit in the buffers —
-// and requires every run to equal the full recompute, and its distance
-// distribution to equal a fresh Engine's.
-func TestEngineReuseMatchesFullRecompute(t *testing.T) {
-	graphs := []*graph.Graph{
-		gen.ErdosRenyiGNM(randx.New(12), 80, 120),
-		gen.HolmeKim(randx.New(11), 300, 3, 0.3),
-		pathGraph(200),
-		graph.NewBuilder(0).Build(),
-		gen.HolmeKim(randx.New(13), 400, 2, 0.1),
-		graph.NewBuilder(1).Build(),
-		gen.ErdosRenyiGNM(randx.New(16), 120, 200),
-	}
-	e := NewEngine(Options{Bits: 6})
-	for i, g := range graphs {
-		opt := Options{Bits: 6, Seed: uint64(20 + i)}
-		if got, want := e.NeighbourhoodFunction(g, opt.Seed), referenceNeighbourhoodFunction(g, opt); !reflect.DeepEqual(got, want) {
-			t.Errorf("graph %d (n=%d): reused Engine's neighbourhood function diverges from the full recompute", i, g.NumVertices())
-		}
-		if got, want := e.DistanceDistribution(g, opt.Seed), DistanceDistribution(g, opt); !reflect.DeepEqual(got, want) {
-			t.Errorf("graph %d (n=%d): reused Engine's distance distribution %v, want %v", i, g.NumVertices(), got, want)
 		}
 	}
 }
@@ -367,29 +270,40 @@ func evaluateWorlds(t *testing.T, count int) []*graph.Graph {
 	return worlds
 }
 
-// TestEngineMatchesSystolicReference requires the Engine's
-// neighbourhood function to equal the per-vertex systolic loop's by
-// math.Float64bits, on both hll paths, for b in {4, 6, 7, 8, 16}: on
-// graphs whose runs end in sparse iterations (isolated vertices, a hub,
-// long paths), a single vertex and worlds of evaluate's release. One
-// Engine per exponent and path runs every graph, so the buffers shrink
-// and regrow between sizes with stale registers in place. A graph whose
-// bank half would exceed 2^21 words (16 MiB) is left out at that
-// exponent: at b = 16 that keeps the graphs of at most 256 vertices.
-func TestEngineMatchesSystolicReference(t *testing.T) {
-	graphs := sparseCorpus()
-	graphs = append(graphs, graph.NewBuilder(1).Build())
+// TestEngineReuseMatchesFullRecompute drives one Engine per register
+// exponent and hll path through growing, shrinking and regrowing graph
+// sizes — so both the fresh-buffer and the zero-in-place paths run,
+// and stale registers, estimates and lists from a larger graph sit in
+// the buffers — and requires every run to equal the full recompute
+// and its distance distribution to equal a fresh Engine's. It runs b in
+// {4, 6, 7, 8, 16} on both paths, over random graphs, a path, the
+// empty graph, a single vertex, graphs whose runs end in sparse
+// iterations (isolated vertices, a hub, long paths) and worlds of
+// evaluate's release. A graph whose bank half would exceed 2^20 words
+// (8 MiB) is left out at that exponent: at b = 16 that keeps the
+// graphs of at most 128 vertices, where a dense Step splits into
+// several kernel calls.
+func TestEngineReuseMatchesFullRecompute(t *testing.T) {
+	graphs := []*graph.Graph{
+		gen.ErdosRenyiGNM(randx.New(12), 80, 120),
+		gen.HolmeKim(randx.New(11), 300, 3, 0.3),
+		pathGraph(200),
+		graph.NewBuilder(0).Build(),
+		gen.HolmeKim(randx.New(13), 400, 2, 0.1),
+		graph.NewBuilder(1).Build(),
+		gen.ErdosRenyiGNM(randx.New(16), 120, 200),
+	}
+	graphs = append(graphs, sparseCorpus()...)
 	worlds := 3
 	if testing.Short() {
 		worlds = 1
 	}
 	graphs = append(graphs, evaluateWorlds(t, worlds)...)
-	graphs = append(graphs, pathGraph(90))
 	for _, b := range []int{4, 6, 7, 8, 16} {
 		want := make([][]float64, len(graphs))
 		for i, g := range graphs {
-			if g.NumVertices()*hll.Words(b) <= 1<<21 {
-				want[i] = systolicReference(g, Options{Bits: b, Seed: uint64(b + i)})
+			if g.NumVertices()*hll.Words(b) <= 1<<20 {
+				want[i] = referenceNeighbourhoodFunction(g, Options{Bits: b, Seed: uint64(b + i)})
 			}
 		}
 		hll.EachKernel(func(kernel string) {
@@ -398,8 +312,12 @@ func TestEngineMatchesSystolicReference(t *testing.T) {
 				if want[i] == nil {
 					continue
 				}
-				if got := e.NeighbourhoodFunction(g, uint64(b+i)); !sameBits(got, want[i]) {
-					t.Errorf("%s b=%d graph %d (n=%d): neighbourhood function\n got %v\nwant %v", kernel, b, i, g.NumVertices(), got, want[i])
+				opt := Options{Bits: b, Seed: uint64(b + i)}
+				if got := e.NeighbourhoodFunction(g, opt.Seed); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%s b=%d graph %d (n=%d): reused Engine's neighbourhood function\n got %v\nwant %v", kernel, b, i, g.NumVertices(), got, want[i])
+				}
+				if got, want := e.DistanceDistribution(g, opt.Seed), DistanceDistribution(g, opt); !reflect.DeepEqual(got, want) {
+					t.Errorf("%s b=%d graph %d (n=%d): reused Engine's distance distribution %v, want %v", kernel, b, i, g.NumVertices(), got, want)
 				}
 			}
 		})

@@ -21,9 +21,10 @@
 // AVX2 and POPCNT whose OS saves the YMM registers, counters of 16
 // words or more (b >= 7, HyperANF's default) take one assembly kernel
 // chosen once at package init, which keeps each 128-byte block in four
-// vector registers while every source folds in 32 bytes per VPMAXUB. A
-// byte maximum and an integer sum are exact, so both paths store the
-// same registers and report the same counts. Every other CPU,
+// vector registers while every source folds in 32 bytes per VPMAXUB;
+// Step calls it on bounded runs of its list, since Go cannot preempt
+// assembly. A byte maximum and an integer sum are exact, so both paths
+// store the same registers and report the same counts. Every other CPU,
 // architecture and width runs the word-at-a-time Go code, which is the
 // portable path and the kernel's test reference.
 package hll
@@ -33,6 +34,7 @@ import (
 	"math/bits"
 	"slices"
 	"sync"
+	"unsafe"
 
 	"uncertaingraph/internal/cpu"
 )
@@ -163,6 +165,11 @@ func (k *Batch) Singleton() float64 {
 // and every vertex must have its sources. Step checks all of that and
 // every listed vertex before it writes any word, and panics on a
 // failure.
+//
+// Go cannot preempt assembly, so Step calls its path on runs of at most
+// runWords/Words(b) listed vertices (4,096 at b = 7). A call then loads
+// at most 512 KiB of listed counters, plus their sources, however large
+// the world.
 func (k *Batch) Step(next, cur []uint64, list []int32, grown []Growth) []Growth {
 	if len(k.start) != k.n+1 {
 		panic("hll: Step before every counter has its sources")
@@ -170,20 +177,38 @@ func (k *Batch) Step(next, cur []uint64, list []int32, grown []Growth) []Growth 
 	if len(next) != k.n*k.words || len(cur) != k.n*k.words {
 		panic("hll: Step bank does not hold the Reset's counters")
 	}
+	if overlap(next, cur) {
+		panic("hll: Step banks overlap")
+	}
 	for _, v := range list {
 		if uint(int(v)) >= uint(k.n) {
 			panic("hll: Step lists a vertex outside the bank")
 		}
 	}
 	grown = slices.Grow(grown, len(list))
-	out := grown[len(grown) : len(grown)+len(list)]
-	var m int
-	if useAVX2 && k.words >= vectorWords {
-		m = stepAVX2(next, cur, k.words, k.t.linearZeros, list, k.start, k.offs, out)
-	} else {
-		m = stepWords(next, cur, k.words, k.t.linearZeros, list, k.start, k.offs, out)
+	for len(list) > 0 {
+		run := min(len(list), runWords/k.words)
+		out := grown[len(grown) : len(grown)+run]
+		var m int
+		if useAVX2 && k.words >= vectorWords {
+			m = stepAVX2(next, cur, k.words, k.t.linearZeros, list[:run], k.start, k.offs, out)
+		} else {
+			m = stepWords(next, cur, k.words, k.t.linearZeros, list[:run], k.start, k.offs, out)
+		}
+		grown, list = grown[:len(grown)+m], list[run:]
 	}
-	return grown[:len(grown)+m]
+	return grown
+}
+
+// runWords bounds the words of the listed counters one call of Step's
+// path loads.
+const runWords = 1 << 16
+
+// overlap reports whether two word slices share any word.
+func overlap(a, b []uint64) bool {
+	return len(a) > 0 && len(b) > 0 &&
+		uintptr(unsafe.Pointer(&a[0])) <= uintptr(unsafe.Pointer(&b[len(b)-1])) &&
+		uintptr(unsafe.Pointer(&b[0])) <= uintptr(unsafe.Pointer(&a[len(a)-1]))
 }
 
 // Estimate returns the estimate of the counter that g reports, whose

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -519,8 +520,8 @@ func TestStepMatchesBytewise(t *testing.T) {
 // source at or past the counter count or negative, and past the last
 // counter; and a Step whose list starts with a valid vertex but then
 // names one at or past the counter count or a negative one, whose
-// banks do not hold exactly the Reset's counters, or that comes before
-// every counter has its sources.
+// banks do not hold exactly the Reset's counters or share a word, or
+// that comes before every counter has its sources.
 func TestFoldOffsetPastBankPanics(t *testing.T) {
 	panics := func(what string, f func()) {
 		t.Helper()
@@ -568,6 +569,80 @@ func TestFoldOffsetPastBankPanics(t *testing.T) {
 				k.Step(make([]uint64, lens[0]), make([]uint64, lens[1]), []int32{0}, nil)
 			})
 		}
+		// Halves of a six-counter bank whose odd counters hold ones:
+		// sharing all, most or one word must panic with the bank
+		// unchanged, and adjacent halves must not panic.
+		bank := make([]uint64, 6*words)
+		for i := range bank {
+			bank[i] = uint64(i / words % 2)
+		}
+		before := append([]uint64(nil), bank...)
+		for _, halves := range [][2][]uint64{
+			{bank[:3*words], bank[:3*words]},
+			{bank[:3*words], bank[words : 4*words]},
+			{bank[words : 4*words], bank[:3*words]},
+			{bank[:3*words], bank[3*words-1 : 6*words-1]},
+			{bank[3*words-1 : 6*words-1], bank[:3*words]},
+		} {
+			EachKernel(func(kernel string) {
+				panics(fmt.Sprintf("%s b=%d: Step over overlapping banks", kernel, b), func() {
+					k.Step(halves[0], halves[1], []int32{0}, nil)
+				})
+				if !slices.Equal(bank, before) {
+					t.Errorf("%s b=%d: Step over overlapping banks wrote a word before panicking", kernel, b)
+					copy(bank, before)
+				}
+			})
+		}
+		k.Step(bank[:3*words], bank[3*words:], []int32{0}, nil)
+		k.Step(bank[3*words:], bank[:3*words], []int32{0}, nil)
+	}
+}
+
+// TestStepSplitsLongLists requires a Step whose list holds several
+// times runWords words of counters, so that it splits into several
+// calls of its path, to store the same counters and report the same
+// Growths as one Step per listed vertex, on every kernel, at b = 7 and
+// b = 16. About three in four vertices are listed, each with one to
+// eight random sources (self-sources included) and registers below 32.
+func TestStepSplitsLongLists(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, b := range []int{7, 16} {
+		m, words := 1<<b, Words(b)
+		n := 4 * runWords / words
+		cur := pack(randomRegs(rng, n*m, 0, 31))
+		stale := pack(randomRegs(rng, n*m, 0, 0x7F))
+		var k Batch
+		k.Reset(b, n, 0)
+		var list []int32
+		for v := 0; v < n; v++ {
+			srcs := make([]int32, 1+rng.Intn(8))
+			for i := range srcs {
+				srcs[i] = int32(rng.Intn(n))
+			}
+			k.Add(srcs)
+			if rng.Intn(4) > 0 {
+				list = append(list, int32(v))
+			}
+		}
+		if len(list)*words <= 2*runWords {
+			t.Fatalf("b=%d: a list of %d counters is too short to split into three calls", b, len(list))
+		}
+		EachKernel(func(kernel string) {
+			next := append([]uint64(nil), stale...)
+			grown := k.Step(next, cur, list, nil)
+			wantNext := append([]uint64(nil), stale...)
+			var want []Growth
+			for _, v := range list {
+				want = k.Step(wantNext, cur, []int32{v}, want)
+			}
+			if !slices.Equal(next, wantNext) {
+				t.Errorf("%s b=%d: a split Step stored other counters than one Step per vertex", kernel, b)
+			}
+			if !slices.Equal(grown, want) {
+				t.Errorf("%s b=%d: a split Step reported %d growths, one Step per vertex %d, or they differ", kernel, b, len(grown), len(want))
+			}
+		})
 	}
 }
 
