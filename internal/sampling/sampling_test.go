@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -154,6 +155,37 @@ func TestRunVectorDegreeDistribution(t *testing.T) {
 		if math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("world degree distribution sums to %v", sum)
 		}
+	}
+}
+
+// TestRunVectorCancelsBetweenWorlds pins the statistics scans'
+// cancellation grain: one lane runs 100 worlds as a 64-world group and
+// a 36-world group, and an fn that cancels on its third call must be
+// the last fn call, even mid-group. The run returns context.Canceled
+// with no rows, and Progress never reports a world that was not
+// scanned.
+func TestRunVectorCancelsBetweenWorlds(t *testing.T) {
+	ug := testUncertain(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	cfg := Config{Worlds: 100, Seed: 5, Workers: 1, Progress: func(done, _ int) {
+		if done > calls {
+			t.Errorf("Progress reported %d worlds after %d were scanned", done, calls)
+		}
+	}}
+	rows, err := RunVector(ctx, ug, cfg, func(g *graph.Graph, _ int64) []float64 {
+		calls++
+		if calls == 3 {
+			cancel()
+		}
+		return []float64{float64(g.NumEdges())}
+	})
+	if !errors.Is(err, context.Canceled) || rows != nil {
+		t.Fatalf("cancelled RunVector returned %d rows, err %v; want no rows and context.Canceled", len(rows), err)
+	}
+	if calls != 3 {
+		t.Errorf("fn ran %d times, want 3: the scan must stop at the world after the cancel", calls)
 	}
 }
 
