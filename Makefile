@@ -9,7 +9,7 @@ BENCH_LABEL ?= $(shell git rev-parse --short HEAD 2>/dev/null || echo local)
 
 BENCH_TARGETS = bench-sampling bench-query bench-obfuscate bench-qserve bench-io
 
-.PHONY: build test race vet fmt-check seed-check lint cover $(BENCH_TARGETS) e2ebench-check ci
+.PHONY: build test race vet fmt-check seed-check lint cover loc $(BENCH_TARGETS) e2ebench-check ci
 
 # Total-coverage floor enforced by `make cover`. 75.9% measured when
 # the target was introduced (PR 5), raised to 78 with the result-cache
@@ -26,8 +26,12 @@ test:
 # Short mode keeps the race run fast: the concurrency exercises in
 # race_test.go and the parallel engine tests all run; only the
 # toolchain-exec smoke tests and the 5k-vertex benchmark check skip.
+# The second pass repeats the two packages every parallel loop runs
+# on, ten times each, so a rare interleaving of their shared state
+# gets more than one chance to show.
 race:
 	$(GO) test -race -short ./...
+	$(GO) test -race -count=10 ./internal/parallel ./internal/worldloop
 
 # The second pass type-checks the portable build: arm64 assembles no
 # kernel, so it compiles the pure-Go paths and the !amd64 stubs that an
@@ -63,6 +67,11 @@ cover:
 	echo "total statement coverage: $$total% (floor $(COVER_MIN)%)"; \
 	awk -v t="$$total" -v m="$(COVER_MIN)" 'BEGIN { exit (t+0 >= m+0) ? 0 : 1 }' || { \
 		echo "coverage $$total% fell below the $(COVER_MIN)% floor"; exit 1; }
+
+# Non-test Go lines outside the e2ebench harness: the size the ROADMAP
+# tracks. Tracked files only, so build outputs never count.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^e2ebench/' | xargs cat | wc -l
 
 # Package benchmarks, each appended as a JSON record to BENCH_<name>.json
 # by one shared recipe (below): bench-<name> sets the package, the

@@ -210,7 +210,7 @@ func scanChunks[A any](m Model, omegas []int, add func(acc *A, p float64), sc *c
 		threshold = pbinom.DefaultExactThreshold
 	}
 	chunkAccs := make([][]A, (n+scanChunk-1)/scanChunk)
-	parallel.For(len(chunkAccs), workers, aborted, func(c int) {
+	parallel.For(len(chunkAccs), workers, aborted, func(_, c int) {
 		lo := c * scanChunk
 		hi := min(lo+scanChunk, n)
 		acc := make([]A, len(omegas))

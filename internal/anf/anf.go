@@ -4,9 +4,10 @@
 // vertex, iteratively unioned over neighbourhoods until stabilization.
 //
 // The paper uses HyperANF to compute the distance-based statistics of
-// §6.3 on each sampled possible world, repeating runs and jackknifing
-// to bound the estimation error. DistanceDistribution and Jackknifed
-// reproduce that pipeline.
+// §6.3 on each sampled possible world; DistanceDistribution does that
+// for one world. The paper also repeats runs and jackknifes them to
+// bound HyperANF's own error; no pipeline here does, so that step is
+// not implemented.
 //
 // The engine runs each iteration as one hll Batch.Step over a list of
 // vertices, and no output bit moves relative to the textbook iteration
@@ -34,7 +35,6 @@ package anf
 import (
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/hll"
-	"uncertaingraph/internal/mathx"
 	"uncertaingraph/internal/stats"
 )
 
@@ -250,24 +250,4 @@ func (e *Engine) DistanceDistribution(g *graph.Graph, seed uint64) stats.Distanc
 // the paper's lower bound S_DiamLB. It runs a fresh Engine.
 func DistanceDistribution(g *graph.Graph, opt Options) stats.DistanceDistribution {
 	return NewEngine(opt).DistanceDistribution(g, opt.Seed)
-}
-
-// Jackknifed runs HyperANF `runs` times with different hash seeds,
-// derives a scalar statistic from each run's distance distribution, and
-// returns the jackknife estimate and standard error — the paper's §6.3
-// error-control procedure.
-func Jackknifed(g *graph.Graph, opt Options, runs int, stat func(stats.DistanceDistribution) float64) (estimate, stderr float64) {
-	if runs < 1 {
-		runs = 1
-	}
-	vals := make([]float64, runs)
-	for r := 0; r < runs; r++ {
-		o := opt
-		o.Seed = opt.Seed + uint64(r)*0x5DEECE66D + 1
-		vals[r] = stat(DistanceDistribution(g, o))
-	}
-	return mathx.Jackknife(vals, func(xs []float64) float64 {
-		m, _ := mathx.MeanStd(xs)
-		return m
-	})
 }

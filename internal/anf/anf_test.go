@@ -13,7 +13,6 @@ import (
 	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/hll"
 	"uncertaingraph/internal/randx"
-	"uncertaingraph/internal/stats"
 )
 
 func TestNeighbourhoodFunctionMonotone(t *testing.T) {
@@ -75,20 +74,6 @@ func TestDistanceDistributionDisconnectedComponents(t *testing.T) {
 	wantDisc := float64(20 * 20)
 	if math.Abs(est.Disconnected-wantDisc)/wantDisc > 0.2 {
 		t.Errorf("Disconnected = %v, want ~%v", est.Disconnected, wantDisc)
-	}
-}
-
-func TestJackknifedErrorSmall(t *testing.T) {
-	g := gen.HolmeKim(randx.New(5), 600, 3, 0.3)
-	exact := bfs.DistanceDistribution(g).AvgDistance()
-	est, se := Jackknifed(g, Options{Bits: 8, Seed: 20}, 8, func(d stats.DistanceDistribution) float64 {
-		return d.AvgDistance()
-	})
-	if math.Abs(est-exact)/exact > 0.08 {
-		t.Errorf("jackknifed APD %v vs exact %v", est, exact)
-	}
-	if se <= 0 || se/est > 0.05 {
-		t.Errorf("standard error %v implausible (paper reports 0.2%%-2%%)", se/est)
 	}
 }
 

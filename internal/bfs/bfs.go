@@ -15,7 +15,6 @@
 package bfs
 
 import (
-	"context"
 	"math/rand"
 	"runtime"
 
@@ -226,7 +225,7 @@ func (s *Scratch) scanSources(g *graph.Graph, sources []int32, nsrc, workers int
 	nchunks := (nsrc + sourceChunk - 1) / sourceChunk
 	reach := make([]float64, workers)
 	prepared := make([]bool, workers)
-	parallel.ForWorkers(context.Background(), nchunks, workers, func(w, c int) {
+	parallel.For(nchunks, workers, nil, func(w, c int) {
 		sc := s
 		if w > 0 {
 			sc = s.pool[w-1]
@@ -244,7 +243,7 @@ func (s *Scratch) scanSources(g *graph.Graph, sources []int32, nsrc, workers int
 			reach[w] += sc.run(g, srcAt(i))
 		}
 	})
-	// ForWorkers has joined its goroutines, so the merge below is
+	// For has joined its goroutines, so the merge below is
 	// ordered after every worker's accumulation.
 	total := reach[0] // worker 0's counts are already in s.counts
 	for w := 1; w < workers; w++ {

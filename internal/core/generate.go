@@ -144,7 +144,7 @@ func (p *probe) runTrials(ctx context.Context, decide bool) {
 	stop := func() bool {
 		return cancelled(ctx) || decide && p.win.succeeded()
 	}
-	parallel.For(params.Trials-from, min(params.workerCount(), params.Trials), stop, func(i int) {
+	parallel.For(params.Trials-from, min(params.workerCount(), params.Trials), stop, func(_, i int) {
 		p.win.offer(p.trial(ctx, from+i), from+i)
 	})
 }

@@ -488,8 +488,8 @@ func alpha(m int) float64 {
 }
 
 // Hash64 mixes a 64-bit input into a well-distributed 64-bit hash
-// (the splitmix64 finalizer); seed decorrelates repeated ANF runs for
-// jackknife error estimation.
+// (the splitmix64 finalizer); seed decorrelates HyperANF runs, which
+// each sampled world seeds from its own world seed.
 func Hash64(x, seed uint64) uint64 {
 	z := x + seed*0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

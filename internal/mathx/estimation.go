@@ -118,34 +118,3 @@ func RelAbsErr(est, real float64) float64 {
 	}
 	return math.Abs(est-real) / math.Abs(real)
 }
-
-// Jackknife estimates the standard error of a statistic computed from r
-// independent replicated measurements (e.g. repeated HyperANF runs, as
-// the paper does in Section 6.3) using the delete-one jackknife:
-// for each i the statistic is recomputed on the sample with element i
-// removed, and the jackknife variance is (r-1)/r * sum (t_i - t_bar)^2.
-//
-// stat maps a slice of measurements to the derived scalar.
-func Jackknife(measurements []float64, stat func([]float64) float64) (estimate, stderr float64) {
-	r := len(measurements)
-	estimate = stat(measurements)
-	if r < 2 {
-		return estimate, 0
-	}
-	loo := make([]float64, 0, r)
-	buf := make([]float64, 0, r-1)
-	for i := range measurements {
-		buf = buf[:0]
-		buf = append(buf, measurements[:i]...)
-		buf = append(buf, measurements[i+1:]...)
-		loo = append(loo, stat(buf))
-	}
-	mean, _ := MeanStd(loo)
-	var ss float64
-	for _, t := range loo {
-		d := t - mean
-		ss += d * d
-	}
-	stderr = math.Sqrt(float64(r-1) / float64(r) * ss)
-	return estimate, stderr
-}

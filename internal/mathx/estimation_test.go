@@ -2,7 +2,6 @@ package mathx
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -138,35 +137,6 @@ func TestRelAbsErr(t *testing.T) {
 	}
 	if got := RelAbsErr(-3, 0); !almostEq(got, 3, 1e-12) {
 		t.Errorf("RelAbsErr(-3,0) = %v, want 3", got)
-	}
-}
-
-func TestJackknifeMeanMatchesClassicSE(t *testing.T) {
-	// For the sample mean, the jackknife SE equals the classic SEM
-	// s/sqrt(r) exactly.
-	rng := rand.New(rand.NewSource(11))
-	xs := make([]float64, 40)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*3 + 10
-	}
-	meanStat := func(v []float64) float64 {
-		m, _ := MeanStd(v)
-		return m
-	}
-	est, se := Jackknife(xs, meanStat)
-	mean, std := MeanStd(xs)
-	if !almostEq(est, mean, 1e-12) {
-		t.Errorf("jackknife estimate %v != mean %v", est, mean)
-	}
-	if want := std / math.Sqrt(float64(len(xs))); !almostEq(se, want, 1e-9) {
-		t.Errorf("jackknife SE %v != classic SEM %v", se, want)
-	}
-}
-
-func TestJackknifeDegenerate(t *testing.T) {
-	stat := func(v []float64) float64 { m, _ := MeanStd(v); return m }
-	if _, se := Jackknife([]float64{5}, stat); se != 0 {
-		t.Error("single measurement should have zero SE")
 	}
 }
 

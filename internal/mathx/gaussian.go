@@ -2,7 +2,7 @@
 // obfuscation system: Gaussian densities and CDFs, the [0,1]-truncated
 // normal distribution R_sigma used to draw edge perturbations (paper
 // Eq. 6), Shannon entropy, log-log regression for power-law fitting,
-// Hoeffding sample-size bounds, and jackknife error estimation.
+// and Hoeffding sample-size bounds.
 //
 // R_sigma has two forms: the TruncNormal distribution (PDF, CDF, Mean,
 // Sample) and the sampler SampleTruncNormal, a function of sigma that

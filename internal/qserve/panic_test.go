@@ -13,9 +13,9 @@ import (
 
 // TestFlightPanicAnswers500 is the fault-injection test of a panicking
 // computation. The hook makes each world's Progress callback panic;
-// Progress runs on the world loop's lane right after the world's scan,
-// so at Workers 2 the panic starts on a parallel.ForWorkers goroutine,
-// the path a panicking scan takes. Both the flight's leader and a
+// Progress runs on the world loop's lane right after the world's group
+// is scanned, so at Workers 2 the panic starts on a parallel.For
+// goroutine, the path a panicking scan takes. Both the flight's leader and a
 // request joined to it must get 500, nothing may be cached, the
 // counter must read 1, and the daemon must answer the same request
 // with 200 once the fault is gone — from a fresh batch, not the one

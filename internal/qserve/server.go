@@ -749,7 +749,7 @@ func (s *Server) runFlight(key, name string, req *BatchRequest, worlds int, seed
 // cancelled the run: nobody is listening.
 //
 // A panic during the computation — on this goroutine, or on a world
-// loop lane, whose panics parallel.ForWorkers re-raises here — is
+// loop lane, whose panics parallel.For re-raises here — is
 // logged, counted and answered with 500. The panic skips the batch's
 // return to the pool, so its half-run state is dropped, not reused.
 // Recovering here rather than leaving it to net/http matters for the

@@ -12,10 +12,11 @@
 // Batch is the one entry: it samples each world once and evaluates
 // many queries against it, sharing one walk per distinct source, with
 // zero heap allocations in the steady-state world loop. Worlds run on
-// the shared world loop (internal/worldloop) in packed groups of up to
-// 64: one bit-parallel BFS per source per group yields every world's
-// exact distances at once. The loop spends the worker budget across
-// groups; each group's walks run sequentially on its lane.
+// the shared world loop (internal/worldloop) in groups of up to 64,
+// which the scan packs one bit per world (uncertain.Sampler.SampleGroup):
+// one bit-parallel BFS per source per group yields every world's exact
+// distances at once. The loop spends the worker budget across groups;
+// each group's walks run sequentially on its lane.
 //
 // Every median in this package — MedianDistance and the k-NN ranking
 // alike — uses the same count-based rule: the smallest distance whose
@@ -455,7 +456,7 @@ func (b *Batch) Run(ctx context.Context) error {
 	}
 	b.prepare(workers)
 	adaptive := b.Tolerance > 0
-	done, err := b.loop.RunGroups(ctx, b.g, worldloop.Config{
+	done, err := b.loop.Run(ctx, b.g, worldloop.Config{
 		Worlds:   r,
 		Seed:     b.Seed,
 		Workers:  b.Workers,
@@ -472,12 +473,12 @@ func (b *Batch) Run(ctx context.Context) error {
 	return nil
 }
 
-// scanner adapts a Batch to worldloop.GroupScanner, keeping the
-// per-group methods off the public Batch API.
+// scanner adapts a Batch to worldloop.Scanner, keeping the per-group
+// methods off the public Batch API.
 type scanner Batch
 
-func (s *scanner) ScanGroup(lane, _ int, worlds *uncertain.PackedWorlds) {
-	(*Batch)(s).scanGroup(s.ws[lane], worlds)
+func (s *scanner) ScanGroup(lane, _ int, seeds []int64, sampler *uncertain.Sampler) {
+	(*Batch)(s).scanGroup(s.ws[lane], sampler.SampleGroup(seeds))
 }
 
 func (s *scanner) Converged(lanes, done int) bool {

@@ -17,14 +17,17 @@ import (
 // materialized as a CSR graph and walked by one queue BFS per source.
 
 // refScanner adapts a Batch to worldloop.Scanner on the per-world
-// engine, with one BFS scratch per lane.
+// engine, with one BFS scratch per lane: it draws each world of a
+// group with SampleSeed and walks it with the queue BFS.
 type refScanner struct {
 	b       *Batch
 	scratch []*bfs.Scratch
 }
 
-func (r *refScanner) ScanWorld(lane, _ int, world *graph.Graph, _ int64) {
-	r.b.scanWorld(r.b.ws[lane], r.scratch[lane], world)
+func (r *refScanner) ScanGroup(lane, _ int, seeds []int64, sampler *uncertain.Sampler) {
+	for _, seed := range seeds {
+		r.b.scanWorld(r.b.ws[lane], r.scratch[lane], sampler.SampleSeed(seed))
+	}
 }
 
 func (r *refScanner) Converged(lanes, done int) bool {

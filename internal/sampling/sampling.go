@@ -13,15 +13,17 @@
 // bit-identical to the same-length prefix of a full fixed-budget run.
 //
 // The r-world loop is the evaluation hot path. It runs on the world
-// loop shared with the query engine (internal/worldloop), which gives
-// each worker lane one sampler clone drawing worlds from their seeds;
-// this package adds one statistic Scratch per lane (BFS dist/queue
-// arrays, HyperANF registers, triangle-count buffers), so the
-// steady-state loop materializes and measures worlds without
-// per-world graph allocations. Results are bit-identical for every
-// worker count: world seeds are pre-derived
-// from the master seed, each world's statistics depend only on its
-// seed, and every world writes its own slot of the sample arrays.
+// loop shared with the query engine (internal/worldloop), which hands
+// each worker lane groups of world seeds and the lane's sampler; this
+// package materializes each world of a group in turn
+// (uncertain.Sampler.SampleSeed), on one statistic Scratch per lane
+// (BFS dist/queue arrays, HyperANF registers, triangle-count buffers),
+// so the steady-state loop measures worlds without per-world graph
+// allocations, and it stops before the next world once the run is
+// cancelled. Results are bit-identical for every worker count: world
+// seeds are pre-derived from the master seed, each world's statistics
+// depend only on its seed, and every world writes its own slot of the
+// sample arrays.
 package sampling
 
 import (
@@ -83,11 +85,12 @@ type Config struct {
 	PowerLawMinDegree int
 	// EffectiveDiameterQ is the S_EDiam quantile (0 -> 0.9).
 	EffectiveDiameterQ float64
-	// Progress, when non-nil, is invoked after each world completes
-	// with the number of finished worlds and the total. Workers invoke
-	// it concurrently; implementations must be safe for concurrent use
-	// and must not block for long. Progress observation never affects
-	// results.
+	// Progress, when non-nil, is invoked once per world with the number
+	// of finished worlds and the total, after the group of worlds
+	// holding it completes (see worldloop.Config.Progress). Workers
+	// invoke it concurrently; implementations must be safe for
+	// concurrent use and must not block for long. Progress observation
+	// never affects results.
 	Progress func(done, total int)
 	// Tolerance, when positive, enables adaptive-precision estimation:
 	// worlds are sampled in worldloop.Block blocks, and the run stops at
@@ -257,25 +260,36 @@ func ScalarsInto(g *graph.Graph, cfg Config, seed int64, sc *Scratch, vals *[10]
 	vals[9] = sc.tri.ClusteringCoefficient(g)
 }
 
-// scalarScan is Run's per-world work: the ten statistics of world i
-// into slot i of the sample arrays, on the lane's Scratch.
+// scalarScan is Run's work: the ten statistics of each world i into
+// slot i of the sample arrays, on the lane's Scratch.
 type scalarScan struct {
+	ctx     context.Context
 	cfg     Config
 	samples [][]float64
-	scratch []*Scratch // per lane, built on the lane's first world
+	scratch []*Scratch // per lane, built on the lane's first group
 }
 
-func (s *scalarScan) ScanWorld(lane, i int, world *graph.Graph, seed int64) {
+func (s *scalarScan) ScanGroup(lane, i int, seeds []int64, sampler *uncertain.Sampler) {
 	sc := s.scratch[lane]
 	if sc == nil {
 		sc = NewScratch(s.cfg)
 		s.scratch[lane] = sc
 	}
 	var vals [10]float64
-	ScalarsInto(world, s.cfg, seed, sc, &vals)
-	for k := range s.samples {
-		s.samples[k][i] = vals[k]
+	for j, seed := range seeds {
+		if cancelled(s.ctx) {
+			return
+		}
+		ScalarsInto(sampler.SampleSeed(seed), s.cfg, seed, sc, &vals)
+		for k := range s.samples {
+			s.samples[k][i+j] = vals[k]
+		}
 	}
+}
+
+// cancelled reports whether ctx is done; a nil ctx never is.
+func cancelled(ctx context.Context) bool {
+	return ctx != nil && ctx.Err() != nil
 }
 
 // Converged reports whether every statistic's relative SEM over the
@@ -320,6 +334,7 @@ func Run(ctx context.Context, ug *uncertain.Graph, cfg Config) (*Report, error) 
 	}
 	var loop worldloop.Loop
 	used, err := loop.Run(ctx, ug, cfg.loop(), &scalarScan{
+		ctx:     ctx,
 		cfg:     cfg,
 		samples: samples,
 		scratch: make([]*Scratch, worldloop.Workers(cfg.Workers, budget)),
@@ -360,7 +375,7 @@ type VectorFn func(g *graph.Graph, seed int64) []float64
 // full fixed-budget run.
 func RunVector(ctx context.Context, ug *uncertain.Graph, cfg Config, fn VectorFn) ([][]float64, error) {
 	cfg = cfg.withDefaults()
-	s := &vectorScan{fn: fn, tol: cfg.Tolerance, rows: make([][]float64, cfg.budget())}
+	s := &vectorScan{ctx: ctx, fn: fn, tol: cfg.Tolerance, rows: make([][]float64, cfg.budget())}
 	var loop worldloop.Loop
 	used, err := loop.Run(ctx, ug, cfg.loop(), s)
 	if err != nil {
@@ -369,17 +384,23 @@ func RunVector(ctx context.Context, ug *uncertain.Graph, cfg Config, fn VectorFn
 	return s.rows[:used:used], nil
 }
 
-// vectorScan is RunVector's per-world work: fn's row for world i into
+// vectorScan is RunVector's work: fn's row for each world i into
 // slot i.
 type vectorScan struct {
+	ctx  context.Context
 	fn   VectorFn
 	tol  float64
 	rows [][]float64
 	col  []float64 // convergence scratch
 }
 
-func (s *vectorScan) ScanWorld(_, i int, world *graph.Graph, seed int64) {
-	s.rows[i] = s.fn(world, seed)
+func (s *vectorScan) ScanGroup(_, i int, seeds []int64, sampler *uncertain.Sampler) {
+	for j, seed := range seeds {
+		if cancelled(s.ctx) {
+			return
+		}
+		s.rows[i+j] = s.fn(sampler.SampleSeed(seed), seed)
+	}
 }
 
 // Converged reports whether every coordinate's relative SEM over the

@@ -1,31 +1,31 @@
 // Package worldloop is the one possible-world Monte Carlo loop behind
 // both the statistic estimation of paper Section 6.1 (internal/sampling)
 // and every query answered on a release (internal/query): sample r
-// worlds from pre-derived seeds, hand each to a caller-supplied scan,
+// worlds from pre-derived seeds, hand them to a caller-supplied scan,
 // and — for an adaptive run — stop at the first block barrier where the
 // caller's Hoeffding-style convergence test passes (Lemma 2 /
 // Corollary 1 size the budget it may stop short of).
 //
 // The loop owns everything the two engines used to duplicate: the
 // world-seed table, one sampler per worker lane (a clone of one shared
-// template, drawing each world from its seed), the worker clamp, the
-// fixed/adaptive block schedule, Progress and cancellation. Callers
-// keep only their scan, their merge and their convergence test.
+// template), the worker clamp, the fixed/adaptive block schedule,
+// Progress and cancellation. Callers keep only their scan, their merge
+// and their convergence test.
 //
-// A scan comes in two shapes. Run hands a Scanner one materialized
-// world per dispatch (uncertain.Sampler.SampleSeed), the shape the
-// statistics pipeline needs. RunGroups hands a GroupScanner a group of
-// up to 64 consecutive worlds packed one bit per world
-// (uncertain.Sampler.SampleGroup), the shape the query engine walks.
-// A group never crosses a block barrier: each block is cut into groups
-// of min(64, ⌈block worlds / lanes⌉) worlds, so every lane gets work
-// and an adaptive run stops at exactly the worlds a per-world run
-// would. Progress is still reported once per world, after the world's
-// group finishes.
+// A scan receives groups of consecutive worlds: their seeds and the
+// lane's sampler. Each scan draws its worlds in the form it reads:
+// the statistics pipeline materializes one world at a time
+// (uncertain.Sampler.SampleSeed), and the query engine packs the whole
+// group one bit per world (uncertain.Sampler.SampleGroup). A group
+// never crosses a block barrier: each block is cut into groups of
+// min(64, ⌈block worlds / lanes⌉) worlds, so every lane gets work and
+// an adaptive run stops at exactly the same world for every lane
+// count. Progress is reported once per world, after the world's group
+// finishes.
 //
-// Parallelism has one axis: the worker budget is spent across worlds,
-// one lane per worker, and every world or group is scanned
-// sequentially on its lane. A run never uses more lanes than worlds.
+// Parallelism has one axis: the worker budget is spent across groups,
+// one lane per worker, and every group is scanned sequentially on its
+// lane. A run never uses more lanes than worlds.
 //
 // Determinism: world i's seed is the i-th draw of a master RNG seeded
 // with Config.Seed, so the table is prefix-stable and world i samples
@@ -43,7 +43,6 @@ import (
 	"runtime"
 	"sync/atomic"
 
-	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/parallel"
 	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/uncertain"
@@ -53,26 +52,16 @@ import (
 // convergence checks.
 const Block = 32
 
-// Scanner is a caller's per-world work.
+// Scanner is a caller's work over groups of worlds.
 type Scanner interface {
-	// ScanWorld folds world i into lane-owned or world-indexed state.
-	// world aliases the lane's sampler buffers and is valid only for
-	// the call; seed is world i's seed. Calls for one lane never
-	// overlap.
-	ScanWorld(lane, i int, world *graph.Graph, seed int64)
+	// ScanGroup folds worlds [i, i+len(seeds)) into lane-owned or
+	// world-indexed state. seeds[j] is world i+j's seed, and sampler is
+	// the lane's, which draws a world with SampleSeed(seeds[j]) or packs
+	// the group with SampleGroup(seeds); what it returns aliases the
+	// sampler. Calls for one lane never overlap.
+	ScanGroup(lane, i int, seeds []int64, sampler *uncertain.Sampler)
 	// Converged reports, at a block barrier, whether the first done
 	// worlds — scanned on lanes lanes — meet the run's tolerance.
-	Converged(lanes, done int) bool
-}
-
-// GroupScanner is a caller's work over packed groups of worlds.
-type GroupScanner interface {
-	// ScanGroup folds worlds [i, i+worlds.Width) into lane-owned
-	// state: bit j of worlds.Masks[p] is candidate pair p's presence in
-	// world i+j. worlds aliases the lane's sampler and is valid only
-	// for the call. Calls for one lane never overlap.
-	ScanGroup(lane, i int, worlds *uncertain.PackedWorlds)
-	// Converged is Scanner.Converged.
 	Converged(lanes, done int) bool
 }
 
@@ -90,8 +79,9 @@ type Config struct {
 	// one block with no barrier.
 	Adaptive bool
 	// Progress, when non-nil, is invoked once per world, after the
-	// world (or its group) is scanned, with the number of finished
-	// worlds and the budget. Lanes invoke it concurrently.
+	// world's group is scanned, with the number of finished worlds and
+	// the budget. A group that ends with the run's ctx done reports
+	// none of its worlds. Lanes invoke it concurrently.
 	Progress func(done, total int)
 }
 
@@ -117,31 +107,18 @@ type Loop struct {
 	samplers []*uncertain.Sampler // one per lane, cloned from proto
 }
 
-// Run samples up to cfg.Worlds worlds of g and scans each with s,
-// returning the number of worlds scanned: the budget for a fixed run,
-// possibly fewer for an adaptive one. An adaptive run never stops on
-// fewer than two worlds (one sample has no spread) and stops only at
-// block barriers.
+// Run samples up to cfg.Worlds worlds of g and scans them with s in
+// groups, returning the number of worlds scanned: the budget for a
+// fixed run, possibly fewer for an adaptive one. An adaptive run never
+// stops on fewer than two worlds (one sample has no spread) and stops
+// only at block barriers.
 //
-// Cancelling ctx stops the run at world granularity: no new world is
-// scanned once ctx is done, in-flight worlds finish, every lane is
-// joined before Run returns, and ctx.Err() is returned. A nil ctx
-// never cancels. With one lane the loop runs inline, free of closures
-// and channels.
+// Cancelling ctx stops the run between groups: no new group is scanned
+// once ctx is done, a group in flight finishes (a scan may return early
+// by watching ctx itself), every lane is joined before Run returns, and
+// ctx.Err() is returned. A nil ctx never cancels. With one lane the
+// loop runs inline, free of closures and channels.
 func (l *Loop) Run(ctx context.Context, g *uncertain.Graph, cfg Config, s Scanner) (int, error) {
-	return l.run(ctx, g, cfg, s, nil)
-}
-
-// RunGroups is Run for a GroupScanner: the same worlds, seeds, blocks
-// and stopping points, scanned as packed groups that never cross a
-// block barrier. Cancellation lands between groups: no new group is
-// scanned once ctx is done, and a group in flight finishes.
-func (l *Loop) RunGroups(ctx context.Context, g *uncertain.Graph, cfg Config, s GroupScanner) (int, error) {
-	return l.run(ctx, g, cfg, nil, s)
-}
-
-// run is Run when gs is nil and RunGroups otherwise.
-func (l *Loop) run(ctx context.Context, g *uncertain.Graph, cfg Config, ws Scanner, gs GroupScanner) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -155,81 +132,52 @@ func (l *Loop) run(ctx context.Context, g *uncertain.Graph, cfg Config, ws Scann
 	done := 0
 	for done < r {
 		end := min(done+block, r)
-		width := 1
-		if gs != nil {
-			width = groupWidth(end-done, lanes)
-		}
+		width := min(uncertain.GroupWidth, (end-done+lanes-1)/lanes)
 		if lanes == 1 {
 			for i := done; i < end; i += width {
 				if err := ctx.Err(); err != nil {
 					return done, err
 				}
 				hi := min(i+width, end)
-				l.scan(ws, gs, 0, i, hi)
-				if cfg.Progress != nil {
+				s.ScanGroup(0, i, l.seeds[i:hi], l.samplers[0])
+				if cfg.Progress != nil && ctx.Err() == nil {
 					for j := i; j < hi; j++ {
 						cfg.Progress(j+1, r)
 					}
 				}
 			}
 		} else {
-			l.runParallel(ctx, ws, gs, cfg, lanes, done, end, width)
+			l.runParallel(ctx, s, cfg, lanes, done, end, width)
 		}
 		if err := ctx.Err(); err != nil {
 			return done, err
 		}
 		done = end
-		if cfg.Adaptive && done >= 2 && done < r && converged(ws, gs, lanes, done) {
+		if cfg.Adaptive && done >= 2 && done < r && s.Converged(lanes, done) {
 			break
 		}
 	}
 	return done, nil
 }
 
-// groupWidth is the group size for a block of worlds on lanes lanes:
-// the word size, narrowed so every lane gets a group.
-func groupWidth(worlds, lanes int) int {
-	return min(uncertain.GroupWidth, (worlds+lanes-1)/lanes)
-}
-
-func converged(ws Scanner, gs GroupScanner, lanes, done int) bool {
-	if gs != nil {
-		return gs.Converged(lanes, done)
-	}
-	return ws.Converged(lanes, done)
-}
-
-// runParallel fans the worlds [base, end), in units of width worlds,
+// runParallel fans the worlds [base, end), in groups of width worlds,
 // out over at most lanes goroutines and joins them all, which is what
-// makes the block boundary a barrier. It is separate from run so the
-// closure's captures never force the one-lane path to allocate.
-func (l *Loop) runParallel(ctx context.Context, ws Scanner, gs GroupScanner, cfg Config, lanes, base, end, width int) {
-	units := (end - base + width - 1) / width
+// makes the block boundary a barrier. It is separate from Run so the
+// closures' captures never force the one-lane path to allocate.
+func (l *Loop) runParallel(ctx context.Context, s Scanner, cfg Config, lanes, base, end, width int) {
 	var finished atomic.Int64
-	// run reads ctx.Err() itself once every lane has joined.
-	_ = parallel.ForWorkers(ctx, units, min(lanes, units), func(k, u int) {
+	// Run reads ctx.Err() itself once every lane has joined.
+	stop := func() bool { return ctx.Err() != nil }
+	parallel.For((end-base+width-1)/width, lanes, stop, func(k, u int) {
 		lo := base + u*width
 		hi := min(lo+width, end)
-		l.scan(ws, gs, k, lo, hi)
-		if cfg.Progress != nil {
+		s.ScanGroup(k, lo, l.seeds[lo:hi], l.samplers[k])
+		if cfg.Progress != nil && ctx.Err() == nil {
 			for range hi - lo {
 				cfg.Progress(base+int(finished.Add(1)), cfg.Worlds)
 			}
 		}
 	})
-}
-
-// scan hands the worlds [lo, hi) to the scanner on lane k: packed as
-// one group for gs, or world lo materialized for ws (hi is then
-// lo+1). SampleSeed draws exactly the world Sample(randx.New(seed))
-// would, and SampleGroup packs exactly SampleSeed's worlds.
-func (l *Loop) scan(ws Scanner, gs GroupScanner, k, lo, hi int) {
-	if gs != nil {
-		gs.ScanGroup(k, lo, l.samplers[k].SampleGroup(l.seeds[lo:hi]))
-		return
-	}
-	seed := l.seeds[lo]
-	ws.ScanWorld(k, lo, l.samplers[k].SampleSeed(seed), seed)
 }
 
 // prepare derives the seed table for r worlds and readies lanes lanes,

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"uncertaingraph/internal/graph"
 	"uncertaingraph/internal/randx"
 	"uncertaingraph/internal/uncertain"
 )
@@ -31,8 +30,11 @@ func ring(t testing.TB, n int, p float64) *uncertain.Graph {
 }
 
 // recorder is a Scanner that records each world's seed and edge count
-// into world-indexed slots and logs every convergence check.
+// into world-indexed slots, each group's first world and width, and
+// every convergence check.
 type recorder struct {
+	mu      sync.Mutex
+	groups  [][2]int // first world, width
 	seeds   []int64
 	edges   []int
 	scanned atomic.Int64
@@ -47,10 +49,15 @@ func newRecorder(worlds int) *recorder {
 	return &recorder{seeds: make([]int64, worlds), edges: make([]int, worlds), barrierOK: true}
 }
 
-func (r *recorder) ScanWorld(_, i int, world *graph.Graph, seed int64) {
-	r.seeds[i] = seed
-	r.edges[i] = world.NumEdges()
-	r.scanned.Add(1)
+func (r *recorder) ScanGroup(_, i int, seeds []int64, sampler *uncertain.Sampler) {
+	for j, seed := range seeds {
+		r.seeds[i+j] = seed
+		r.edges[i+j] = sampler.SampleSeed(seed).NumEdges()
+	}
+	r.mu.Lock()
+	r.groups = append(r.groups, [2]int{i, len(seeds)})
+	r.mu.Unlock()
+	r.scanned.Add(int64(len(seeds)))
 }
 
 func (r *recorder) Converged(_, done int) bool {
@@ -138,10 +145,10 @@ func TestAdaptiveStopsOnlyAtBarriers(t *testing.T) {
 	}
 }
 
-// canceller cancels the run's context from inside world cancelAt and
-// tracks worlds in flight. Later worlds already handed to a lane wait
-// for the cancel, so at most one in-flight world per other lane can
-// complete after it.
+// canceller cancels the run's context from inside the group holding
+// world cancelAt and tracks groups in flight. Later groups already
+// handed to a lane wait for the cancel, so at most one in-flight group
+// per other lane can complete after it.
 type canceller struct {
 	cancel    context.CancelFunc
 	cancelAt  int
@@ -154,75 +161,58 @@ func newCanceller(cancel context.CancelFunc, at int) *canceller {
 	return &canceller{cancel: cancel, cancelAt: at, cancelled: make(chan struct{})}
 }
 
-func (c *canceller) ScanWorld(_, i int, _ *graph.Graph, _ int64) {
+func (c *canceller) ScanGroup(_, i int, seeds []int64, _ *uncertain.Sampler) {
 	c.inFlight.Add(1)
 	defer c.inFlight.Add(-1)
 	switch {
-	case i == c.cancelAt:
+	case i <= c.cancelAt && c.cancelAt < i+len(seeds):
 		c.cancel()
 		close(c.cancelled)
 	case i > c.cancelAt:
 		<-c.cancelled
 	}
-	c.scanned.Add(1)
+	c.scanned.Add(int64(len(seeds)))
 }
 
 func (c *canceller) Converged(int, int) bool { return false }
 
-// ScanGroup makes canceller a GroupScanner: the group holding world
-// cancelAt cancels, and later groups wait for the cancel.
-func (c *canceller) ScanGroup(_, i int, w *uncertain.PackedWorlds) {
-	c.inFlight.Add(1)
-	defer c.inFlight.Add(-1)
-	switch {
-	case i <= c.cancelAt && c.cancelAt < i+w.Width:
-		c.cancel()
-		close(c.cancelled)
-	case i > c.cancelAt:
-		<-c.cancelled
-	}
-	c.scanned.Add(int64(w.Width))
-}
-
 // TestCancelJoinsLanes pins cancellation: Run returns ctx.Err() with
-// every lane joined — nothing in flight, nothing scanned afterwards —
-// a pre-cancelled run scans no world, and a nil ctx never cancels.
+// every lane joined — nothing in flight, nothing scanned afterwards,
+// at most one group per other lane finishing after the cancelling one
+// — Progress reports no world of a group that ended cancelled, a
+// pre-cancelled run scans no world, and a nil ctx never cancels.
 func TestCancelJoinsLanes(t *testing.T) {
 	g := ring(t, 40, 0.5)
 	for _, workers := range []int{1, 4} {
 		for _, adaptive := range []bool{false, true} {
 			ctx, cancel := context.WithCancel(context.Background())
 			c := newCanceller(cancel, 40)
+			var reported atomic.Int64
+			cfg := Config{Worlds: 500, Seed: 1, Workers: workers, Adaptive: adaptive, Progress: func(done, _ int) {
+				reported.Add(1)
+			}}
 			var l Loop
-			_, err := l.Run(ctx, g, Config{Worlds: 500, Seed: 1, Workers: workers, Adaptive: adaptive}, c)
+			_, err := l.Run(ctx, g, cfg, c)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("workers=%d adaptive=%v: err = %v, want context.Canceled", workers, adaptive, err)
 			}
 			if n := c.inFlight.Load(); n != 0 {
-				t.Errorf("workers=%d adaptive=%v: %d worlds still in flight after Run returned", workers, adaptive, n)
+				t.Errorf("workers=%d adaptive=%v: %d groups still in flight after Run returned", workers, adaptive, n)
 			}
 			after := c.scanned.Load()
 			runtime.Gosched()
-			if c.scanned.Load() != after || after > 40+int64(workers) {
+			if c.scanned.Load() != after || after > int64(64*(1+workers)) {
 				t.Errorf("workers=%d adaptive=%v: scanned %d worlds after cancelling at world 40", workers, adaptive, after)
+			}
+			// Only groups wholly before world 40 can end with ctx live.
+			if n := reported.Load(); n > 40 {
+				t.Errorf("workers=%d adaptive=%v: Progress reported %d worlds, more than precede the cancel", workers, adaptive, n)
 			}
 		}
 
-		// Packed groups: cancellation lands between groups, so at most
-		// one group per other lane finishes after the cancelling one.
 		ctx, cancel := context.WithCancel(context.Background())
-		c := newCanceller(cancel, 40)
-		var gl Loop
-		if _, err := gl.RunGroups(ctx, g, Config{Worlds: 500, Seed: 1, Workers: workers}, c); !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: packed run: err = %v, want context.Canceled", workers, err)
-		}
-		if n, got := c.inFlight.Load(), c.scanned.Load(); n != 0 || got > int64(64*(1+workers)) {
-			t.Errorf("workers=%d: packed run left %d groups in flight and scanned %d worlds", workers, n, got)
-		}
-
-		ctx, cancel = context.WithCancel(context.Background())
 		cancel()
-		c = newCanceller(cancel, 1<<30)
+		c := newCanceller(cancel, 1<<30)
 		var l Loop
 		if _, err := l.Run(ctx, g, Config{Worlds: 50, Seed: 1, Workers: workers}, c); !errors.Is(err, context.Canceled) || c.scanned.Load() != 0 {
 			t.Errorf("workers=%d: pre-cancelled run: err %v, %d worlds scanned", workers, err, c.scanned.Load())
@@ -233,51 +223,53 @@ func TestCancelJoinsLanes(t *testing.T) {
 	}
 }
 
-// counter is an allocation-free Scanner, safe on concurrent lanes.
-type counter struct{ n atomic.Int64 }
+// counter is an allocation-free Scanner, safe on concurrent lanes. It
+// draws its worlds as packed groups or, with perWorld set, one
+// materialized world at a time: the two forms the engines read.
+type counter struct {
+	n        atomic.Int64
+	perWorld bool
+}
 
-func (c *counter) ScanWorld(int, int, *graph.Graph, int64) { c.n.Add(1) }
-func (c *counter) Converged(int, int) bool                 { return false }
+func (c *counter) ScanGroup(_, _ int, seeds []int64, sampler *uncertain.Sampler) {
+	if c.perWorld {
+		for _, seed := range seeds {
+			sampler.SampleSeed(seed)
+		}
+	} else {
+		sampler.SampleGroup(seeds)
+	}
+	c.n.Add(int64(len(seeds)))
+}
 
-// groupCounter is counter for packed groups.
-type groupCounter struct{ n atomic.Int64 }
-
-func (c *groupCounter) ScanGroup(_, _ int, w *uncertain.PackedWorlds) { c.n.Add(int64(w.Width)) }
-func (c *groupCounter) Converged(int, int) bool                       { return false }
+func (c *counter) Converged(int, int) bool { return false }
 
 // TestOneLaneZeroAllocs pins the steady state of the serving path: a
 // reused Loop on one lane allocates nothing per run, fixed or
-// adaptive, with or without Progress.
+// adaptive, with or without Progress, whether its scan packs groups or
+// materializes worlds.
 func TestOneLaneZeroAllocs(t *testing.T) {
 	g := ring(t, 60, 0.5)
 	var l Loop
-	c := &counter{}
 	ctx := context.Background()
 	progressed := 0
-	grp := &groupCounter{}
 	for _, cfg := range []Config{
 		{Worlds: 80, Seed: 2, Workers: 1},
 		{Worlds: 80, Seed: 2, Workers: 1, Adaptive: true, Progress: func(done, _ int) { progressed = done }},
 	} {
-		for _, packed := range []bool{false, true} {
-			runOnce := func() {
-				var err error
-				if packed {
-					_, err = l.RunGroups(ctx, g, cfg, grp)
-				} else {
-					_, err = l.Run(ctx, g, cfg, c)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
+		for _, perWorld := range []bool{false, true} {
+			c := &counter{perWorld: perWorld}
+			if _, err := l.Run(ctx, g, cfg, c); err != nil { // warm up
+				t.Fatal(err)
 			}
-			runOnce() // warm up
 			allocs := testing.AllocsPerRun(20, func() {
 				cfg.Seed++
-				runOnce()
+				if _, err := l.Run(ctx, g, cfg, c); err != nil {
+					t.Fatal(err)
+				}
 			})
 			if allocs != 0 {
-				t.Errorf("adaptive=%v packed=%v: one-lane run allocates %v times, want 0", cfg.Adaptive, packed, allocs)
+				t.Errorf("adaptive=%v perWorld=%v: one-lane run allocates %v times, want 0", cfg.Adaptive, perWorld, allocs)
 			}
 		}
 	}
@@ -287,108 +279,53 @@ func TestOneLaneZeroAllocs(t *testing.T) {
 }
 
 // TestProgressCountsEveryWorld pins Progress under concurrent lanes:
-// one call per world, ending at the budget, for per-world and packed
-// scans alike.
+// one call per world, ending at the budget.
 func TestProgressCountsEveryWorld(t *testing.T) {
 	g := ring(t, 40, 0.5)
-	for _, packed := range []bool{false, true} {
-		var mu sync.Mutex
-		calls, last := 0, 0
-		cfg := Config{Worlds: 70, Seed: 4, Workers: 4, Adaptive: true, Progress: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if done > last {
-				last = done
-			}
-			if total != 70 {
-				t.Errorf("Progress total %d, want 70", total)
-			}
-		}}
-		if packed {
-			runGroups(t, g, cfg, newGroupRecorder(70))
-		} else {
-			run(t, g, cfg, &counter{})
+	var mu sync.Mutex
+	calls, last := 0, 0
+	cfg := Config{Worlds: 70, Seed: 4, Workers: 4, Adaptive: true, Progress: func(done, total int) {
+		mu.Lock()
+		defer mu.Unlock()
+		calls++
+		if done > last {
+			last = done
 		}
-		if calls != 70 || last != 70 {
-			t.Errorf("packed=%v: Progress called %d times, max done %d; want 70 and 70", packed, calls, last)
+		if total != 70 {
+			t.Errorf("Progress total %d, want 70", total)
 		}
+	}}
+	run(t, g, cfg, newRecorder(70))
+	if calls != 70 || last != 70 {
+		t.Errorf("Progress called %d times, max done %d; want 70 and 70", calls, last)
 	}
 }
 
-// groupRecorder is a GroupScanner that records each group's first
-// world and width, and each world's present-pair count read off the
-// masks, into world-indexed slots.
-type groupRecorder struct {
-	mu      sync.Mutex
-	groups  [][2]int // first world, width
-	edges   []int
-	scanned atomic.Int64
-	checks  []int
-	// converge decides each check; nil never converges.
-	converge func(done int) bool
-	// barrierOK is false once a check saw a world count other than done.
-	barrierOK bool
-}
-
-func newGroupRecorder(worlds int) *groupRecorder {
-	return &groupRecorder{edges: make([]int, worlds), barrierOK: true}
-}
-
-func (r *groupRecorder) ScanGroup(_, i int, w *uncertain.PackedWorlds) {
-	for _, m := range w.Masks {
-		for j := 0; j < w.Width; j++ {
-			r.edges[i+j] += int(m >> j & 1)
-		}
-	}
-	r.mu.Lock()
-	r.groups = append(r.groups, [2]int{i, w.Width})
-	r.mu.Unlock()
-	r.scanned.Add(int64(w.Width))
-}
-
-func (r *groupRecorder) Converged(_, done int) bool {
-	r.checks = append(r.checks, done)
-	if r.scanned.Load() != int64(done) {
-		r.barrierOK = false
-	}
-	return r.converge != nil && r.converge(done)
-}
-
-func runGroups(t *testing.T, g *uncertain.Graph, cfg Config, s GroupScanner) int {
-	t.Helper()
-	var l Loop
-	done, err := l.RunGroups(context.Background(), g, cfg, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return done
-}
-
-// TestRunGroupsMatchesRun pins the packed schedule against the
-// per-world one: the same worlds (each world's present-pair count
-// equals its materialized edge count), the same stopping point, and
-// groups that tile the scanned worlds, never cross a block barrier and
-// hold min(64, ⌈block worlds / lanes⌉) worlds, the block's last group
-// taking the remainder.
-func TestRunGroupsMatchesRun(t *testing.T) {
+// TestGroupSchedule pins the group schedule: every world is scanned
+// once with its own seed, groups tile the scanned worlds, never cross
+// a block barrier and hold min(64, ⌈block worlds / lanes⌉) worlds, the
+// block's last group taking the remainder, and an adaptive run stops
+// at the first barrier its scanner accepts.
+func TestGroupSchedule(t *testing.T) {
 	g := ring(t, 90, 0.5)
+	table := make([]int64, 738)
+	randx.FillWorldSeeds(table, randx.New(6))
 	for _, workers := range []int{1, 2, 3, 7} {
 		for _, worlds := range []int{1, 2, 33, 100, 738} {
 			for _, adaptive := range []bool{false, true} {
 				name := fmt.Sprintf("workers=%d worlds=%d adaptive=%v", workers, worlds, adaptive)
-				stop := func(done int) bool { return done >= 64 }
-				cfg := Config{Worlds: worlds, Seed: 6, Workers: workers, Adaptive: adaptive}
-				want := newRecorder(worlds)
-				want.converge = stop
-				wantDone := run(t, g, cfg, want)
-				got := newGroupRecorder(worlds)
-				got.converge = stop
-				if done := runGroups(t, g, cfg, got); done != wantDone {
-					t.Fatalf("%s: packed run scanned %d worlds, per-world %d", name, done, wantDone)
+				got := newRecorder(worlds)
+				got.converge = func(done int) bool { return done >= 64 }
+				done := run(t, g, Config{Worlds: worlds, Seed: 6, Workers: workers, Adaptive: adaptive}, got)
+				wantDone := worlds
+				if adaptive && worlds > 64 {
+					wantDone = 64
 				}
-				if !reflect.DeepEqual(got.edges, want.edges) || !reflect.DeepEqual(got.checks, want.checks) || !got.barrierOK {
-					t.Fatalf("%s: packed worlds or checks diverge from the per-world run (checks %v vs %v)", name, got.checks, want.checks)
+				if done != wantDone || !got.barrierOK {
+					t.Fatalf("%s: scanned %d worlds, want %d (checks %v)", name, done, wantDone, got.checks)
+				}
+				if !reflect.DeepEqual(got.seeds[:done], table[:done]) {
+					t.Fatalf("%s: scanned worlds do not carry the seed table's prefix", name)
 				}
 				sort.Slice(got.groups, func(a, b int) bool { return got.groups[a][0] < got.groups[b][0] })
 				block := worlds
@@ -408,15 +345,15 @@ func TestRunGroupsMatchesRun(t *testing.T) {
 					}
 					next = lo + width
 				}
-				if next != wantDone {
-					t.Fatalf("%s: groups cover [0, %d), want [0, %d)", name, next, wantDone)
+				if next != done {
+					t.Fatalf("%s: groups cover [0, %d), want [0, %d)", name, next, done)
 				}
 			}
 		}
 	}
 	// queryd's default shape: 738 worlds on 2 lanes make 12 groups.
-	rec := newGroupRecorder(738)
-	runGroups(t, g, Config{Worlds: 738, Seed: 1, Workers: 2}, rec)
+	rec := newRecorder(738)
+	run(t, g, Config{Worlds: 738, Seed: 1, Workers: 2}, rec)
 	if len(rec.groups) != 12 {
 		t.Errorf("738 worlds on 2 lanes ran %d groups, want 12", len(rec.groups))
 	}
