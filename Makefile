@@ -26,8 +26,8 @@ test:
 # Short mode keeps the race run fast: the concurrency exercises in
 # race_test.go and the parallel engine tests all run; only the
 # toolchain-exec smoke tests and the 5k-vertex benchmark check skip.
-# The second pass repeats the two packages every parallel loop runs
-# on, ten times each, so a rare interleaving of their shared state
+# The second pass runs the tests of the parallel loop and of the world
+# loop ten times over, so a rare interleaving of their shared state
 # gets more than one chance to show.
 race:
 	$(GO) test -race -short ./...

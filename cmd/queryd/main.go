@@ -186,8 +186,8 @@ func main() {
 	// Graceful shutdown: SIGINT/SIGTERM stops the accept loop, in-flight
 	// requests get *drain to finish, then the remaining connections are
 	// force-closed (cancelling their request contexts, which aborts
-	// their batch runs between worlds). Either way the daemon exits 0 —
-	// a supervisor's stop is not an error.
+	// their batch runs between groups of up to 64 worlds). Either way
+	// the daemon exits 0 — a supervisor's stop is not an error.
 	sigCtx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	serveErr := make(chan error, 1)

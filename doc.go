@@ -59,11 +59,10 @@
 // Statistic estimation and query batches run on one possible-world
 // loop, internal/worldloop, which owns the world seeds, the block
 // schedule and the worker budget. Parallelism has one axis: the loop
-// spends the budget across sampled worlds, one worker per world (or,
-// for query batches, per packed group of up to 64 worlds) in flight,
-// and walks each sequentially. Each world contributes only integer
-// counts or its own sample slot, so the worker count is invisible in
-// results.
+// spends the budget across sampled worlds, one worker per group of up
+// to 64 consecutive worlds in flight, and each worker walks its group
+// sequentially. Each world contributes only integer counts or its own
+// sample slot, so the worker count is invisible in results.
 //
 // WithTolerance(tol) turns fixed-r Monte-Carlo runs adaptive: the
 // estimation pipeline and query batches walk their world budget in

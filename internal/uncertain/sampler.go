@@ -30,11 +30,14 @@ import (
 // holds: the same coins, without a call per pair.
 //
 // One coin pass has two outputs. Sample and SampleSeed materialize the
-// world as a CSR graph; SampleGroup instead packs up to 64 consecutive
-// worlds into one presence mask per candidate pair (see PackedWorlds),
-// the form the query engine walks. Each output's buffers are allocated
-// on first use, so a sampler that only packs holds no CSR buffers and
-// one that only materializes holds no masks.
+// world as a CSR graph, the form the statistics pipeline measures;
+// SampleGroup instead packs up to 64 consecutive worlds into one
+// presence mask per candidate pair (see PackedWorlds), the form the
+// query engine walks. The world loop (internal/worldloop) hands each
+// scan a group's seeds and its lane's Sampler, and the scan picks the
+// output. Each output's buffers are allocated on first use, so a
+// sampler that only packs holds no CSR buffers and one that only
+// materializes holds no masks.
 //
 // The returned *graph.Graph is reused: it remains valid only until the
 // next Sample or SampleSeed call on the same Sampler. A Sampler is not
@@ -120,8 +123,9 @@ func (g *Graph) NewSampler() *Sampler {
 // by TestSamplerMatchesSampleWorld. The returned graph aliases the
 // sampler and is valid until the next Sample or SampleSeed call.
 //
-// Sample is the reference path for any *rand.Rand; the world loop
-// samples through SampleSeed, which draws the same coins in runs.
+// Sample is the reference path for any *rand.Rand; the world loop's
+// scans sample through SampleSeed or SampleGroup, which draw the same
+// coins in runs.
 func (s *Sampler) Sample(rng *rand.Rand) *graph.Graph {
 	present := s.present
 	for i, p := range s.g.pairP {
@@ -132,9 +136,9 @@ func (s *Sampler) Sample(rng *rand.Rand) *graph.Graph {
 
 // SampleSeed draws the world Sample(randx.New(seed)) draws, from the
 // sampler's own randx.Source: the same coins in the same order, after
-// a table-driven reseed. The world loop calls it once per world with
-// that world's pre-derived seed. The returned graph aliases the
-// sampler and is valid until the next Sample or SampleSeed call.
+// a table-driven reseed. The statistics pipeline calls it once per
+// world with that world's pre-derived seed. The returned graph aliases
+// the sampler and is valid until the next Sample or SampleSeed call.
 func (s *Sampler) SampleSeed(seed int64) *graph.Graph {
 	s.drawSeed(seed)
 	return s.materialize()

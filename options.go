@@ -107,8 +107,8 @@ func WithSeed(seed uint64) Option {
 // negative counts are rejected with ErrBadConfig. Results never depend
 // on the value — workers trade wall-clock time only. World-sampling
 // operations spend the budget across sampled worlds, one worker per
-// world in flight and never more workers than worlds; each world is
-// walked sequentially.
+// group of up to 64 worlds in flight and never more workers than
+// worlds; each group is walked sequentially.
 func WithWorkers(n int) Option {
 	return func(s *settings) error {
 		if n < 0 {
@@ -200,9 +200,12 @@ func WithMemoryBudget(bytes int64) Option {
 
 // WithProgress registers a progress observer. Parallel stages invoke
 // fn concurrently from worker goroutines; fn must be safe for
-// concurrent use and must not block for long. Observation never
-// affects results — a run with a progress callback is bit-identical to
-// one without.
+// concurrent use and must not block for long. The world-sampling
+// stages ("estimate", "query") report each world once, after the group
+// of up to 64 worlds holding it is scanned, so reports arrive in bursts
+// of a group; a group that ends cancelled reports none of its worlds.
+// Observation never affects results — a run with a progress callback is
+// bit-identical to one without.
 func WithProgress(fn func(Progress)) Option {
 	return func(s *settings) error {
 		s.progress = fn
