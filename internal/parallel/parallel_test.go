@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -24,10 +25,10 @@ func TestForZeroIterations(t *testing.T) {
 	For(0, 4, nil, func(int, int) { t.Error("fn called for n=0") })
 }
 
-// TestForStopHaltsClaiming pins the stop hook: once it reports true no
-// further index is claimed, inline and on goroutines, and it is polled
-// before the first claim too.
-func TestForStopHaltsClaiming(t *testing.T) {
+// TestForAbortSkipsRemainingWork pins the stop hook: once it reports
+// true no further index is claimed, inline and on goroutines, and it
+// is polled before the first claim too.
+func TestForAbortSkipsRemainingWork(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		var ran atomic.Int32
 		stop := func() bool { return ran.Load() >= 5 }
@@ -88,57 +89,73 @@ func TestForWorkerIDsAreStable(t *testing.T) {
 	}
 }
 
-// TestForReraisesWorkerPanic pins the panic contract: a panic on a
-// worker goroutine reaches For's caller as a *WorkerPanic carrying the
-// value and the worker's stack, only after every goroutine has
-// returned, and with later claims skipped — including when every call
-// panics.
+// reraiseCases are the panic patterns of the panic-contract tests: one
+// panicking index, and every index panicking, which must not leave a
+// goroutine claiming.
+var reraiseCases = []struct {
+	name    string
+	workers int
+	panics  func(i int) bool
+}{
+	{"one index", 4, func(i int) bool { return i == 37 }},
+	{"every index", 3, func(int) bool { return true }},
+}
+
+// checkReraise pins the panic contract of For(200, workers, stop, fn)
+// with fn panicking where panics says: the panic reaches For's caller
+// as a *WorkerPanic carrying the value and the worker's stack, only
+// after every goroutine has returned, with worker ids in range and
+// later claims skipped — including when every call panics.
+func checkReraise(t *testing.T, workers int, stop func() bool, panics func(i int) bool, every bool) {
+	t.Helper()
+	var running, ran atomic.Int64
+	var returned atomic.Bool
+	caught := func() (v any) {
+		defer func() { v = recover() }()
+		For(200, workers, stop, func(w, i int) {
+			running.Add(1)
+			defer running.Add(-1)
+			if returned.Load() {
+				t.Error("fn ran after For returned")
+			}
+			if w < 0 || w >= workers {
+				t.Errorf("worker id %d outside [0, %d)", w, workers)
+			}
+			ran.Add(1)
+			if panics(i) {
+				panic(fmt.Sprintf("boom at %d", i))
+			}
+		})
+		return nil
+	}()
+	returned.Store(true)
+	wp, ok := caught.(*WorkerPanic)
+	if !ok {
+		t.Fatalf("recovered %T (%v), want *WorkerPanic", caught, caught)
+	}
+	if s, _ := wp.Value.(string); !strings.HasPrefix(s, "boom at ") || len(wp.Stack) == 0 {
+		t.Errorf("WorkerPanic value %v, %d stack bytes; want the panic value and a stack", wp.Value, len(wp.Stack))
+	}
+	if !strings.Contains(wp.Error(), "boom at ") {
+		t.Errorf("Error() = %q, want it to carry the panic value", wp.Error())
+	}
+	if running.Load() != 0 {
+		t.Errorf("%d calls still running when the panic was re-raised", running.Load())
+	}
+	// After a panic every goroutine stops claiming, so when every call
+	// panics each goroutine makes at most one.
+	if every && ran.Load() > int64(workers) {
+		t.Errorf("%d calls ran on %d goroutines although every call panicked", ran.Load(), workers)
+	}
+}
+
+// TestForReraisesWorkerPanic pins the panic contract with no stop hook,
+// as core's trials, adversary's scan chunks and bfs call For, and for
+// nested loops.
 func TestForReraisesWorkerPanic(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-		panics  func(i int) bool
-	}{
-		{"one index", 4, func(i int) bool { return i == 37 }},
-		{"every index", 3, func(int) bool { return true }},
-	} {
+	for _, tc := range reraiseCases {
 		t.Run(tc.name, func(t *testing.T) {
-			var running, ran atomic.Int64
-			var returned atomic.Bool
-			caught := func() (v any) {
-				defer func() { v = recover() }()
-				For(200, tc.workers, nil, func(_, i int) {
-					running.Add(1)
-					defer running.Add(-1)
-					if returned.Load() {
-						t.Error("fn ran after For returned")
-					}
-					ran.Add(1)
-					if tc.panics(i) {
-						panic(fmt.Sprintf("boom at %d", i))
-					}
-				})
-				return nil
-			}()
-			returned.Store(true)
-			wp, ok := caught.(*WorkerPanic)
-			if !ok {
-				t.Fatalf("recovered %T (%v), want *WorkerPanic", caught, caught)
-			}
-			if s, _ := wp.Value.(string); !strings.HasPrefix(s, "boom at ") || len(wp.Stack) == 0 {
-				t.Errorf("WorkerPanic value %v, %d stack bytes; want the panic value and a stack", wp.Value, len(wp.Stack))
-			}
-			if !strings.Contains(wp.Error(), "boom at ") {
-				t.Errorf("Error() = %q, want it to carry the panic value", wp.Error())
-			}
-			if running.Load() != 0 {
-				t.Errorf("%d calls still running when the panic was re-raised", running.Load())
-			}
-			// After a panic every goroutine stops claiming, so when every
-			// call panics each goroutine makes at most one.
-			if tc.name == "every index" && ran.Load() > int64(tc.workers) {
-				t.Errorf("%d calls ran on %d goroutines although every call panicked", ran.Load(), tc.workers)
-			}
+			checkReraise(t, tc.workers, nil, tc.panics, tc.name == "every index")
 		})
 	}
 	// Nested loops, as an obfuscation trial's scan runs inside the trial
@@ -155,9 +172,23 @@ func TestForReraisesWorkerPanic(t *testing.T) {
 	}
 }
 
-// TestForInlinePanicPropagates pins the one-worker path: fn runs on
-// the caller's goroutine, so its panic arrives unwrapped.
-func TestForInlinePanicPropagates(t *testing.T) {
+// TestForWorkersReraisesWorkerPanic pins the same contract in the world
+// loop's call shape: a stop hook polling a live context, which must
+// neither mask the panic nor let a goroutine claim past it.
+func TestForWorkersReraisesWorkerPanic(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := func() bool { return ctx.Err() != nil }
+	for _, tc := range reraiseCases {
+		t.Run(tc.name, func(t *testing.T) {
+			checkReraise(t, tc.workers, stop, tc.panics, tc.name == "every index")
+		})
+	}
+}
+
+// TestForWorkersInlinePanicPropagates pins the one-worker path: fn
+// runs on the caller's goroutine, so its panic arrives unwrapped.
+func TestForWorkersInlinePanicPropagates(t *testing.T) {
 	defer func() {
 		if v := recover(); v != "inline" {
 			t.Errorf("recovered %v, want the original panic value", v)

@@ -31,12 +31,15 @@ func ring(t testing.TB, n int, p float64) *uncertain.Graph {
 
 // recorder is a Scanner that records each world's seed and edge count
 // into world-indexed slots, each group's first world and width, and
-// every convergence check.
+// every convergence check. It draws each world with SampleSeed, the
+// statistics form, or, with packed set, the whole group with
+// SampleGroup, the query form.
 type recorder struct {
 	mu      sync.Mutex
 	groups  [][2]int // first world, width
 	seeds   []int64
 	edges   []int
+	packed  bool
 	scanned atomic.Int64
 	// converge decides each check; nil never converges.
 	converge func(done int) bool
@@ -50,9 +53,17 @@ func newRecorder(worlds int) *recorder {
 }
 
 func (r *recorder) ScanGroup(_, i int, seeds []int64, sampler *uncertain.Sampler) {
-	for j, seed := range seeds {
-		r.seeds[i+j] = seed
-		r.edges[i+j] = sampler.SampleSeed(seed).NumEdges()
+	copy(r.seeds[i:], seeds)
+	if r.packed {
+		for _, mask := range sampler.SampleGroup(seeds).Masks {
+			for j := range seeds {
+				r.edges[i+j] += int(mask >> j & 1)
+			}
+		}
+	} else {
+		for j, seed := range seeds {
+			r.edges[i+j] = sampler.SampleSeed(seed).NumEdges()
+		}
 	}
 	r.mu.Lock()
 	r.groups = append(r.groups, [2]int{i, len(seeds)})
@@ -301,12 +312,15 @@ func TestProgressCountsEveryWorld(t *testing.T) {
 	}
 }
 
-// TestGroupSchedule pins the group schedule: every world is scanned
-// once with its own seed, groups tile the scanned worlds, never cross
-// a block barrier and hold min(64, ⌈block worlds / lanes⌉) worlds, the
-// block's last group taking the remainder, and an adaptive run stops
-// at the first barrier its scanner accepts.
-func TestGroupSchedule(t *testing.T) {
+// TestRunGroupsMatchesRun pins that a run whose scan packs each group
+// (the query form) sees the same worlds, checks and stopping point as
+// one whose scan draws each world (the statistics form), and the group
+// schedule: every world is scanned once with its own seed, groups tile
+// the scanned worlds, never cross a block barrier and hold
+// min(64, ⌈block worlds / lanes⌉) worlds, the block's last group taking
+// the remainder, and an adaptive run stops at the first barrier its
+// scanner accepts.
+func TestRunGroupsMatchesRun(t *testing.T) {
 	g := ring(t, 90, 0.5)
 	table := make([]int64, 738)
 	randx.FillWorldSeeds(table, randx.New(6))
@@ -314,15 +328,27 @@ func TestGroupSchedule(t *testing.T) {
 		for _, worlds := range []int{1, 2, 33, 100, 738} {
 			for _, adaptive := range []bool{false, true} {
 				name := fmt.Sprintf("workers=%d worlds=%d adaptive=%v", workers, worlds, adaptive)
+				stop := func(done int) bool { return done >= 64 }
+				cfg := Config{Worlds: worlds, Seed: 6, Workers: workers, Adaptive: adaptive}
+				want := newRecorder(worlds)
+				want.converge = stop
+				wantDone := run(t, g, cfg, want)
 				got := newRecorder(worlds)
-				got.converge = func(done int) bool { return done >= 64 }
-				done := run(t, g, Config{Worlds: worlds, Seed: 6, Workers: workers, Adaptive: adaptive}, got)
-				wantDone := worlds
-				if adaptive && worlds > 64 {
-					wantDone = 64
+				got.packed = true
+				got.converge = stop
+				done := run(t, g, cfg, got)
+				if done != wantDone {
+					t.Fatalf("%s: packed run scanned %d worlds, per-world %d", name, done, wantDone)
 				}
-				if done != wantDone || !got.barrierOK {
-					t.Fatalf("%s: scanned %d worlds, want %d (checks %v)", name, done, wantDone, got.checks)
+				if !reflect.DeepEqual(got.edges, want.edges) || !reflect.DeepEqual(got.checks, want.checks) || !got.barrierOK {
+					t.Fatalf("%s: packed worlds or checks diverge from the per-world run (checks %v vs %v)", name, got.checks, want.checks)
+				}
+				stopAt := worlds
+				if adaptive && worlds > 64 {
+					stopAt = 64
+				}
+				if done != stopAt || !want.barrierOK {
+					t.Fatalf("%s: scanned %d worlds, want %d (checks %v)", name, done, stopAt, want.checks)
 				}
 				if !reflect.DeepEqual(got.seeds[:done], table[:done]) {
 					t.Fatalf("%s: scanned worlds do not carry the seed table's prefix", name)
