@@ -12,9 +12,9 @@
 //	       [-worlds 738] [-workers N] [-seed 1]
 //	       [-max-worlds 20000] [-max-queries 1024]
 //	       [-mem-budget 1073741824] [-max-knn-sources 64]
-//	       [-global-mem-budget 8589934592] [-tolerance 0.05]
-//	       [-load-mode auto|mmap|heap]
-//	       [-result-cache-budget 268435456]
+//	       [-global-mem-budget 8589934592] [-max-graphs 1024]
+//	       [-tolerance 0.05] [-load-mode auto|mmap|heap]
+//	       [-result-cache-budget 268435456] [-drain 10s]
 //
 // -graph loads one file and makes it the default graph (the legacy
 // alias endpoints resolve to it); -graphs loads every *.ug and *.ugb
@@ -90,7 +90,7 @@ import (
 func main() {
 	var (
 		gin        = flag.String("graph", "", "published uncertain graph to serve as the default graph")
-		gdir       = flag.String("graphs", "", "directory of published graphs: every *.ug is loaded at startup, named by basename")
+		gdir       = flag.String("graphs", "", "directory of published graphs: every *.ug and *.ugb is loaded at startup, named by basename")
 		addr       = flag.String("addr", ":8781", "listen address (port 0 picks a free port)")
 		worlds     = flag.Int("worlds", 0, "default worlds per request (0 selects the Hoeffding default, 738)")
 		maxWorlds  = flag.Int("max-worlds", qserve.DefaultMaxWorlds, "per-request worlds cap")

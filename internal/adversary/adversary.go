@@ -113,29 +113,6 @@ type UncertainModel struct {
 	Ctx context.Context
 }
 
-// ParallelWorkers implements WorkerHinted.
-func (m UncertainModel) ParallelWorkers() int { return m.Workers }
-
-// Aborted implements Abortable on top of the model's context.
-func (m UncertainModel) Aborted() bool {
-	return m.Ctx != nil && m.Ctx.Err() != nil
-}
-
-// WorkerHinted is an optional Model extension: models that carry an
-// explicit worker budget (e.g. one trial of the parallel obfuscation
-// engine, which shares cores with its sibling trials) expose it here;
-// the column scans otherwise default to GOMAXPROCS.
-type WorkerHinted interface {
-	ParallelWorkers() int
-}
-
-// Abortable is an optional Model extension: the column scans poll it
-// between chunks and stops scanning once it reports true, returning an
-// unspecified result the caller has agreed to discard.
-type Abortable interface {
-	Aborted() bool
-}
-
 // NumVertices implements Model.
 func (m UncertainModel) NumVertices() int { return m.G.NumVertices() }
 
@@ -163,13 +140,14 @@ const scanChunk = 512
 
 // scanChunks is the vertex scan behind every column measure. It splits
 // the vertices into fixed scanChunk-vertex chunks, scans them in
-// parallel (the model's WorkerHinted budget, else GOMAXPROCS; polling
-// Abortable between chunks), and folds X_v(ω) of each vertex of a
-// chunk, in vertex order, into that chunk's accumulator of ω: one A per
-// requested ω, starting at A's zero value, updated by add. It returns
-// the accumulators in chunk order, for the caller to merge in that
-// order, or nil when there is nothing to scan. A chunk's accumulators
-// are nil only after an abort, whose result the caller discards anyway.
+// parallel (an UncertainModel's Workers, else GOMAXPROCS; polling an
+// UncertainModel's Ctx between chunks), and folds X_v(ω) of each
+// vertex of a chunk, in vertex order, into that chunk's accumulator of
+// ω: one A per requested ω, starting at A's zero value, updated by add.
+// It returns the accumulators in chunk order, for the caller to merge
+// in that order, or nil when there is nothing to scan. A chunk's
+// accumulators are nil only after an abort, whose result the caller
+// discards anyway.
 //
 // add sees only the ω that can carry mass: never a negative ω
 // (Dist.Prob is 0 there), and for an UncertainModel never an ω above
@@ -195,22 +173,22 @@ func scanChunks[A any](m Model, omegas []int, add func(acc *A, p float64), sc *c
 	if len(omegas) == 0 || n == 0 {
 		return nil
 	}
+	um, isUncertain := m.(UncertainModel)
 	workers := runtime.GOMAXPROCS(0)
-	if h, ok := m.(WorkerHinted); ok && h.ParallelWorkers() > 0 {
-		workers = h.ParallelWorkers()
+	if um.Workers > 0 {
+		workers = um.Workers
 	}
-	aborted := func() bool { return false }
-	if ab, ok := m.(Abortable); ok {
-		aborted = ab.Aborted
+	var stop func() bool
+	if um.Ctx != nil {
+		stop = func() bool { return um.Ctx.Err() != nil }
 	}
 	order := ascendingOmegas(omegas)
-	um, isUncertain := m.(UncertainModel)
 	threshold := um.ExactThreshold
 	if threshold <= 0 {
 		threshold = pbinom.DefaultExactThreshold
 	}
 	chunkAccs := make([][]A, (n+scanChunk-1)/scanChunk)
-	parallel.For(len(chunkAccs), workers, aborted, func(_, c int) {
+	parallel.For(len(chunkAccs), workers, stop, func(_, c int) {
 		lo := c * scanChunk
 		hi := min(lo+scanChunk, n)
 		acc := make([]A, len(omegas))
@@ -444,7 +422,8 @@ func NewAssignment(values []int) *Assignment {
 // 2 the next ones until they hold at least 2b more, and stage 3 the
 // rest; the check fails after a stage once the count so far exceeds
 // eps. An eps no fraction exceeds (eps >= 1, +Inf, NaN) gives one
-// stage. If m's scan is aborted (Abortable) the result is unspecified.
+// stage. If m is an UncertainModel whose Ctx is cancelled, the result
+// is unspecified.
 func (a *Assignment) Check(m Model, k, eps float64) (epsPrime float64, ok bool) {
 	if a.n == 0 {
 		return 0, !(0 > eps)
@@ -459,8 +438,9 @@ func (a *Assignment) Check(m Model, k, eps float64) (epsPrime float64, ok bool) 
 // selects a buffer of the check's own.
 func (a *Assignment) check(m Model, k, eps float64, ents []float64) (bad int, ok bool) {
 	cuts, stages := a.stageCuts(eps)
+	um, isUncertain := m.(UncertainModel)
 	var sc *checkScratch
-	if _, isUncertain := m.(UncertainModel); isUncertain && stages > 1 {
+	if isUncertain && stages > 1 {
 		sc, _ = a.pool.Get().(*checkScratch)
 		if sc == nil {
 			sc = &checkScratch{}
@@ -475,7 +455,6 @@ func (a *Assignment) check(m Model, k, eps float64, ents []float64) (bad int, ok
 	if ents == nil {
 		ents = make([]float64, len(a.cols))
 	}
-	ab, _ := m.(Abortable)
 	limit := math.Log2(k) - 1e-12
 	hi := len(a.cols)
 	for s, lo := range cuts[:stages] {
@@ -483,7 +462,7 @@ func (a *Assignment) check(m Model, k, eps float64, ents []float64) (bad int, ok
 			sc.keep = s < stages-1
 		}
 		stage := columnEntropies(m, a.cols[lo:hi], sc, ents[lo:hi])
-		if ab != nil && ab.Aborted() {
+		if um.Ctx != nil && um.Ctx.Err() != nil {
 			return bad, false
 		}
 		for i, h := range stage {

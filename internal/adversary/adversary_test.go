@@ -183,22 +183,24 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestUncertainModelAbortsOnContext pins the Abortable-on-ctx.Done()
-// reimplementation: a model with a cancelled context reports Aborted
-// and the entropy scan stops at the next chunk boundary.
+// TestUncertainModelAbortsOnContext pins the model's Ctx: a nil or live
+// context leaves the check's answer unchanged, and a cancelled one
+// abandons the scan, so the check fails where it would pass.
 func TestUncertainModelAbortsOnContext(t *testing.T) {
 	g := figure1b(t)
-	if (UncertainModel{G: g}).Aborted() {
-		t.Error("nil-context model reports Aborted")
-	}
+	a := NewAssignment(originalDegrees)
 	ctx, cancel := context.WithCancel(context.Background())
-	m := UncertainModel{G: g, Ctx: ctx}
-	if m.Aborted() {
-		t.Error("live-context model reports Aborted")
+	// k = 1 k-obfuscates every vertex, so a complete check passes at
+	// eps = 0.
+	for _, m := range []UncertainModel{{G: g}, {G: g, Ctx: ctx}} {
+		if eps, ok := a.Check(m, 1, 0); eps != 0 || !ok {
+			t.Errorf("Ctx %v: Check = %v, %v, want 0, true", m.Ctx, eps, ok)
+		}
 	}
 	cancel()
-	if !m.Aborted() {
-		t.Error("cancelled-context model does not report Aborted")
+	m := UncertainModel{G: g, Ctx: ctx}
+	if _, ok := a.Check(m, 1, 0); ok {
+		t.Error("cancelled-context model passes the check")
 	}
 	// The scan completes (discardable result, no hang, no leak) even
 	// when aborted before it starts.

@@ -22,6 +22,7 @@ import (
 	"math/rand"
 
 	"uncertaingraph/internal/graph"
+	"uncertaingraph/internal/randx"
 )
 
 // Sparsify publishes g with each edge independently removed with
@@ -50,8 +51,9 @@ func AddProbability(g *graph.Graph, p float64) float64 {
 
 // Perturb publishes g with each edge removed with probability p and
 // each non-edge added with probability AddProbability(g, p). Non-edge
-// enumeration uses geometric skipping over the C(n,2) pair indices, so
-// the cost is O(m + added) rather than O(n^2).
+// enumeration uses geometric skipping over the C(n,2) pairs
+// (randx.EachPair), so it draws once per visited pair rather than once
+// per pair.
 func Perturb(g *graph.Graph, p float64, rng *rand.Rand) *graph.Graph {
 	b := graph.NewBuilder(g.NumVertices())
 	g.ForEachEdge(func(u, v int) {
@@ -59,26 +61,13 @@ func Perturb(g *graph.Graph, p float64, rng *rand.Rand) *graph.Graph {
 			b.AddEdge(u, v)
 		}
 	})
-	padd := AddProbability(g, p)
-	if padd <= 0 {
-		return b.Build()
-	}
-	n := g.NumVertices()
-	total := n * (n - 1) / 2
-	// Visit each pair with probability padd; pairs that are original
-	// edges are skipped, so every non-edge is added independently with
-	// exactly padd.
-	lnq := log1p(-padd)
-	idx := -1
-	for {
-		idx += 1 + geometric(rng, lnq)
-		if idx >= total {
-			break
-		}
-		u, v := pairFromIndex(idx, n)
+	// Visit each pair with probability AddProbability(g, p); pairs that
+	// are original edges are skipped, so every non-edge is added
+	// independently with exactly that probability.
+	randx.EachPair(rng, g.NumVertices(), AddProbability(g, p), func(u, v int) {
 		if !g.HasEdge(u, v) {
 			b.AddEdge(u, v)
 		}
-	}
+	})
 	return b.Build()
 }

@@ -1,6 +1,9 @@
 package baseline
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -200,16 +203,26 @@ func median(xs []float64) float64 {
 	return s[len(s)/2]
 }
 
-func TestPairFromIndexBaseline(t *testing.T) {
-	n := 6
-	idx := 0
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			gu, gv := pairFromIndex(idx, n)
-			if gu != u || gv != v {
-				t.Fatalf("pairFromIndex(%d) = (%d,%d), want (%d,%d)", idx, gu, gv, u, v)
-			}
-			idx++
+// TestPerturbPinnedDigests pins the non-edge sampler's draw order: the
+// edge lists of these releases were recorded before the sampler moved
+// to randx.EachPair.
+func TestPerturbPinnedDigests(t *testing.T) {
+	g := gen.HolmeKim(randx.New(7), 800, 3, 0.3)
+	for _, c := range []struct {
+		p      float64
+		seed   int64
+		digest string
+	}{
+		{0.04, 1, "3c3139d5052cc3d6c883eb68d3df147d98801d9d8b49b6def90a4e49ec734e47"},
+		{0.32, 2, "44cab5bccb57af474f052900027619ed7b2dbaa208a6ac60f1a9ac38ccfa4c72"},
+		{1, 3, "cfcb5047765a0f32dda594a4ba561243f6b4b53c05d0989184c70dad6cbce3d0"},
+	} {
+		var buf bytes.Buffer
+		if err := graph.WriteEdgeList(&buf, Perturb(g, c.p, randx.New(c.seed))); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); got != c.digest {
+			t.Errorf("p=%g seed=%d: digest %s, want %s", c.p, c.seed, got, c.digest)
 		}
 	}
 }

@@ -58,7 +58,7 @@ type run struct {
 	g      *graph.Graph
 	params Params
 	// values are the property values of g, computed once per run:
-	// Property.Values may intern into its instance (P2, P3), so the
+	// Property.Values may intern values into its instance, so the
 	// probes share one result instead of calling it themselves.
 	values []int
 	// degrees is the (k, ε) check of line 20, prepared once per run

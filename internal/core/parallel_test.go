@@ -174,18 +174,50 @@ func (p *countingProperty) Values(g *graph.Graph) []int {
 	return p.Property.Values(g)
 }
 
+// internedProperty is a property other than the degree that interns
+// its values into the instance: P(v) is the sum of v's neighbours'
+// degrees, Values returns ids into dict, and Distance reads dict. A
+// Values call running beside a Distance call is a data race.
+type internedProperty struct{ dict []int }
+
+func (p *internedProperty) Name() string { return "neighbour-degree-sum" }
+
+func (p *internedProperty) Values(g *graph.Graph) []int {
+	ids := make(map[int]int)
+	out := make([]int, g.NumVertices())
+	for v := range out {
+		sum := 0
+		for _, u := range g.Neighbors(v) {
+			sum += g.Degree(int(u))
+		}
+		id, ok := ids[sum]
+		if !ok {
+			id = len(p.dict)
+			ids[sum] = id
+			p.dict = append(p.dict, sum)
+		}
+		out[v] = id
+	}
+	return out
+}
+
+func (p *internedProperty) Distance(a, b int) float64 {
+	return math.Abs(float64(p.dict[a] - p.dict[b]))
+}
+
 // TestObfuscatePropertyValuesOncePerRun is the regression for the
-// P2/P3 interning race: Values appends to the property's dictionary,
-// and each concurrently running σ probe used to call it while other
-// probes read the dictionary through Distance (an index-out-of-range
-// panic, and a -race report). Values must run exactly once per
-// Obfuscate run, before any probe starts, and the parallel search must
-// still match the sequential one.
+// interning race: an interning property's Values appends to its
+// dictionary, and each concurrently running σ probe used to call it
+// while other probes read the dictionary through Distance (an
+// index-out-of-range panic, and a -race report). Values must run
+// exactly once per Obfuscate run, before any probe starts, and the
+// parallel search must still match the sequential one, both for the
+// degree and for a property Obfuscate scores with but does not verify.
 func TestObfuscatePropertyValuesOncePerRun(t *testing.T) {
 	g := testGraph(22, 250)
 	for name, mk := range map[string]func() Property{
-		"P2": func() Property { return NewNeighborhoodDegreeProperty() },
-		"P3": func() Property { return NewRadiusOneProperty() },
+		"degree":   func() Property { return DegreeProperty{} },
+		"interned": func() Property { return &internedProperty{} },
 	} {
 		t.Run(name, func(t *testing.T) {
 			var runs []*Result

@@ -17,10 +17,9 @@ import "uncertaingraph/internal/graph"
 
 // Property is a vertex property P: V -> Ω_P with a distance on Ω_P,
 // used for uniqueness scoring (paper Definition 3). The paper evaluates
-// the degree property (P1); richer properties (degrees of neighbors,
-// radius-one subgraphs) can be plugged in for scoring, while the
-// obfuscation *check* in this package is degree-based, as in the paper's
-// experiments.
+// the degree property (P1), the one this package provides; a caller may
+// plug in another property for scoring, while the obfuscation *check*
+// in this package is degree-based, as in the paper's experiments.
 type Property interface {
 	// Name identifies the property in logs and reports.
 	Name() string

@@ -11,7 +11,8 @@ import (
 )
 
 // Table2 reproduces paper Table 2: the minimal σ found by Algorithm 1
-// for every dataset × k × ε combination.
+// for every dataset × k × ε combination. Paper Table 3 is the
+// throughput view of the same runs (RenderTable3).
 func Table2(s *Suite) ([]*ObfRun, error) {
 	var out []*ObfRun
 	for _, name := range []string{"dblp", "flickr", "y360"} {
@@ -29,10 +30,6 @@ func Table2(s *Suite) ([]*ObfRun, error) {
 	}
 	return out, nil
 }
-
-// Table3 reproduces paper Table 3: throughput in edges/sec for the same
-// grid as Table 2 (the two tables are two views of the same runs).
-func Table3(s *Suite) ([]*ObfRun, error) { return Table2(s) }
 
 // UtilityRow is one row of Table 4 (sample means) or Table 5 (relative
 // SEMs): a dataset, a label ("real" or "k = 20"), and per-statistic

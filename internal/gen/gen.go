@@ -6,15 +6,15 @@
 // (homogeneous degrees), Barabási–Albert preferential attachment
 // (heavy-tailed degrees, low clustering), Holme–Kim (heavy-tailed
 // degrees with tunable clustering — the closest simple model to
-// co-authorship and friendship networks), the configuration model
-// (arbitrary degree sequences), and Watts–Strogatz (small-world, high
-// clustering).
+// co-authorship and friendship networks), and Watts–Strogatz
+// (small-world, high clustering).
 package gen
 
 import (
 	"math/rand"
 
 	"uncertaingraph/internal/graph"
+	"uncertaingraph/internal/randx"
 )
 
 // ErdosRenyiGNM returns a uniform random simple graph with n vertices
@@ -33,35 +33,11 @@ func ErdosRenyiGNM(rng *rand.Rand, n, m int) *graph.Graph {
 }
 
 // ErdosRenyiGNP returns a G(n, p) graph: each of the n*(n-1)/2 pairs is
-// an edge independently with probability p. It uses geometric skipping,
-// so the cost is O(n + m) rather than O(n^2).
+// an edge independently with probability p. It uses geometric skipping
+// (randx.EachPair), so it draws once per edge rather than once per pair.
 func ErdosRenyiGNP(rng *rand.Rand, n int, p float64) *graph.Graph {
 	b := graph.NewBuilder(n)
-	if p <= 0 {
-		return b.Build()
-	}
-	if p >= 1 {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				b.AddEdge(u, v)
-			}
-		}
-		return b.Build()
-	}
-	// Iterate pairs in lexicographic order, skipping a Geometric(p)
-	// number of non-edges between successive edges (Batagelj–Brandes).
-	lnq := logOneMinus(p)
-	idx := -1
-	total := n * (n - 1) / 2
-	for {
-		skip := geometricSkip(rng, lnq)
-		idx += 1 + skip
-		if idx >= total {
-			break
-		}
-		u, v := pairFromIndex(idx, n)
-		b.AddEdge(u, v)
-	}
+	randx.EachPair(rng, n, p, func(u, v int) { b.AddEdge(u, v) })
 	return b.Build()
 }
 
@@ -141,50 +117,6 @@ func HolmeKim(rng *rand.Rand, n, m int, pt float64) *graph.Graph {
 		}
 	}
 	return b.Build()
-}
-
-// ConfigurationModel returns a simple graph whose degree sequence
-// approximates the given one: stubs are matched uniformly at random and
-// self-loops/multi-edges are discarded, so high-degree vertices may fall
-// slightly short of their target degree (standard erased configuration
-// model).
-func ConfigurationModel(rng *rand.Rand, degrees []int) *graph.Graph {
-	n := len(degrees)
-	var stubs []int
-	for v, d := range degrees {
-		for i := 0; i < d; i++ {
-			stubs = append(stubs, v)
-		}
-	}
-	rng.Shuffle(len(stubs), func(i, j int) { stubs[i], stubs[j] = stubs[j], stubs[i] })
-	b := graph.NewBuilder(n)
-	for i := 0; i+1 < len(stubs); i += 2 {
-		b.AddEdge(stubs[i], stubs[i+1])
-	}
-	return b.Build()
-}
-
-// PowerLawDegrees samples n degrees from a discrete power law
-// P(d) ~ d^-gamma on [dmin, dmax] by inverse-transform sampling of the
-// continuous Pareto and rounding down.
-func PowerLawDegrees(rng *rand.Rand, n int, gamma float64, dmin, dmax int) []int {
-	degrees := make([]int, n)
-	a := 1 - gamma
-	lo := powf(float64(dmin), a)
-	hi := powf(float64(dmax)+1, a)
-	for i := range degrees {
-		u := rng.Float64()
-		x := powf(lo+u*(hi-lo), 1/a)
-		d := int(x)
-		if d < dmin {
-			d = dmin
-		}
-		if d > dmax {
-			d = dmax
-		}
-		degrees[i] = d
-	}
-	return degrees
 }
 
 // WattsStrogatz returns a small-world graph: a ring lattice where every

@@ -1,6 +1,9 @@
 package gen
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math"
 	"testing"
 
@@ -44,6 +47,51 @@ func TestErdosRenyiGNPExtremes(t *testing.T) {
 	}
 	if g := ErdosRenyiGNP(randx.New(4), 30, 1); g.NumEdges() != 435 {
 		t.Errorf("p=1 should give complete graph, got %d edges", g.NumEdges())
+	}
+}
+
+// TestErdosRenyiGNPTinyP pins the skip overflow: at p = 1e-19 a
+// geometric skip exceeds every int, and its conversion used to wrap the
+// pair index, adding edges for about one seed in six where a graph
+// expects about 1.2e-16 edges.
+func TestErdosRenyiGNPTinyP(t *testing.T) {
+	for seed := int64(1); seed <= 2000; seed++ {
+		if m := ErdosRenyiGNP(randx.New(seed), 50, 1e-19).NumEdges(); m != 0 {
+			t.Fatalf("seed %d: %d edges at p = 1e-19, want 0", seed, m)
+		}
+	}
+}
+
+// edgeListDigest is the SHA-256 of g's edge-list file.
+func edgeListDigest(t *testing.T, g *graph.Graph) string {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
+}
+
+// TestErdosRenyiGNPPinnedDigests pins the pair sampler's draw order:
+// the edge lists of these graphs were recorded before the sampler moved
+// to randx.EachPair.
+func TestErdosRenyiGNPPinnedDigests(t *testing.T) {
+	for _, c := range []struct {
+		n      int
+		p      float64
+		seed   int64
+		digest string
+	}{
+		{2, 1, 5, "ff71796aa72d122b98de9d63c9ecc811be63dcaac578555907510abeec82d3fb"},
+		{10, 0.3, 1, "ee6fe57c3182fc18974237140d7f879231ae77aba72e5f08ce8c1cb86361f39a"},
+		{200, 0.01, 2, "4ce1ce0ce42a23ba356e4ecb10301e4903bcb6b3444969bacaafce01cd067475"},
+		{200, 0.9, 3, "710f2966e733ba96450c94ecb5ff75a37f4817648dc2bb9685e105819b6b0df9"},
+		{3000, 1e-4, 4, "081d37a04e61379cdb0641ea1cfbe9b3795b62957a94f8077b33f44fb4eade71"},
+	} {
+		g := ErdosRenyiGNP(randx.New(c.seed), c.n, c.p)
+		if got := edgeListDigest(t, g); got != c.digest {
+			t.Errorf("n=%d p=%g seed=%d: digest %s, want %s", c.n, c.p, c.seed, got, c.digest)
+		}
 	}
 }
 
@@ -126,56 +174,6 @@ func TestHolmeKimRaisesClustering(t *testing.T) {
 	}
 }
 
-func TestConfigurationModel(t *testing.T) {
-	rng := randx.New(8)
-	degrees := PowerLawDegrees(rng, 2000, 2.5, 2, 100)
-	g := ConfigurationModel(rng, degrees)
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// The erased model discards few edges; total degree should be within
-	// 10% of the target.
-	target := 0
-	for _, d := range degrees {
-		target += d
-	}
-	got := 2 * g.NumEdges()
-	if float64(got) < 0.9*float64(target/2*2) {
-		t.Errorf("degree mass %d too far below target %d", got, target)
-	}
-}
-
-func TestPowerLawDegreesRange(t *testing.T) {
-	rng := randx.New(9)
-	degrees := PowerLawDegrees(rng, 10000, 2.2, 3, 500)
-	minD, maxD := 1<<30, 0
-	for _, d := range degrees {
-		if d < minD {
-			minD = d
-		}
-		if d > maxD {
-			maxD = d
-		}
-	}
-	if minD < 3 || maxD > 500 {
-		t.Errorf("degrees out of range: min %d max %d", minD, maxD)
-	}
-	// Heavy tail: some degree far above dmin must occur.
-	if maxD < 30 {
-		t.Errorf("max degree %d too small for gamma=2.2", maxD)
-	}
-	// Majority of mass near dmin.
-	low := 0
-	for _, d := range degrees {
-		if d <= 6 {
-			low++
-		}
-	}
-	if float64(low)/10000 < 0.5 {
-		t.Errorf("only %d/10000 degrees <= 6; tail too heavy", low)
-	}
-}
-
 func TestWattsStrogatz(t *testing.T) {
 	g := WattsStrogatz(randx.New(10), 500, 3, 0.1)
 	if err := g.Validate(); err != nil {
@@ -206,20 +204,6 @@ func TestGeneratorsDeterministicForSeed(t *testing.T) {
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatal("same seed must give identical edge lists")
-		}
-	}
-}
-
-func TestPairFromIndex(t *testing.T) {
-	n := 7
-	idx := 0
-	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			gu, gv := pairFromIndex(idx, n)
-			if gu != u || gv != v {
-				t.Fatalf("pairFromIndex(%d) = (%d,%d), want (%d,%d)", idx, gu, gv, u, v)
-			}
-			idx++
 		}
 	}
 }

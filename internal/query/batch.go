@@ -115,14 +115,8 @@ type Config struct {
 // used concurrently; concurrency lives inside Run (the Workers fan-out)
 // and across independent Batches.
 type Batch struct {
-	// Worlds, Seed, Workers, Progress, MemoryBudget and Tolerance may
-	// be adjusted between Run calls; see Config for their meaning.
-	Worlds       int
-	Seed         int64
-	Workers      int
-	Progress     func(done, total int)
-	MemoryBudget int64
-	Tolerance    float64
+	// Config's fields may be adjusted between Run calls.
+	Config
 
 	g *uncertain.Graph
 
@@ -146,19 +140,12 @@ type Batch struct {
 	loop worldloop.Loop
 	ws   []*worker
 
-	// Merged results of the last Run.
-	relHits   []int64
-	distDisc  []int64
-	distHist  [][]int32
-	knnHist   [][]int32 // d-major: hist[d*n + v]
-	worldsRun int
-	converged bool
-	ran       bool
-
-	// res is the live results view the accessors delegate through; its
-	// ranking scratch (an O(n) buffer bounded by the graph, not the
-	// request) persists across runs and Resets.
+	// res holds the last Run's merged results, aliasing worker 0's
+	// accumulators, and is valid only while ran is set. The accessors
+	// delegate to it; its ranking scratch (an O(n) buffer bounded by
+	// the graph, not the request) persists across runs and Resets.
 	res Results
+	ran bool
 }
 
 type qkind uint8
@@ -207,16 +194,7 @@ type walker struct {
 // NewBatch returns an empty batch over g. The sampling template and
 // all per-lane buffers are built lazily on the first Run.
 func NewBatch(g *uncertain.Graph, cfg Config) *Batch {
-	return &Batch{
-		g:            g,
-		Worlds:       cfg.Worlds,
-		Seed:         cfg.Seed,
-		Workers:      cfg.Workers,
-		Progress:     cfg.Progress,
-		MemoryBudget: cfg.MemoryBudget,
-		Tolerance:    cfg.Tolerance,
-		srcIndex:     make(map[int32]int),
-	}
+	return &Batch{Config: cfg, g: g, srcIndex: make(map[int32]int)}
 }
 
 // Graph returns the uncertain graph the batch queries.
@@ -263,8 +241,8 @@ func (b *Batch) shed() {
 		w.rel, w.disc = nil, nil
 		w.distH, w.knnH = nil, nil
 	}
-	b.relHits, b.distDisc = nil, nil
-	b.distHist, b.knnHist = nil, nil
+	b.res.relHits, b.res.distDisc = nil, nil
+	b.res.distHist, b.res.knnHist = nil, nil
 }
 
 // AccumulatorBytes reports the payload bytes currently retained by the
@@ -447,28 +425,34 @@ func (b *Batch) Run(ctx context.Context) error {
 	// cancelled re-Run must leave the previous run's (now wiped)
 	// results unavailable, not silently readable.
 	b.ran = false
-	r := b.worlds()
-	workers := worldloop.Workers(b.Workers, r)
+	workers := worldloop.Workers(b.Workers, b.worlds())
 	if b.MemoryBudget > 0 {
 		if need := WorstCaseAccumBytes(b.g.NumVertices(), b.nknn, workers); need > b.MemoryBudget {
 			return &BudgetError{NeedBytes: need, BudgetBytes: b.MemoryBudget}
 		}
 	}
+	return b.run(ctx, workers, (*scanner)(b))
+}
+
+// run is Run once the budget check has passed: it resets workers
+// lanes, runs the world loop with scan and, unless ctx ends the loop,
+// merges the lanes into the results.
+func (b *Batch) run(ctx context.Context, workers int, scan worldloop.Scanner) error {
 	b.prepare(workers)
 	adaptive := b.Tolerance > 0
 	done, err := b.loop.Run(ctx, b.g, worldloop.Config{
-		Worlds:   r,
+		Worlds:   b.worlds(),
 		Seed:     b.Seed,
 		Workers:  b.Workers,
 		Adaptive: adaptive,
 		Progress: b.Progress,
-	}, (*scanner)(b))
+	}, scan)
 	if err != nil {
 		return err
 	}
 	b.merge(workers)
-	b.worldsRun = done
-	b.converged = adaptive && b.allConverged(1, done)
+	b.res.worldsRun = done
+	b.res.converged = adaptive && b.allConverged(1, done)
 	b.ran = true
 	return nil
 }
@@ -555,7 +539,7 @@ func (b *Batch) WorldsRun() int {
 	if !b.ran {
 		return 0
 	}
-	return b.worldsRun
+	return b.res.worldsRun
 }
 
 // Converged reports whether every registered query's relative SEM was
@@ -567,7 +551,7 @@ func (b *Batch) Converged() bool {
 	if !b.ran {
 		return false
 	}
-	return b.converged
+	return b.res.converged
 }
 
 // prepare resets the per-lane accumulators for workers lanes, reusing
@@ -766,9 +750,10 @@ func (w *walker) ensure(n int) {
 	}
 }
 
-// merge folds every worker's accumulators into worker 0's; all
-// contributions are integer counts, so the result does not depend on
-// how worlds were distributed across workers.
+// merge folds every worker's accumulators into worker 0's and points
+// the results at them; all contributions are integer counts, so the
+// result does not depend on how worlds were distributed across
+// workers.
 func (b *Batch) merge(workers int) {
 	w0 := b.ws[0]
 	for k := 1; k < workers; k++ {
@@ -786,10 +771,12 @@ func (b *Batch) merge(workers int) {
 			w0.knnH[i] = addCounts(w0.knnH[i], h)
 		}
 	}
-	b.relHits = w0.rel
-	b.distDisc = w0.disc
-	b.distHist = w0.distH
-	b.knnHist = w0.knnH
+	b.res.queries = b.queries
+	b.res.n = b.g.NumVertices()
+	b.res.relHits = w0.rel
+	b.res.distDisc = w0.disc
+	b.res.distHist = w0.distH
+	b.res.knnHist = w0.knnH
 }
 
 func addCounts(dst, src []int32) []int32 {

@@ -154,7 +154,7 @@ func checkOracle(t *testing.T, name string, g *uncertain.Graph, sources []int, r
 	}
 	for _, s := range sources {
 		law, disc := exactLaws(t, g, s)
-		h := b.knnHist[b.queries[knnIDs[s]].slot]
+		h := b.res.knnHist[b.queries[knnIDs[s]].slot]
 		for v := 0; v < n; v++ {
 			reached := 0.0
 			for d, want := range law[v] {

@@ -93,27 +93,14 @@ func (b *Batch) scanWorld(w *worker, scratch *bfs.Scratch, world *graph.Graph) {
 func runReference(tb testing.TB, b *Batch) {
 	tb.Helper()
 	b.ran = false
-	r := b.worlds()
-	workers := worldloop.Workers(b.Workers, r)
-	b.prepare(workers)
+	workers := worldloop.Workers(b.Workers, b.worlds())
 	ref := &refScanner{b: b}
 	for range workers {
 		ref.scratch = append(ref.scratch, bfs.NewScratch())
 	}
-	adaptive := b.Tolerance > 0
-	done, err := b.loop.Run(context.Background(), b.g, worldloop.Config{
-		Worlds:   r,
-		Seed:     b.Seed,
-		Workers:  b.Workers,
-		Adaptive: adaptive,
-	}, ref)
-	if err != nil {
+	if err := b.run(context.Background(), workers, ref); err != nil {
 		tb.Fatal(err)
 	}
-	b.merge(workers)
-	b.worldsRun = done
-	b.converged = adaptive && b.allConverged(1, done)
-	b.ran = true
 }
 
 // diffResults reports the first difference between two runs' merged

@@ -54,21 +54,13 @@ func cloneHists(hs [][]int32) [][]int32 {
 	return out
 }
 
-// view refreshes the batch's embedded results view to alias the current
-// merged accumulators and returns it. The view is only valid until the
-// next Run or Reset; Snapshot copies it out.
+// view returns the batch's results, which alias its merged
+// accumulators. The view is only valid until the next Run or Reset;
+// Snapshot copies it out.
 func (b *Batch) view() *Results {
 	if !b.ran {
 		panic("query: result accessed before Run")
 	}
-	b.res.queries = b.queries
-	b.res.n = b.g.NumVertices()
-	b.res.relHits = b.relHits
-	b.res.distDisc = b.distDisc
-	b.res.distHist = b.distHist
-	b.res.knnHist = b.knnHist
-	b.res.worldsRun = b.worldsRun
-	b.res.converged = b.converged
 	return &b.res
 }
 

@@ -1,6 +1,6 @@
 // Package randx provides the randomness substrate: reproducible seeded
 // RNG construction, O(1) weighted sampling via Walker's alias method,
-// and Source, math/rand's generator as a concrete type for the
+// geometric skipping over vertex pairs (EachPair), and Source, math/rand's generator as a concrete type for the
 // per-world samplers, with a block coin kernel (Source.Coins) that
 // draws a world's coins against per-pair integer thresholds
 // (CoinThreshold) exactly as per-pair Float64 calls would. On amd64
@@ -15,7 +15,10 @@
 // search step, sampling must be constant time, hence the alias table.
 package randx
 
-import "math/rand"
+import (
+	"math"
+	"math/rand"
+)
 
 // New returns a reproducible *rand.Rand for the given seed.
 //
@@ -60,6 +63,55 @@ func FillWorldSeeds(seeds []int64, master *rand.Rand) {
 	for i := range seeds {
 		seeds[i] = master.Int63()
 	}
+}
+
+// EachPair calls fn(u, v) for each pair u < v of n vertices
+// independently with probability p, in lexicographic order. It skips a
+// Geometric(p) number of pairs between successive calls
+// (Batagelj–Brandes), so it draws once per call, plus once, rather than
+// once per pair. p >= 1 calls every pair without drawing; p <= 0 or
+// NaN calls none.
+func EachPair(rng *rand.Rand, n int, p float64, fn func(u, v int)) {
+	if !(p > 0) {
+		return
+	}
+	if p >= 1 {
+		for u := 0; u < n; u++ {
+			for v := u + 1; v < n; v++ {
+				fn(u, v)
+			}
+		}
+		return
+	}
+	lnq := math.Log1p(-p)
+	total := n * (n - 1) / 2
+	for idx := -1; ; {
+		u := rng.Float64()
+		for u == 0 {
+			u = rng.Float64()
+		}
+		// The skip is compared with the pairs left before it becomes
+		// an int: at tiny p it can exceed any int.
+		skip := math.Log(u) / lnq
+		if skip >= float64(total-idx-1) {
+			return
+		}
+		idx += 1 + int(skip)
+		fn(pairFromIndex(idx, n))
+	}
+}
+
+// pairFromIndex maps a lexicographic index over the pairs
+// (0,1), (0,2), ..., (0,n-1), (1,2), ... to the pair (u, v), u < v.
+func pairFromIndex(idx, n int) (int, int) {
+	u := 0
+	rowLen := n - 1
+	for idx >= rowLen {
+		idx -= rowLen
+		u++
+		rowLen--
+	}
+	return u, u + 1 + idx
 }
 
 // Alias is a Walker alias table supporting O(1) draws from a fixed

@@ -209,3 +209,17 @@ func TestDeriveStreamsUncorrelated(t *testing.T) {
 		seen[v] = true
 	}
 }
+
+func TestPairFromIndex(t *testing.T) {
+	n := 7
+	idx := 0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			gu, gv := pairFromIndex(idx, n)
+			if gu != u || gv != v {
+				t.Fatalf("pairFromIndex(%d) = (%d,%d), want (%d,%d)", idx, gu, gv, u, v)
+			}
+			idx++
+		}
+	}
+}

@@ -109,19 +109,19 @@ func BenchmarkEstimateStatisticsANF(b *testing.B) {
 // evaluateRelease returns the release of e2ebench's evaluate workload,
 // cmd/evaluate's input at its defaults: the (k=10, ε=0.02)-obfuscation
 // of the dblp small stand-in, obfuscation seed 1.
-func evaluateRelease(b *testing.B) *uncertain.Graph {
-	b.Helper()
+func evaluateRelease(tb testing.TB) *uncertain.Graph {
+	tb.Helper()
 	spec, err := datasets.ByName("dblp")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	d, err := datasets.Generate(spec, datasets.ScaleSmall)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	res, err := core.Obfuscate(context.Background(), d.Graph, core.Params{K: 10, Eps: 0.02, Seed: 1})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return res.G
 }

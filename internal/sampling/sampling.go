@@ -184,10 +184,9 @@ func (r *Report) RelErr(name string, real float64) float64 {
 // grow to the graph size once and are reused for every subsequent
 // world.
 type Scratch struct {
-	bfs     *bfs.Scratch
-	anf     *anf.Engine
-	anfBits int
-	tri     stats.Triangles
+	bfs *bfs.Scratch
+	anf *anf.Engine
+	tri stats.Triangles
 	// intra is the worker budget of the BFS distance scans inside one
 	// ScalarsInto call (<= 0 selects GOMAXPROCS). NewScratch sets 1, so
 	// per-world scans run sequentially — the world loop spends Workers
@@ -202,19 +201,10 @@ type Scratch struct {
 func NewScratch(cfg Config) *Scratch {
 	cfg = cfg.withDefaults()
 	return &Scratch{
-		bfs:     bfs.NewScratch(),
-		anf:     anf.NewEngine(anf.Options{Bits: cfg.ANFBits}),
-		anfBits: cfg.ANFBits,
-		intra:   1,
+		bfs:   bfs.NewScratch(),
+		anf:   anf.NewEngine(anf.Options{Bits: cfg.ANFBits}),
+		intra: 1,
 	}
-}
-
-func (s *Scratch) engine(cfg Config) *anf.Engine {
-	if s.anfBits != cfg.ANFBits {
-		s.anf = anf.NewEngine(anf.Options{Bits: cfg.ANFBits})
-		s.anfBits = cfg.ANFBits
-	}
-	return s.anf
 }
 
 // ScalarsOf evaluates the ten paper statistics on a single certain
@@ -236,7 +226,8 @@ func ScalarsOf(g *graph.Graph, cfg Config, seed int64) map[string]float64 {
 
 // ScalarsInto evaluates the ten statistics into vals (indexed by
 // StatNames order) against caller-owned scratch buffers — the reuse
-// form of ScalarsOf that the world loop drives.
+// form of ScalarsOf that the world loop drives. sc must come from
+// NewScratch(cfg): its HyperANF engine is built for cfg.ANFBits.
 func ScalarsInto(g *graph.Graph, cfg Config, seed int64, sc *Scratch, vals *[10]float64) {
 	cfg = cfg.withDefaults()
 	vals[0] = stats.NumEdges(g)
@@ -251,7 +242,7 @@ func ScalarsInto(g *graph.Graph, cfg Config, seed int64, sc *Scratch, vals *[10]
 	case DistanceSampledBFS:
 		dd = sc.bfs.SampledDistanceDistribution(g, cfg.BFSSources, randx.New(seed), sc.intra)
 	default:
-		dd = sc.engine(cfg).DistanceDistribution(g, uint64(seed))
+		dd = sc.anf.DistanceDistribution(g, uint64(seed))
 	}
 	vals[5] = dd.AvgDistance()
 	vals[6] = float64(dd.Diameter())

@@ -68,9 +68,7 @@ type settings struct {
 	eps          float64
 	epsSet       bool
 	obf          ObfuscationParams
-	obfSet       bool
 	est          EstimateConfig
-	estSet       bool
 	distances    DistanceMethod
 	distancesSet bool
 }
@@ -286,7 +284,6 @@ func WithObfuscation(p ObfuscationParams) Option {
 			return badConfig("ObfuscationParams.%s = %v must be finite (0 selects the default)", name, v)
 		}
 		s.obf = p
-		s.obfSet = true
 		return nil
 	}
 }
@@ -310,7 +307,6 @@ func WithEstimate(cfg EstimateConfig) Option {
 			return badConfig("EstimateConfig.ANFBits %d must be 0 or in [4, 16]", cfg.ANFBits)
 		}
 		s.est = cfg
-		s.estSet = true
 		return nil
 	}
 }
