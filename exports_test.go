@@ -63,13 +63,12 @@ func TestInternalExportsHaveShippedCallers(t *testing.T) {
 			return err
 		}
 		pkg, internal := strings.CutPrefix(filepath.ToSlash(filepath.Dir(p)), "internal/")
-		if !internal {
-			pkg = ""
-		}
-		for _, name := range exportedDecls(f) {
-			if pkg != "" {
+		if internal {
+			for _, name := range exportedDecls(f) {
 				declared[pkg+"."+name] = true
 			}
+		} else {
+			pkg = ""
 		}
 		markUses(f, pkg, used)
 		return nil
